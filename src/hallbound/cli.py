@@ -13,7 +13,8 @@ Group SPECs use the corpus grammar ("A5", "S3 x C4", "A5 wr C2", ...) or
 generator per line in 1-based disjoint cycles).
 
 Exit codes: 0 every evaluated check holds, 1 some check failed, 2 usage or
-computation error, 3 all requested checks were skipped.
+computation error, 3 all requested checks were skipped, 4 internal error
+(a bug in hallbound, never a verdict on the theorem).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_ERROR = 2
 EXIT_SKIPPED = 3
+EXIT_INTERNAL = 4
 
 
 def _load_group(spec: str) -> PermGroup:
@@ -277,6 +280,10 @@ def main(argv: list[str] | None = None) -> int:
     except (GroupError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

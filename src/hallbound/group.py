@@ -28,14 +28,35 @@ from .errors import CapExceeded, DegreeMismatch, SubgroupError
 from .perm import Permutation, _inv, _mul
 
 
+class _OrbitDoesNotDivide(Exception):
+    """A divisor-bounded chain build stopped early; never leaves this module."""
+
+
 class StabChain:
-    """Stabilizer chain with the full ordered base."""
+    """Stabilizer chain with the full ordered base.
+
+    Inverse transversal elements are computed the first time a sift or a
+    Schreier generator needs them.  A level's orbit is rebuilt only when a
+    strong generator at that level or deeper has arrived since its last
+    build; the BFS is deterministic, so a skipped rebuild would have produced
+    the same transversal.  A rebuilt level always restarts its BFS from
+    scratch: extending an orbit in place would pick other coset
+    representatives.
+
+    With a divisor n the build stops (``_OrbitDoesNotDivide``) at the first
+    rebuilt level whose orbit length does not divide n.  That level's orbit
+    is an orbit of K_i = <strong generators at level >= i>, a subgroup of the
+    group C being built, so its length divides |K_i| and hence |C|: the
+    early stop proves that |C| does not divide n.  A build that is not
+    stopped is exactly the build without a divisor.
+    """
 
     def __init__(
         self,
         degree: int,
         generators: Sequence[tuple[int, ...]],
         base: Sequence[int] | None = None,
+        divisor: int | None = None,
     ):
         self.degree = degree
         if base is None:
@@ -57,10 +78,11 @@ class StabChain:
         self.transversal: list[dict[int, tuple[int, ...]]] = [
             {b: identity} for b in self.base
         ]
-        self.transversal_inv: list[dict[int, tuple[int, ...]]] = [
-            {b: identity} for b in self.base
+        # inverses of transversal elements, filled on first use
+        self._transversal_inv: list[dict[int, tuple[int, ...]]] = [
+            {} for _ in self.base
         ]
-        self._build()
+        self._build(divisor)
 
     def _level_of(self, g: tuple[int, ...]) -> int:
         for i, b in enumerate(self.base):
@@ -85,7 +107,15 @@ class StabChain:
                     trans[img] = _mul(u, g)
                     queue.append(img)
         self.transversal[i] = trans
-        self.transversal_inv[i] = {pt: _inv(u) for pt, u in trans.items()}
+        self._transversal_inv[i] = {}
+
+    def _u_inv(self, i: int, pt: int) -> tuple[int, ...]:
+        """Inverse of the level-i transversal element for pt, cached."""
+        inv = self._transversal_inv[i]
+        u_inv = inv.get(pt)
+        if u_inv is None:
+            u_inv = inv[pt] = _inv(self.transversal[i][pt])
+        return u_inv
 
     def _sift(self, p: tuple[int, ...], start: int = 0) -> tuple[int, ...] | None:
         """Reduce p through levels >= start; None means p sifted to identity."""
@@ -94,35 +124,38 @@ class StabChain:
             img = p[b]
             if img == b:
                 continue
-            u_inv = self.transversal_inv[i].get(img)
-            if u_inv is None:
+            if img not in self.transversal[i]:
                 return p
-            p = _mul(p, u_inv)
+            p = _mul(p, self._u_inv(i, img))
         # full base: anything fixing every base point is the identity
         return None
 
-    def _build(self) -> None:
+    def _build(self, divisor: int | None) -> None:
         n = len(self.base)
-        for i in range(n):
-            self._rebuild_level(i)
+        # stale[i]: a strong generator at level >= i arrived since level i
+        # was last built
+        stale = [True] * n
         i = n - 1
         while i >= 0:
-            self._rebuild_level(i)
+            if stale[i]:
+                self._rebuild_level(i)
+                stale[i] = False
+                if divisor is not None and divisor % len(self.transversal[i]):
+                    raise _OrbitDoesNotDivide
             clean = True
+            b = self.base[i]
             gens_i = self._gens_at(i)
             trans_i = self.transversal[i]
             for beta in sorted(trans_i):
                 u = trans_i[beta]
                 for x in gens_i:
                     v = _mul(u, x)
-                    gamma = v[self.base[i]]
-                    schreier = _mul(v, self.transversal_inv[i][gamma])
+                    schreier = _mul(v, self._u_inv(i, v[b]))
                     residue = self._sift(schreier, i + 1)
                     if residue is not None:
                         lv = self._level_of(residue)
                         self._strong.append((residue, lv))
-                        for j in range(i + 1, lv + 1):
-                            self._rebuild_level(j)
+                        stale[: lv + 1] = [True] * (lv + 1)
                         i = lv
                         clean = False
                         break
@@ -235,21 +268,39 @@ class PermGroup:
     def trivial(cls, degree: int) -> "PermGroup":
         return cls(degree, [])
 
+    def _build_chain(self, divisor: int | None = None) -> None:
+        """Build and cache the chain; a build stopped by the divisor caches nothing."""
+        with self._lock:
+            if self._chain is None:
+                built = StabChain(
+                    self.degree, [g.images for g in self.generators], divisor=divisor
+                )
+                object.__setattr__(self, "_chain", built)
+
     @property
     def chain(self) -> StabChain:
         if self._chain is None:
-            with self._lock:
-                if self._chain is None:
-                    built = StabChain(
-                        self.degree, [g.images for g in self.generators]
-                    )
-                    object.__setattr__(self, "_chain", built)
+            self._build_chain()
         return self._chain
 
     def order(self) -> int:
         if self._order is None:
             object.__setattr__(self, "_order", self.chain.order())
         return self._order
+
+    def order_divides(self, n: int) -> bool:
+        """True iff |G| divides n.
+
+        Without a cached chain, the build stops at the first orbit whose
+        length does not divide n (see StabChain), which is far cheaper than a
+        full build when the answer is no.
+        """
+        if self._chain is None:
+            try:
+                self._build_chain(divisor=n)
+            except _OrbitDoesNotDivide:
+                return False
+        return n % self.order() == 0
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:

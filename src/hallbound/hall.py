@@ -9,6 +9,11 @@ one such choice per prime, and all Sylow p-subgroups are conjugate, so
 fixing one reference factor and ranging over conjugates of the rest visits a
 conjugate of every Hall pi-subgroup.  Absence proofs and the
 no-nilpotent-Hall confirmation ride on the same scan.
+
+Both phases reject a candidate during its chain build: PermGroup.order_divides
+stops the build at the first orbit whose length does not divide the pi-part
+of |G|, so a candidate that cannot be a pi-group never pays for a full
+Schreier-Sims run.  The decisions are the same as with the full order.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ def _greedy_phase(
                 stale += 1
                 continue
             candidate = PermGroup(g.degree, current.generators + (y,))
-            if pi.is_pi_number(candidate.order()):
+            if candidate.order_divides(target):
                 current = candidate
                 stale = 0
             else:
@@ -107,7 +112,7 @@ def _subgroup_conjugates(g: PermGroup, sub: PermGroup) -> list[PermGroup]:
     return list(found.values())
 
 
-def _sylow_generated(g: PermGroup, pi: PrimeSet, target: int):
+def _sylow_generated(g: PermGroup, pi: PrimeSet, target: int, built: list[int]):
     """Yield every join of the reference Sylow system with conjugate factors.
 
     For each prime in pi dividing the order, take one Sylow subgroup; fix the
@@ -122,6 +127,8 @@ def _sylow_generated(g: PermGroup, pi: PrimeSet, target: int):
     join whose order does not divide the target closes off every extension.
     Along the path realizing an actual order-target subgroup every partial
     join passes the filter, so pruning never loses a witness.
+
+    built[0] counts every subgroup the scan builds, pruned joins included.
     """
     primes = [p for p in pi if g.order() % p == 0]
     sylows = {p: sylow_subgroup(g, p) for p in primes}
@@ -137,13 +144,15 @@ def _sylow_generated(g: PermGroup, pi: PrimeSet, target: int):
         )
     base = sylows[fixed]
     if not rest:
+        built[0] += 1
         yield base
         return
 
     def walk(gens: list, level: int):
         for factor in conjugate_lists[level]:
             candidate = PermGroup(g.degree, gens + list(factor.generators))
-            if target % candidate.order() != 0:
+            built[0] += 1
+            if not candidate.order_divides(target):
                 continue
             if level + 1 == len(conjugate_lists):
                 yield candidate
@@ -158,15 +167,14 @@ def _sylow_scan(
 ) -> tuple[PermGroup | None, int]:
     """First order-target subgroup from the Sylow system scan, or proof of none.
 
-    Returns (witness, combinations examined); witness None means no subgroup
-    of order target exists anywhere in g, by the completeness of the scan.
+    Returns (witness, subgroups built); witness None means no subgroup of
+    order target exists anywhere in g, by the completeness of the scan.
     """
-    combinations = 0
-    for candidate in _sylow_generated(g, pi, target):
-        combinations += 1
+    built = [0]
+    for candidate in _sylow_generated(g, pi, target, built):
         if candidate.order() == target:
-            return candidate, combinations
-    return None, combinations
+            return candidate, built[0]
+    return None, built[0]
 
 
 def find_hall_subgroup(
@@ -261,7 +269,7 @@ def confirm_no_nilpotent_hall_2p(simple_group: PermGroup, p: int) -> bool:
         raise PreconditionError("expected a non-abelian simple group")
     pi = PrimeSet([2, p])
     target = pi.part_of(simple_group.order())
-    for candidate in _sylow_generated(simple_group, pi, target):
+    for candidate in _sylow_generated(simple_group, pi, target, [0]):
         if candidate.order() == target and is_nilpotent(candidate):
             return False
     return True

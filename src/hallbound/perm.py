@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DegreeMismatch
@@ -19,7 +20,10 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 def _mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Raw image-tuple product, a first then b."""
-    return tuple(b[x] for x in a)
+    if len(a) < 2:
+        # itemgetter of one index returns the bare item, and of none fails
+        return tuple(b[x] for x in a)
+    return itemgetter(*a)(b)
 
 
 def _inv(a: Sequence[int]) -> tuple[int, ...]:

@@ -40,14 +40,6 @@ from .perm import Permutation
 from .primes import factorize, is_prime
 
 
-def canonical_generators(g: PermGroup, limit: int = 100_000) -> tuple[Permutation, ...]:
-    """Deterministic generating set: greedy scan of elements in lex order."""
-    if g.order() > limit:
-        return tuple(sorted(g.generators, key=lambda p: p.images))
-    elements = sorted(g.elements(), key=lambda p: p.images)
-    return tuple(span(g.degree, elements).generators)
-
-
 def _dedupe_subgroups(groups: list[PermGroup]) -> list[PermGroup]:
     out: list[PermGroup] = []
     for g in groups:

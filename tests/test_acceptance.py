@@ -1,4 +1,5 @@
-"""Release gate: seven acceptance criteria, one test per criterion.
+"""Release gate: seven acceptance criteria, one test per criterion, plus
+the behaviour gate: the scale-3 suite JSON keeps its frozen digest.
 
 pytest -v prints one PASSED/FAILED row per criterion; each test also prints
 a summary line with its measured runtime.  Expected values are frozen from
@@ -6,6 +7,8 @@ hand derivations plus the exhaustive lattice oracles, which are implemented
 independently of the production series computations they guard.
 """
 
+import hashlib
+import json
 import random
 import time
 from functools import lru_cache
@@ -49,6 +52,7 @@ from hallbound import (
     wreath_product,
 )
 from hallbound.primes import prime_divisors
+from hallbound.verify import SCHEMA_VERSION
 
 from conftest import random_permutation
 
@@ -61,6 +65,8 @@ REQUIRED_FOUND_INSTANCES = {
     ("PSL(2,11)", (2, 3), 3),
     ("A5 wr C2", (2, 3), 3),
 }
+# sha256 of `hallbound suite --scale 3 --json`, newline included
+SUITE_SCALE_3_SHA256 = "cbc00789d51f9adbf6e19755496dd292073fbe957e0baa10cb229878ea93f218"
 
 
 @lru_cache(maxsize=None)
@@ -338,3 +344,17 @@ def test_criterion_7_engine_soundness():
         f"criterion 7 (membership on {membership_groups} groups, orbit-stabilizer "
         f"corpus-wide, {quotient_count} quotients): PASS [{elapsed:.1f}s]"
     )
+
+
+def test_suite_json_digest_is_frozen(suite_reports):
+    """Behaviour gate: the scale-3 reports, sorted and serialized exactly as
+    `hallbound suite --scale 3 --json` prints them, keep their digest."""
+    reports = sorted(suite_reports, key=lambda r: (r.name, tuple(r.pi), r.p))
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "scale": 3,
+        "reports": [r.to_dict() for r in reports],
+    }
+    text = json.dumps(payload, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_SCALE_3_SHA256
+    print(f"suite digest ({len(reports)} reports): PASS")

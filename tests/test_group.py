@@ -1,6 +1,9 @@
 """Stabilizer-chain engine: orders, membership, orbits, subgroup operations."""
 
+import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from hallbound import (
     PermGroup,
     Permutation,
+    StabChain,
     alternating_group,
     block_systems,
     center,
@@ -19,6 +23,7 @@ from hallbound import (
     derived_subgroup,
     dihedral_group,
     direct_product,
+    group_from_spec,
     intersection,
     is_normal,
     make_named,
@@ -172,6 +177,92 @@ def test_trivial_group():
     assert t.order() == 1
     assert t.is_trivial()
     assert t.contains(Permutation.identity(5))
+
+
+def test_degree_one_group():
+    g = PermGroup(1, [])
+    assert g.order() == 1
+    assert g.contains(Permutation.identity(1))
+    assert list(g.elements()) == [Permutation.identity(1)]
+
+
+def _random_subgroup_gens(rng: random.Random) -> tuple[int, list[Permutation]]:
+    """One or two random elements of S6..S8, raised to small powers so that
+    small subgroups turn up as well as the giants."""
+    degree = rng.randint(6, 8)
+    gens = [
+        random_permutation(rng, degree) ** rng.choice([1, 1, 2, 3, 4, 6])
+        for _ in range(rng.randint(1, 2))
+    ]
+    return degree, gens
+
+
+@pytest.mark.property_based
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(1, 10_000), st.integers(1, 6).map(lambda k: k * 40_320)),
+)
+@settings(max_examples=100, deadline=None)
+def test_order_divides_agrees_with_order(seed, n):
+    degree, gens = _random_subgroup_gens(random.Random(seed))
+    fresh = PermGroup(degree, gens)
+    assert fresh.order_divides(n) == (n % PermGroup(degree, gens).order() == 0)
+
+
+@pytest.mark.property_based
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_divisor_build_matches_plain_build(seed):
+    degree, gens = _random_subgroup_gens(random.Random(seed))
+    g = PermGroup(degree, gens)
+    assert g.order_divides(math.factorial(degree))
+    plain = StabChain(degree, [x.images for x in g.generators])
+    assert g.chain.strong_generators() == plain.strong_generators()
+    assert [list(t.items()) for t in g.chain.transversal] == [
+        list(t.items()) for t in plain.transversal
+    ]
+    assert g.order() == plain.order()
+
+
+def test_membership_under_concurrent_sifts():
+    """Threads sifting through one shared chain fill its inverse cache at the
+    same time (as `suite --jobs N` does); every answer must stay right."""
+    gens = group_from_spec("A5 wr C2").generators
+    shared = PermGroup(10, gens)
+    rng = random.Random(1)
+    probes = [random_permutation(rng, 10) for _ in range(100)]
+    probes += [shared.random_element(rng) for _ in range(100)]
+    reference = PermGroup(10, gens)
+    expected = [reference.contains(x) for x in probes]
+    assert any(expected) and not all(expected)
+    results: list = []
+
+    def work():
+        results.append([shared.contains(x) for x in probes])
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 8
+
+
+def test_rejected_order_divides_caches_no_chain():
+    s5 = make_named("S5")
+    # 7 is stopped at the first orbit (length 5); 40 only at a deeper level
+    # of length 3, after Schreier generators have been added
+    for n in (7, 40):
+        g = PermGroup(5, s5.generators)
+        assert not g.order_divides(n)
+        assert g.order() == 120
+        assert g.order_divides(240)
 
 
 @pytest.mark.property_based

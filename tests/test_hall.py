@@ -71,6 +71,8 @@ def test_budget_is_reported(a5):
     result = find_hall_subgroup(a5, PrimeSet([2, 5]))
     assert set(result.budget_used) <= {"random_growth_steps", "sylow_combinations"}
     assert result.budget_used
+    # every join the absence proof builds is counted, pruned ones included
+    assert result.budget_used["sylow_combinations"] > 0
 
 
 def test_unknown_when_exhaustive_disabled(a5):

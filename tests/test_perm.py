@@ -43,6 +43,14 @@ def test_parse_and_format_cycles():
     assert format_cycles(Permutation.identity(4)) == "()"
 
 
+def test_degree_one_products():
+    e = Permutation.identity(1)
+    assert e * e == e
+    assert (e * e).images == (0,)
+    assert e**3 == e
+    assert e.inverse() == e
+
+
 def test_degree_mismatch_rejected():
     a = Permutation.identity(3)
     b = Permutation.identity(4)

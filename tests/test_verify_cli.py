@@ -150,6 +150,18 @@ def test_cli_verify_ok(capsys):
     assert "check theorem: holds" in out
 
 
+def test_cli_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    import hallbound.cli as cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(cli, "compute_invariant_report", broken)
+    code = main(["verify", "A5", "--pi", "2,3", "--p", "3"])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert "internal error: AssertionError: invariant broken" in capsys.readouterr().err
+
+
 def test_cli_verify_with_corollary_and_chain(capsys):
     code = main(["verify", "S4", "--pi", "2,3", "--p", "3", "--corollary", "--chain"])
     assert code == 0
