@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .corpus import group_from_file, group_from_spec, suite_specs
@@ -177,18 +175,10 @@ def _suite_instances(scale: int) -> list[tuple[str, PermGroup, PrimeSet, int]]:
 
 
 def _cmd_suite(args) -> int:
-    instances = _suite_instances(args.scale)
-    jobs = args.jobs or min(8, os.cpu_count() or 1)
-
-    def run(item):
-        name, g, pi, p = item
-        return compute_invariant_report(name, g, pi, p)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run, instances))
-    else:
-        reports = [run(item) for item in instances]
+    reports = [
+        compute_invariant_report(name, g, pi, p)
+        for name, g, pi, p in _suite_instances(args.scale)
+    ]
     all_flags: list[bool | None] = []
     for report in reports:
         all_flags.extend(report.checks.values())
@@ -265,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument(
         "--scale", type=int, default=2, help="corpus tier: 1 small, 2 standard, 3 large"
     )
-    p_suite.add_argument("--jobs", type=int, default=0, help="worker threads (0 = auto)")
     p_suite.add_argument("--json", action="store_true", help="JSON output")
     p_suite.set_defaults(func=_cmd_suite)
 

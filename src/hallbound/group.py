@@ -398,11 +398,6 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
 
-def group_from_generators(degree: int, generators: Iterable[Permutation]) -> PermGroup:
-    """Public constructor; validates degrees and drops identity generators."""
-    return PermGroup(degree, generators)
-
-
 def _require_subgroup(sub: PermGroup, ambient: PermGroup, label: str) -> None:
     if sub.degree != ambient.degree:
         raise DegreeMismatch(f"{label}: degree mismatch")
@@ -551,61 +546,60 @@ def action_kernel(
 # Block systems (used by the structured path for very large groups)
 
 
+class _UnionFind:
+    """Partition of {0..n-1} into classes, merged one pair at a time."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> bool:
+        """Merge the classes of x and y; False if they were one already."""
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[max(rx, ry)] = min(rx, ry)
+        return True
+
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The classes, each sorted, ordered by least point."""
+        blocks: dict[int, list[int]] = {}
+        for pt in range(len(self.parent)):
+            blocks.setdefault(self.find(pt), []).append(pt)
+        return tuple(tuple(b) for b in sorted(blocks.values()))
+
+
 def minimal_block_system(g: PermGroup, alpha: int, beta: int) -> tuple[tuple[int, ...], ...]:
     """Finest G-invariant partition with alpha and beta in one block.
 
     Classical union-find refinement; requires a transitive group.
     """
-    n = g.degree
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    queue = deque()
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-            queue.append((x, y))
-
-    union(alpha, beta)
+    classes = _UnionFind(g.degree)
+    classes.union(alpha, beta)
+    queue = deque([(alpha, beta)])
     while queue:
         x, y = queue.popleft()
         for gen in g.generators:
-            union(gen(x), gen(y))
-    blocks: dict[int, list[int]] = {}
-    for pt in range(n):
-        blocks.setdefault(find(pt), []).append(pt)
-    return tuple(tuple(sorted(b)) for b in sorted(blocks.values()))
+            if classes.union(gen(x), gen(y)):
+                queue.append((gen(x), gen(y)))
+    return classes.blocks()
 
 
 def _join_partitions(
     p1: tuple[tuple[int, ...], ...], p2: tuple[tuple[int, ...], ...], n: int
 ) -> tuple[tuple[int, ...], ...]:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    classes = _UnionFind(n)
     for part in (p1, p2):
         for block in part:
-            root = block[0]
             for pt in block[1:]:
-                ra, rb = find(root), find(pt)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    blocks: dict[int, list[int]] = {}
-    for pt in range(n):
-        blocks.setdefault(find(pt), []).append(pt)
-    return tuple(tuple(sorted(b)) for b in sorted(blocks.values()))
+                classes.union(block[0], pt)
+    return classes.blocks()
 
 
 def block_systems(g: PermGroup, budget: int | None = None) -> list[tuple[tuple[int, ...], ...]]:

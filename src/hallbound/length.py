@@ -21,9 +21,10 @@ from .errors import CapExceeded, PreconditionError
 from .group import PermGroup, span
 from .perm import Permutation
 from .primes import is_prime
-from .quotient import QuotientMap, factor_group, quotient_by
+from .quotient import ascending_series, factor_group, quotient_or_self
 from .radicals import is_p_soluble, p_soluble_radical
 from .structure import (
+    _factor_images,
     _is_abelian,
     is_soluble,
     minimal_normal_subgroups,
@@ -45,17 +46,9 @@ def _kernel_of_factor_action(g: PermGroup, factors) -> PermGroup:
     from .group import action_kernel
 
     def on_factors(gen: Permutation) -> list[int]:
-        images = []
-        for f in factors:
-            conj = [x.conjugate(gen) for x in f.generators]
-            hit = None
-            for j, other in enumerate(factors):
-                if other.order() == f.order() and all(other.contains(c) for c in conj):
-                    hit = j
-                    break
-            if hit is None:
-                raise AssertionError("conjugation does not permute the socle factors")
-            images.append(hit)
+        images = _factor_images(gen, factors)
+        if images is None:
+            raise AssertionError("conjugation does not permute the socle factors")
         return images
 
     return action_kernel(g, len(factors), on_factors)
@@ -66,12 +59,7 @@ def _p_kernel_step(g: PermGroup, p: int) -> tuple[PermGroup, int]:
     radical = p_soluble_radical(g, p)
     if radical.order() == g.order():
         return g, 0
-    if radical.is_trivial():
-        quotient: QuotientMap | None = None
-        reduced = g
-    else:
-        quotient = quotient_by(g, radical)
-        reduced = quotient.target
+    reduced, pull_back = quotient_or_self(g, radical)
     decomposition = socle(reduced)
     if any(decomposition.abelian_flags):
         raise AssertionError(
@@ -83,9 +71,7 @@ def _p_kernel_step(g: PermGroup, p: int) -> tuple[PermGroup, int]:
                 "socle factor above the p-soluble radical has order prime to p"
             )
     kernel = _kernel_of_factor_action(reduced, decomposition.factors)
-    if quotient is not None:
-        kernel = quotient.preimage_subgroup(kernel)
-    return kernel, len(decomposition.factors)
+    return pull_back(kernel), len(decomposition.factors)
 
 
 def p_kernel(g: PermGroup, p: int) -> PermGroup:
@@ -117,26 +103,18 @@ def kernel_series(g: PermGroup, p: int) -> KernelSeries:
     non-p-soluble length; a p-soluble group yields the empty series.
     """
     _validate_prime(p)
-    kernels: list[PermGroup] = []
     counts: list[int] = []
-    current = PermGroup.trivial(g.degree)
-    while True:
-        if current.is_trivial():
-            quotient = None
-            stage = g
-        else:
-            quotient = quotient_by(g, current)
-            stage = quotient.target
+
+    def step(stage: PermGroup) -> PermGroup:
         if is_p_soluble(stage, p):
-            break
+            return PermGroup.trivial(stage.degree)
         kernel, factor_count = _p_kernel_step(stage, p)
-        if quotient is not None:
-            kernel = quotient.preimage_subgroup(kernel)
-        if kernel.order() <= current.order():
+        if kernel.is_trivial():
             raise AssertionError("kernel series failed to ascend")
-        kernels.append(kernel)
         counts.append(factor_count)
-        current = kernel
+        return kernel
+
+    kernels = ascending_series(g, step)[1:]
     return KernelSeries(
         group=g, p=p, kernels=tuple(kernels), socle_factor_counts=tuple(counts)
     )
@@ -342,15 +320,8 @@ def check_kernel_lemma(g: PermGroup, p: int) -> KernelLemmaReport:
     outer_soluble: bool | None = None
     radical = p_soluble_radical(g, p)
     if radical.order() < g.order():
-        if radical.is_trivial():
-            quotient = None
-            reduced = g
-        else:
-            quotient = quotient_by(g, radical)
-            reduced = quotient.target
-        soc = socle(reduced).socle
-        pre = soc if quotient is None else quotient.preimage_subgroup(soc)
-        outer = factor_group(kernel, pre)
+        reduced, pull_back = quotient_or_self(g, radical)
+        outer = factor_group(kernel, pull_back(socle(reduced).socle))
         outer_soluble = is_soluble(outer)
     holds = kernel_length <= 1 and (outer_soluble is None or outer_soluble)
     return KernelLemmaReport(

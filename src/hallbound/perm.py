@@ -146,11 +146,6 @@ class Permutation:
         return f"Permutation({format_cycles(self)!r}, degree={self.degree})"
 
 
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """Left-to-right product: the result maps x to b(a(x))."""
-    return a * b
-
-
 def parse_cycles(text: str, degree: int | None = None, offset: int = 0) -> Permutation:
     """Parse cycle notation like '(0 1 2)(3 4)' into a permutation.
 

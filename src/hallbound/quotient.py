@@ -6,12 +6,16 @@ least element of the coset under image-array order, computed greedily from
 N's stabilizer chain without enumerating N.  Coset 0 is N itself (the least
 element of a group is always the identity), so the target degree equals the
 index and the map of the identity is the identity.
+
+The rule that a trivial kernel never builds a quotient (which would be the
+regular representation) lives here, in quotient_or_self, and every series
+that ascends through full preimages goes through ascending_series.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from typing import Callable
 
 from .config import DEFAULT_QUOTIENT_DEGREE_CAP
 from .errors import CapExceeded, SubgroupError
@@ -124,13 +128,41 @@ def quotient_by(source: PermGroup, kernel: PermGroup, degree_cap: int | None = N
     return QuotientMap(source, kernel, degree_cap)
 
 
-def factor_group(big: PermGroup, small: PermGroup) -> PermGroup:
-    """The abstract factor big/small as a permutation group.
+def quotient_or_self(
+    g: PermGroup, n: PermGroup
+) -> tuple[PermGroup, Callable[[PermGroup], PermGroup]]:
+    """G/N as a permutation group, with the map taking its subgroups to
+    their full preimages in G.
 
-    For a trivial denominator the group itself is returned unchanged (same
-    degree), which keeps internal series computations off the regular
-    representation; public quotient maps always go through QuotientMap.
+    For a trivial N this is g itself (same degree) and the identity, which
+    keeps series computations off the regular representation.
     """
-    if small.is_trivial():
-        return big
-    return quotient_by(big, small).target
+    if n.is_trivial():
+        return g, lambda sub: sub
+    q = quotient_by(g, n)
+    return q.target, q.preimage_subgroup
+
+
+def ascending_series(
+    g: PermGroup, step: Callable[[PermGroup], PermGroup]
+) -> list[PermGroup]:
+    """1 = N_0 < N_1 < ... with N_{i+1} the full preimage of step(G/N_i).
+
+    step must return a normal subgroup of its argument.  The series stops
+    at G or when step returns the trivial group; callers decide whether
+    stopping short of G is an answer or a failure.
+    """
+    series = [PermGroup.trivial(g.degree)]
+    while series[-1].order() < g.order():
+        quotient, pull_back = quotient_or_self(g, series[-1])
+        found = step(quotient)
+        if found.is_trivial():
+            break
+        series.append(pull_back(found))
+    return series
+
+
+def factor_group(big: PermGroup, small: PermGroup) -> PermGroup:
+    """The abstract factor big/small as a permutation group (big itself
+    when small is trivial); public quotient maps go through QuotientMap."""
+    return quotient_or_self(big, small)[0]

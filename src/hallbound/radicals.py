@@ -22,7 +22,7 @@ from .group import (
 )
 from .perm import Permutation
 from .primes import PrimeSet, factorize, is_prime, prime_divisors
-from .quotient import quotient_by
+from .quotient import ascending_series, quotient_or_self
 from .structure import (
     derived_series,
     is_nilpotent,
@@ -47,7 +47,7 @@ def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
     current = PermGroup.trivial(g.degree)
     if target == 1:
         return current
-    elements = sorted(g.elements(), key=lambda x: x.images)
+    elements = sorted(g.element_list(), key=lambda x: x.images)
     while current.order() < target:
         adjoin = None
         if current.is_trivial():
@@ -105,35 +105,28 @@ def p_prime_core(g: PermGroup, p: int) -> PermGroup:
     return pi_core(g, PrimeSet([p]).complement_in(g.order()))
 
 
+def _upper_p_step(q: PermGroup, p: int) -> PermGroup:
+    """O_p'(Q), or O_p(Q) when that is trivial: one step of the upper
+    p-series.  Above a p'-step the p'-core is trivial again, since
+    O_p'(G/O_p'(G)) = 1, so the steps alternate."""
+    core = p_prime_core(q, p)
+    return p_core(q, p) if core.is_trivial() else core
+
+
 @functools.lru_cache(maxsize=None)
 def p_soluble_radical(g: PermGroup, p: int) -> PermGroup:
     """Largest normal p-soluble subgroup.
 
-    Ascends by alternating p'-core and p-core steps, each pulled back
-    through the quotient by the part already found.  At the limit both
-    cores of the quotient vanish, and a nontrivial p-soluble normal
-    subgroup up there would contain a minimal normal subgroup lying inside
-    one of them, so the limit is the whole radical.  Quotients are only
-    ever taken by the accumulated radical, never by a small piece of it.
+    Ascends the upper p-series, sharing its step with p_length.  At the
+    limit both cores of the quotient vanish, and a nontrivial p-soluble
+    normal subgroup up there would contain a minimal normal subgroup lying
+    inside one of them, so the limit is the whole radical.  Quotients are
+    only ever taken by the accumulated radical, never by a small piece of it.
     """
     if g.is_trivial() or g.order() % p != 0 or is_soluble(g):
         return g
-    prime = PrimeSet([p])
-    current = PermGroup.trivial(g.degree)
-    while current.order() < g.order():
-        if current.is_trivial():
-            q = None
-            reduced = g
-        else:
-            q = quotient_by(g, current)
-            reduced = q.target
-        step = pi_core(reduced, prime.complement_in(reduced.order()))
-        if step.is_trivial():
-            step = pi_core(reduced, prime)
-        if step.is_trivial():
-            return current
-        current = step if q is None else q.preimage_subgroup(step)
-    return g
+    top = ascending_series(g, lambda q: _upper_p_step(q, p))[-1]
+    return g if top.order() == g.order() else top
 
 
 @functools.lru_cache(maxsize=None)
@@ -180,15 +173,8 @@ def layer(g: PermGroup) -> PermGroup:
     z = center(c)
     if z.order() == c.order():
         return PermGroup.trivial(g.degree)
-    if z.is_trivial():
-        # C/Z is C itself; skip the quotient and read the socle directly.
-        soc = socle(c).socle
-        return _perfect_core(soc)
-    q = quotient_by(c, z)
-    soc_quot = socle(q.target).socle
-    pre = q.preimage_subgroup(soc_quot)
-    e = _perfect_core(pre)
-    return e
+    quotient, pull_back = quotient_or_self(c, z)
+    return _perfect_core(pull_back(socle(quotient).socle))
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,22 +203,13 @@ class HeightCertificate:
 
 
 def _ascending_tower(g: PermGroup, step, kind: str) -> HeightCertificate:
-    """Iterate current -> preimage of step(G/current) until the whole group."""
-    series = [PermGroup.trivial(g.degree)]
-    current = series[0]
-    while current.order() < g.order():
-        if current.is_trivial():
-            nxt = step(g)
-        else:
-            q = quotient_by(g, current)
-            nxt = q.preimage_subgroup(step(q.target))
-        if nxt.order() <= current.order():
-            raise PreconditionError(
-                f"{kind} series stalled at order {current.order()}; "
-                "input violates the operation's hypothesis"
-            )
-        series.append(nxt)
-        current = nxt
+    """The ascending series of step, which must reach the whole group."""
+    series = ascending_series(g, step)
+    if series[-1].order() < g.order():
+        raise PreconditionError(
+            f"{kind} series stalled at order {series[-1].order()}; "
+            "input violates the operation's hypothesis"
+        )
     return HeightCertificate(series=tuple(series), height=len(series) - 1, kind=kind)
 
 
@@ -255,39 +232,16 @@ def generalized_fitting_height(g: PermGroup) -> HeightCertificate:
 def p_length(g: PermGroup, p: int) -> HeightCertificate:
     """Number of p-factors in the alternating upper p-series.
 
-    Requires a p-soluble group.  The series alternates largest-normal-p'-
-    and largest-normal-p-quotient steps; each p-step is counted.
+    Requires a p-soluble group.  The series is the one p_soluble_radical
+    ascends, with the same step; each factor of order divisible by p is
+    counted.
     """
     if not is_p_soluble(g, p):
         raise PreconditionError(f"p_length requires a {p}-soluble group")
-    series = [PermGroup.trivial(g.degree)]
-    current = series[0]
-    count = 0
-    while current.order() < g.order():
-        # p'-step
-        if current.is_trivial():
-            nxt = p_prime_core(g, p)
-        else:
-            q = quotient_by(g, current)
-            nxt = q.preimage_subgroup(p_prime_core(q.target, p))
-        if nxt.order() > current.order():
-            series.append(nxt)
-            current = nxt
-        if current.order() == g.order():
-            break
-        # p-step
-        if current.is_trivial():
-            nxt = p_core(g, p)
-        else:
-            q = quotient_by(g, current)
-            nxt = q.preimage_subgroup(p_core(q.target, p))
-        if nxt.order() <= current.order():
-            raise AssertionError(
-                "upper p-series stalled; group should have been p-soluble"
-            )
-        count += 1
-        series.append(nxt)
-        current = nxt
+    series = ascending_series(g, lambda q: _upper_p_step(q, p))
+    if series[-1].order() < g.order():
+        raise AssertionError("upper p-series stalled; group should have been p-soluble")
+    count = sum((b.order() // a.order()) % p == 0 for a, b in zip(series, series[1:]))
     kind = "two_length" if p == 2 else "p_length"
     return HeightCertificate(series=tuple(series), height=count, kind=kind)
 

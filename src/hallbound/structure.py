@@ -170,6 +170,21 @@ def _support_factorization(k: PermGroup, cap: int) -> list[PermGroup] | None:
     return factors
 
 
+def _factor_images(gen: Permutation, factors) -> list[int] | None:
+    """Index of the factor each listed factor is conjugated onto by gen, or
+    None when conjugation by gen does not permute the factors."""
+    images = []
+    for f in factors:
+        conj = [x.conjugate(gen) for x in f.generators]
+        for j, other in enumerate(factors):
+            if other.order() == f.order() and all(other.contains(c) for c in conj):
+                images.append(j)
+                break
+        else:
+            return None
+    return images if sorted(images) == list(range(len(factors))) else None
+
+
 def _factor_orbit_products(
     g: PermGroup, factors: list[PermGroup]
 ) -> list[PermGroup] | None:
@@ -178,46 +193,16 @@ def _factor_orbit_products(
     Returns the products over each orbit, or None if conjugation fails to
     permute the factors (which voids the certificate).
     """
-
-    def factor_index(h: PermGroup) -> int | None:
-        for i, t in enumerate(factors):
-            if t.order() == h.order() and all(t.contains(x) for x in h.generators):
-                return i
-        return None
-
     perms = []
     for gen in g.generators:
-        mapping = []
-        for t in factors:
-            conj = PermGroup(g.degree, [x.conjugate(gen) for x in t.generators])
-            j = factor_index(conj)
-            if j is None:
-                return None
-            mapping.append(j)
-        if sorted(mapping) != list(range(len(factors))):
+        images = _factor_images(gen, factors)
+        if images is None:
             return None
-        perms.append(mapping)
-    # orbits of the index action
-    seen: set[int] = set()
-    products = []
-    for i in range(len(factors)):
-        if i in seen:
-            continue
-        orbit = {i}
-        frontier = [i]
-        while frontier:
-            j = frontier.pop()
-            for mapping in perms:
-                img = mapping[j]
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        seen.update(orbit)
-        gens = []
-        for j in sorted(orbit):
-            gens.extend(factors[j].generators)
-        products.append(PermGroup(g.degree, gens))
-    return products
+        perms.append(Permutation(images))
+    return [
+        PermGroup(g.degree, [x for j in orbit for x in factors[j].generators])
+        for orbit in PermGroup(len(factors), perms).orbits()
+    ]
 
 
 def _minimal_normals_inside(g: PermGroup, k: PermGroup, cap: int) -> list[PermGroup]:

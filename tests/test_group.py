@@ -167,6 +167,12 @@ def test_block_systems_of_dihedral_group():
     assert sizes == [2]  # only the diagonal pairing survives
 
 
+def test_block_systems_of_cyclic_group_include_joins():
+    # every divisor of 12 strictly between 1 and 12 gives one block system
+    systems = block_systems(cyclic_group(12))
+    assert sorted(len(s) for s in systems) == [2, 3, 4, 6]
+
+
 def test_degree_mismatch_between_groups(s4):
     with pytest.raises(DegreeMismatch):
         s4.is_subgroup_of(symmetric_group(5))
@@ -226,7 +232,8 @@ def test_divisor_build_matches_plain_build(seed):
 
 def test_membership_under_concurrent_sifts():
     """Threads sifting through one shared chain fill its inverse cache at the
-    same time (as `suite --jobs N` does); every answer must stay right."""
+    same time (as library callers sharing a group across threads do); every
+    answer must stay right."""
     gens = group_from_spec("A5 wr C2").generators
     shared = PermGroup(10, gens)
     rng = random.Random(1)

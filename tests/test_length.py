@@ -3,6 +3,7 @@
 import pytest
 
 from hallbound import (
+    PermGroup,
     check_kernel_lemma,
     is_normal,
     is_p_soluble,
@@ -17,6 +18,7 @@ from hallbound import (
     symmetric_group,
     wreath_product,
 )
+from hallbound import length
 from hallbound.errors import CapExceeded, PreconditionError
 
 
@@ -41,6 +43,19 @@ def test_kernel_series_of_a5(a5):
     assert series.length == 1
     assert [k.order() for k in series.kernels] == [60]
     assert series.socle_factor_counts == (1,)
+
+
+def test_kernel_series_never_reads_a_trivial_kernel_as_the_end(monkeypatch):
+    g = wreath_product(make_named("A5"), make_named("C2"))
+    monkeypatch.setattr(
+        length, "_p_kernel_step", lambda stage, p: (PermGroup.trivial(stage.degree), 0)
+    )
+    kernel_series.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="failed to ascend"):
+            kernel_series(g, 3)
+    finally:
+        kernel_series.cache_clear()
 
 
 def test_kernel_series_of_wreath_product():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hallbound import Permutation
 from hallbound.errors import DegreeMismatch
-from hallbound.perm import compose, format_cycles, parse_cycles
+from hallbound.perm import format_cycles, parse_cycles
 
 from conftest import permutations_of_degree
 
@@ -82,8 +82,7 @@ def test_inverse_cancels(a):
 @pytest.mark.property_based
 @given(a=perms, b=perms)
 @settings(max_examples=100)
-def test_compose_matches_operator(a, b):
-    assert compose(a, b) == a * b
+def test_product_acts_left_to_right(a, b):
     assert all((a * b)(x) == b(a(x)) for x in range(DEGREE))
 
 

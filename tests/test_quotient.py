@@ -19,6 +19,7 @@ from hallbound import (
     symmetric_group,
 )
 from hallbound.errors import CapExceeded, SubgroupError
+from hallbound.quotient import ascending_series, quotient_or_self
 
 
 def test_quotient_s4_by_v4_is_s3(s4):
@@ -75,6 +76,25 @@ def test_factor_group_orders():
     kernel = span(g.degree, g.generators[-1:])
     assert factor_group(g, kernel).order() == 60
     assert factor_group(g, PermGroup.trivial(g.degree)).order() == 120
+
+
+def test_quotient_or_self_skips_trivial_kernel(s4):
+    target, pull_back = quotient_or_self(s4, PermGroup.trivial(4))
+    assert target is s4
+    assert pull_back(s4) is s4
+    v4 = derived_subgroup(derived_subgroup(s4))
+    target, pull_back = quotient_or_self(s4, v4)
+    assert target.degree == 6 and target.order() == 6
+    assert pull_back(PermGroup.trivial(6)).same_group_as(v4)
+
+
+def test_ascending_series_stops_at_whole_group_or_trivial_step(s4):
+    # A4 = S4', then (S4/A4)' = 1 stops the series short of S4
+    derived = ascending_series(s4, derived_subgroup)
+    assert [n.order() for n in derived] == [1, 12]
+    whole = ascending_series(s4, lambda q: q)
+    assert [n.order() for n in whole] == [1, 24]
+    assert whole[-1] is s4
 
 
 def test_quotient_requires_normal_kernel(s4):

@@ -25,7 +25,7 @@ from hallbound import (
     symmetric_group,
     sylow_subgroup,
 )
-from hallbound.errors import PreconditionError
+from hallbound.errors import CapExceeded, PreconditionError
 
 
 def test_sylow_subgroup_orders(s4):
@@ -35,6 +35,17 @@ def test_sylow_subgroup_orders(s4):
     assert sylow_subgroup(a6, 2).order() == 8
     assert sylow_subgroup(a6, 3).order() == 9
     assert sylow_subgroup(a6, 5).order() == 5
+
+
+def test_sylow_subgroup_respects_enumeration_cap(monkeypatch):
+    s5 = symmetric_group(5)
+    sylow_subgroup.cache_clear()
+    monkeypatch.setenv("HALLBOUND_CAP", "100")
+    try:
+        with pytest.raises(CapExceeded):
+            sylow_subgroup(s5, 2)
+    finally:
+        sylow_subgroup.cache_clear()
 
 
 def test_sylow_subgroup_trivial_when_p_absent(a5):

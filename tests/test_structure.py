@@ -8,6 +8,7 @@ from hallbound import (
     derived_series,
     dihedral_group,
     direct_product,
+    group_from_spec,
     is_nilpotent,
     is_normal,
     is_simple,
@@ -43,6 +44,27 @@ def test_minimal_normals_of_a5_squared():
 def test_minimal_normals_of_cyclic_group():
     minimals = minimal_normal_subgroups(cyclic_group(12))
     assert sorted(m.order() for m in minimals) == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "spec, cap, orders",
+    [("A5 wr C2", 1000, [3600]), ("PSL(2,7) wr C2", 10000, [28224])],
+)
+def test_structured_minimal_normals_match_exhaustive(monkeypatch, spec, cap, orders):
+    # Below the group order, HALLBOUND_CAP sends minimal_normal_subgroups down
+    # the block-kernel route with its disjoint-support certificate.
+    g = group_from_spec(spec)
+    minimal_normal_subgroups.cache_clear()
+    try:
+        exhaustive = minimal_normal_subgroups(g)
+        minimal_normal_subgroups.cache_clear()
+        monkeypatch.setenv("HALLBOUND_CAP", str(cap))
+        structured = minimal_normal_subgroups(g)
+    finally:
+        minimal_normal_subgroups.cache_clear()
+    assert [n.order() for n in exhaustive] == orders
+    assert len(structured) == len(exhaustive)
+    assert all(a.same_group_as(b) for a, b in zip(structured, exhaustive))
 
 
 def test_socle_of_s4(s4):
