@@ -108,7 +108,7 @@ def _cmd_order(args) -> int:
 def _cmd_hall(args) -> int:
     g = _load_group(args.spec)
     pi = _parse_pi(args.pi)
-    result = find_hall_subgroup(g, pi, exhaustive=True if args.exhaustive else None)
+    result = find_hall_subgroup(g, pi)
     if args.json:
         payload = {
             "schema": SCHEMA_VERSION,
@@ -132,10 +132,8 @@ def _cmd_hall(args) -> int:
 
 def _report_for_args(args) -> InvariantReport:
     g = _load_group(args.spec)
-    p = args.p
-    pi = _parse_pi(args.pi) if args.pi else PrimeSet([2, p])
-    exhaustive = True if getattr(args, "exhaustive", False) else None
-    return compute_invariant_report(args.spec, g, pi, p, exhaustive=exhaustive)
+    pi = _parse_pi(args.pi) if args.pi else PrimeSet([2, args.p])
+    return compute_invariant_report(args.spec, g, pi, args.p)
 
 
 def _cmd_invariants(args) -> int:
@@ -226,14 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("spec", help="group spec or @file")
     p_inv.add_argument("--p", dest="p", type=int, required=True, help="odd prime p")
     p_inv.add_argument("--pi", dest="pi", help="comma-separated primes (default: 2,p)")
-    p_inv.add_argument("--exhaustive", action="store_true", help="force complete Hall search")
     p_inv.add_argument("--json", action="store_true", help="JSON output")
     p_inv.set_defaults(func=_cmd_invariants)
 
     p_hall = sub.add_parser("hall", help="search for a Hall pi-subgroup")
     p_hall.add_argument("spec", help="group spec or @file")
     p_hall.add_argument("--pi", dest="pi", required=True, help="comma-separated primes")
-    p_hall.add_argument("--exhaustive", action="store_true", help="force complete search")
     p_hall.add_argument("--json", action="store_true", help="JSON output")
     p_hall.set_defaults(func=_cmd_hall)
 
@@ -247,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--chain", action="store_true", help="also require the containment chain"
     )
-    p_verify.add_argument("--exhaustive", action="store_true", help="force complete Hall search")
     p_verify.add_argument("--json", action="store_true", help="JSON output")
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -65,7 +65,8 @@ class StabChain:
             prefix = list(dict.fromkeys(base))
             if any(not 0 <= b < degree for b in prefix):
                 raise ValueError("base point out of range")
-            rest = [p for p in range(degree) if p not in set(prefix)]
+            chosen = set(prefix)
+            rest = [p for p in range(degree) if p not in chosen]
             self.base = tuple(prefix + rest)
         identity = tuple(range(degree))
         self._identity = identity

@@ -64,11 +64,11 @@ def _pi_part_of_element(x: Permutation, pi: PrimeSet) -> Permutation:
 
 
 def _greedy_phase(
-    g: PermGroup, pi: PrimeSet, target: int, attempts: int, rng
+    g: PermGroup, pi: PrimeSet, target: int, rng
 ) -> tuple[PermGroup | None, int]:
     """Randomized growth by pi-parts of random elements; seeded."""
     tried = 0
-    for _ in range(attempts):
+    for _ in range(20):
         current = PermGroup.trivial(g.degree)
         stale = 0
         while current.order() < target and stale < 40:
@@ -162,34 +162,14 @@ def _sylow_generated(g: PermGroup, pi: PrimeSet, target: int, built: list[int]):
     yield from walk(list(base.generators), 0)
 
 
-def _sylow_scan(
-    g: PermGroup, pi: PrimeSet, target: int
-) -> tuple[PermGroup | None, int]:
-    """First order-target subgroup from the Sylow system scan, or proof of none.
-
-    Returns (witness, subgroups built); witness None means no subgroup of
-    order target exists anywhere in g, by the completeness of the scan.
-    """
-    built = [0]
-    for candidate in _sylow_generated(g, pi, target, built):
-        if candidate.order() == target:
-            return candidate, built[0]
-    return None, built[0]
-
-
-def find_hall_subgroup(
-    g: PermGroup,
-    pi: PrimeSet,
-    exhaustive: bool | None = None,
-    attempts: int = 20,
-) -> HallSearchResult:
+def find_hall_subgroup(g: PermGroup, pi: PrimeSet) -> HallSearchResult:
     """Search for a Hall pi-subgroup.
 
     Phase one is seeded randomized greedy growth.  Phase two, entered when
-    the greedy phase fails and the group is under the exhaustive cap (or
-    exhaustive=True is forced), is the complete Sylow system scan, whose
-    failure proves absence.  On soluble groups under the cap the result is
-    therefore always found.
+    the greedy phase fails and the group is under the exhaustive cap, is the
+    complete Sylow system scan: its first subgroup of order pi-part is a
+    witness, and its failure proves absence.  On soluble groups under the
+    cap the result is therefore always found.
     """
     budget: dict = {}
     target = pi.part_of(g.order())
@@ -200,28 +180,20 @@ def find_hall_subgroup(
     if target == g.order():
         return HallSearchResult(status="found", pi=pi, subgroup=g, budget_used=budget)
     rng = random.Random(search_seed())
-    if exhaustive is not True:
-        witness, tried = _greedy_phase(g, pi, target, attempts, rng)
-        budget["random_growth_steps"] = tried
-        if witness is not None:
+    witness, tried = _greedy_phase(g, pi, target, rng)
+    budget["random_growth_steps"] = tried
+    if witness is None:
+        if g.order() > DEFAULT_EXHAUSTIVE_SEARCH_CAP:
+            return HallSearchResult(status="unknown", pi=pi, subgroup=None, budget_used=budget)
+        built = [0]
+        scan = _sylow_generated(g, pi, target, built)
+        witness = next((c for c in scan if c.order() == target), None)
+        budget["sylow_combinations"] = built[0]
+        if witness is None:
             return HallSearchResult(
-                status="found", pi=pi, subgroup=witness, budget_used=budget
+                status="proven_absent", pi=pi, subgroup=None, budget_used=budget
             )
-    if exhaustive is False:
-        return HallSearchResult(status="unknown", pi=pi, subgroup=None, budget_used=budget)
-    if exhaustive is None and g.order() > DEFAULT_EXHAUSTIVE_SEARCH_CAP:
-        return HallSearchResult(status="unknown", pi=pi, subgroup=None, budget_used=budget)
-    if g.order() > DEFAULT_EXHAUSTIVE_SEARCH_CAP:
-        raise PreconditionError(
-            f"exhaustive Hall search requires order <= {DEFAULT_EXHAUSTIVE_SEARCH_CAP}"
-        )
-    witness, combinations = _sylow_scan(g, pi, target)
-    budget["sylow_combinations"] = combinations
-    if witness is not None:
-        return HallSearchResult(
-            status="found", pi=pi, subgroup=witness, budget_used=budget
-        )
-    return HallSearchResult(status="proven_absent", pi=pi, subgroup=None, budget_used=budget)
+    return HallSearchResult(status="found", pi=pi, subgroup=witness, budget_used=budget)
 
 
 @dataclass(frozen=True)

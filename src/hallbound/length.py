@@ -23,13 +23,7 @@ from .perm import Permutation
 from .primes import is_prime
 from .quotient import ascending_series, factor_group, quotient_or_self
 from .radicals import is_p_soluble, p_soluble_radical
-from .structure import (
-    _factor_images,
-    _is_abelian,
-    is_soluble,
-    minimal_normal_subgroups,
-    socle,
-)
+from .structure import _factor_images, is_soluble, socle
 
 
 def _validate_prime(p: int) -> None:
@@ -54,11 +48,12 @@ def _kernel_of_factor_action(g: PermGroup, factors) -> PermGroup:
     return action_kernel(g, len(factors), on_factors)
 
 
-def _p_kernel_step(g: PermGroup, p: int) -> tuple[PermGroup, int]:
-    """One kernel computation; returns (kernel subgroup of g, factor count)."""
+def _p_kernel_step(g: PermGroup, p: int) -> tuple[PermGroup, int, PermGroup | None]:
+    """One kernel computation; returns (kernel subgroup of g, factor count,
+    preimage of the socle above the p-soluble radical, or None if none)."""
     radical = p_soluble_radical(g, p)
     if radical.order() == g.order():
-        return g, 0
+        return g, 0, None
     reduced, pull_back = quotient_or_self(g, radical)
     decomposition = socle(reduced)
     if any(decomposition.abelian_flags):
@@ -71,14 +66,7 @@ def _p_kernel_step(g: PermGroup, p: int) -> tuple[PermGroup, int]:
                 "socle factor above the p-soluble radical has order prime to p"
             )
     kernel = _kernel_of_factor_action(reduced, decomposition.factors)
-    return pull_back(kernel), len(decomposition.factors)
-
-
-def p_kernel(g: PermGroup, p: int) -> PermGroup:
-    """The p-kernel: G itself if p-soluble, else the pulled-back joint
-    normalizer of the socle factors above the p-soluble radical."""
-    _validate_prime(p)
-    return _p_kernel_step(g, p)[0]
+    return pull_back(kernel), len(decomposition.factors), pull_back(decomposition.socle)
 
 
 @dataclass(frozen=True)
@@ -108,7 +96,7 @@ def kernel_series(g: PermGroup, p: int) -> KernelSeries:
     def step(stage: PermGroup) -> PermGroup:
         if is_p_soluble(stage, p):
             return PermGroup.trivial(stage.degree)
-        kernel, factor_count = _p_kernel_step(stage, p)
+        kernel, factor_count, _ = _p_kernel_step(stage, p)
         if kernel.is_trivial():
             raise AssertionError("kernel series failed to ascend")
         counts.append(factor_count)
@@ -118,6 +106,14 @@ def kernel_series(g: PermGroup, p: int) -> KernelSeries:
     return KernelSeries(
         group=g, p=p, kernels=tuple(kernels), socle_factor_counts=tuple(counts)
     )
+
+
+def p_kernel(g: PermGroup, p: int) -> PermGroup:
+    """The p-kernel: G itself if p-soluble, else the pulled-back joint
+    normalizer of the socle factors above the p-soluble radical, which is
+    the first term of the kernel series."""
+    kernels = kernel_series(g, p).kernels
+    return kernels[0] if kernels else g
 
 
 def non_p_soluble_length(g: PermGroup, p: int) -> int:
@@ -315,14 +311,11 @@ def check_kernel_lemma(g: PermGroup, p: int) -> KernelLemmaReport:
     """Check that the p-kernel has non-p-soluble length at most one, and that
     above the socle's preimage the kernel is soluble (vacuous when p-soluble)."""
     _validate_prime(p)
-    kernel = p_kernel(g, p)
+    kernel, _, socle_preimage = _p_kernel_step(g, p)
     kernel_length = non_p_soluble_length(kernel, p)
     outer_soluble: bool | None = None
-    radical = p_soluble_radical(g, p)
-    if radical.order() < g.order():
-        reduced, pull_back = quotient_or_self(g, radical)
-        outer = factor_group(kernel, pull_back(socle(reduced).socle))
-        outer_soluble = is_soluble(outer)
+    if socle_preimage is not None:
+        outer_soluble = is_soluble(factor_group(kernel, socle_preimage))
     holds = kernel_length <= 1 and (outer_soluble is None or outer_soluble)
     return KernelLemmaReport(
         group=g,

@@ -27,7 +27,6 @@ from .structure import (
     derived_series,
     is_nilpotent,
     is_soluble,
-    minimal_normal_subgroups,
     normal_part,
     socle,
 )
@@ -79,16 +78,8 @@ def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
 
 @functools.lru_cache(maxsize=None)
 def pi_core(g: PermGroup, pi: PrimeSet) -> PermGroup:
-    """Largest normal pi-subgroup.
-
-    A nontrivial core contains a minimal normal pi-subgroup, so groups
-    without one finish on that structural certificate alone; otherwise the
-    core is grown by a closure sweep over the original domain.
-    """
-    if g.is_trivial() or pi.is_pi_number(g.order()):
-        return g
-    if not any(pi.is_pi_number(n.order()) for n in minimal_normal_subgroups(g)):
-        return PermGroup.trivial(g.degree)
+    """Largest normal pi-subgroup, by normal_part: groups without a minimal
+    normal pi-subgroup finish on that structural certificate alone."""
     return normal_part(
         g,
         lambda n: pi.is_pi_number(n.order()),

@@ -1,12 +1,15 @@
 """Normal structure: minimal normal subgroups, socle, solubility tests.
 
-Minimal normal subgroups drive everything else here.  Two routes:
+Every normal-subgroup search here starts from one harvest, _class_seeds:
+one generator per conjugacy class of the cyclic subgroups of prime-power
+order.  The normal_part sweep behind cores and radicals adjoins those seeds,
+and minimal normal subgroups, which drive everything else, take two routes:
 
-  * under the enumeration cap, every prime-order cyclic subgroup is
-    harvested and its normal closure taken; the inclusion-minimal closures
-    are exactly the minimal normal subgroups (any nontrivial normal subgroup
-    contains one, and a minimal normal subgroup is the closure of each of
-    its nontrivial elements);
+  * under the enumeration cap, each prime-order seed is closed under
+    conjugation; the inclusion-minimal closures are exactly the minimal
+    normal subgroups (any nontrivial normal subgroup contains one, and a
+    minimal normal subgroup is the closure of each of its nontrivial
+    elements);
   * over the cap, candidates come from kernels of block actions (every
     intransitive normal subgroup fixes an invariant partition) and each
     returned subgroup carries a certificate: either it is small enough to
@@ -50,85 +53,61 @@ def _dedupe_subgroups(groups: list[PermGroup]) -> list[PermGroup]:
     return out
 
 
-def _inclusion_minimal(groups: list[PermGroup]) -> list[PermGroup]:
-    groups = _dedupe_subgroups(groups)
-    out = []
-    for g in groups:
-        if not any(
-            h.order() < g.order() and h.is_subgroup_of(g) for h in groups
-        ):
-            out.append(g)
-    return sorted(out, key=lambda h: (h.order(), [p.images for p in h.generators]))
+def _inclusion_minimal(groups) -> list[PermGroup]:
+    """The inclusion-minimal members of groups, sorted; of equal subgroups
+    the first one seen is kept.
 
-
-def _cyclic_subgroup_keys(g: PermGroup, cap: int, prime_only: bool) -> set[tuple[int, ...]]:
-    """Canonical keys of the cyclic subgroups of prime (or prime-power) order.
-
-    The key of a cyclic subgroup is the lexicographically least image tuple
-    among its generators; each subgroup's generators are visited only once.
+    The frontier is maintained incrementally, so dominated groups are
+    dropped (and freed) as soon as they are seen and groups may be lazy.
     """
-    raw_seen: set[tuple[int, ...]] = set()
-    keys: set[tuple[int, ...]] = set()
-    for x in g.element_list(cap):
-        o = x.order()
-        if x.is_identity:
-            continue
-        if prime_only:
-            if not is_prime(o):
-                continue
-        elif len(factorize(o)) != 1:
-            continue
-        if x.images in raw_seen:
-            continue
-        gens = [(x**k).images for k in range(1, o) if math.gcd(k, o) == 1]
-        raw_seen.update(gens)
-        keys.add(min(gens))
-    return keys
-
-
-def _conjugacy_reduced(ambient: PermGroup, keys: set[tuple[int, ...]]) -> list[Permutation]:
-    """One representative per conjugation orbit of the given cyclic keys.
-
-    Conjugate seeds have identical normal closures in the ambient group, so
-    downstream closure computations only need one per orbit.
-    """
-    reps: list[Permutation] = []
-    visited: set[tuple[int, ...]] = set()
-    for key in sorted(keys):
-        if key in visited:
-            continue
-        reps.append(Permutation(key))
-        visited.add(key)
-        frontier = [Permutation(key)]
-        while frontier:
-            x = frontier.pop()
-            o = x.order()
-            for s in ambient.generators:
-                y = x.conjugate(s)
-                k = min((y**e).images for e in range(1, o) if math.gcd(e, o) == 1)
-                if k not in visited:
-                    visited.add(k)
-                    frontier.append(y)
-    return reps
-
-
-def _prime_order_cyclic_keys(g: PermGroup, cap: int) -> list[Permutation]:
-    """Conjugacy representatives of the prime-order cyclic subgroups."""
-    return _conjugacy_reduced(g, _cyclic_subgroup_keys(g, cap, prime_only=True))
-
-
-def _minimal_normals_exhaustive(g: PermGroup, cap: int) -> list[PermGroup]:
-    # Maintain the inclusion-minimal frontier incrementally so dominated
-    # closures are dropped (and freed) as soon as they are seen.
     frontier: list[PermGroup] = []
-    for x in _prime_order_cyclic_keys(g, cap):
-        cyc = PermGroup(g.degree, [x])
-        n = normal_closure(g, cyc)
+    for n in groups:
         if any(h.order() <= n.order() and h.is_subgroup_of(n) for h in frontier):
             continue
         frontier = [h for h in frontier if not n.is_subgroup_of(h)]
         frontier.append(n)
     return sorted(frontier, key=lambda h: (h.order(), [p.images for p in h.generators]))
+
+
+def _class_seeds(ambient: PermGroup, k: PermGroup, cap: int) -> list[Permutation]:
+    """One generator per ambient-conjugacy class of the cyclic subgroups of
+    prime-power order in the normal subgroup k, in key order.
+
+    The key of a cyclic subgroup is the lexicographically least image tuple
+    among its generators, and each returned generator is its subgroup's key.
+    The harvest records the key of every generator, so the conjugation walk
+    computes no powers.  Every subgroup is
+    generated by its elements of prime-power order, and a normal subgroup
+    contains a seed exactly when it contains the seed's whole conjugacy
+    class, so sweeps may restrict to these seeds.
+    """
+    key_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for x in k.element_list(cap):
+        if x.images in key_of or x.is_identity:
+            continue
+        o = x.order()
+        if len(factorize(o)) != 1:
+            continue
+        gens = [(x**e).images for e in range(1, o) if math.gcd(e, o) == 1]
+        key = min(gens)
+        key_of.update((y, key) for y in gens)
+    seeds: list[Permutation] = []
+    visited: set[tuple[int, ...]] = set()
+    for key in sorted(set(key_of.values())):
+        if key in visited:
+            continue
+        seeds.append(Permutation(key))
+        visited.add(key)
+        frontier = [seeds[-1]]
+        while frontier:
+            x = frontier.pop()
+            for s in ambient.generators:
+                y = x.conjugate(s)
+                c = key_of[y.images]
+                if c not in visited:
+                    visited.add(c)
+                    frontier.append(y)
+    return seeds
 
 
 def _prime_parts(x: Permutation) -> list[Permutation]:
@@ -156,7 +135,8 @@ def _support_factorization(k: PermGroup, cap: int) -> list[PermGroup] | None:
     for orbit in k.orbits():
         if len(orbit) == 1:
             continue
-        rest = [pt for pt in range(k.degree) if pt not in set(orbit)]
+        inside = set(orbit)
+        rest = [pt for pt in range(k.degree) if pt not in inside]
         t = pointwise_stabilizer(k, rest)
         if t.is_trivial() or t.order() > cap:
             return None
@@ -208,11 +188,11 @@ def _factor_orbit_products(
 def _minimal_normals_inside(g: PermGroup, k: PermGroup, cap: int) -> list[PermGroup]:
     """All minimal normal subgroups of g contained in the normal subgroup k."""
     if k.order() <= cap:
-        seeds = _conjugacy_reduced(g, _cyclic_subgroup_keys(k, cap, prime_only=True))
-        closures = [
-            normal_closure(g, PermGroup(g.degree, [x])) for x in seeds
-        ]
-        return _inclusion_minimal(closures)
+        return _inclusion_minimal(
+            normal_closure(g, PermGroup(g.degree, [x]))
+            for x in _class_seeds(g, k, cap)
+            if is_prime(x.order())
+        )
     factors = _support_factorization(k, cap)
     if factors is None:
         raise CapExceeded(
@@ -243,8 +223,9 @@ def _minimal_normals_structured(g: PermGroup, cap: int) -> list[PermGroup]:
                 kernels.append(k)
     else:
         for orbit in g.orbits():
+            points = set(orbit)
             inside = pointwise_stabilizer(
-                g, [pt for pt in range(g.degree) if pt not in set(orbit)]
+                g, [pt for pt in range(g.degree) if pt not in points]
             )
             outside = pointwise_stabilizer(g, orbit)
             for k in (inside, outside):
@@ -286,7 +267,7 @@ def minimal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
         raise PreconditionError("the trivial group has no minimal normal subgroups")
     cap = enumeration_cap()
     if g.order() <= cap:
-        result = _minimal_normals_exhaustive(g, cap)
+        result = _minimal_normals_inside(g, g, cap)
     else:
         result = _minimal_normals_structured(g, cap)
     for n in result:
@@ -388,29 +369,25 @@ def is_simple(g: PermGroup) -> bool:
     return len(mins) == 1 and mins[0].order() == g.order()
 
 
-def _cyclic_sweep_seeds(g: PermGroup, cap: int) -> list[Permutation]:
-    """Conjugacy representatives of the prime-power-order cyclic subgroups.
-
-    Every subgroup is generated by its elements of prime-power order, and a
-    normal subgroup contains a seed exactly when it contains the seed's
-    whole conjugacy class, so sweeps may restrict to these representatives.
-    """
-    return _conjugacy_reduced(g, _cyclic_subgroup_keys(g, cap, prime_only=False))
-
-
 def normal_part(g: PermGroup, keep, seed_ok=None) -> PermGroup:
     """Largest normal subgroup satisfying `keep`, by a closure sweep.
 
     `keep` must hold for the trivial group and be inherited by subgroups and
     by products of normal subgroups, so that a largest normal `keep`-subgroup
-    R exists.  The sweep adjoins a seed x exactly when the normal closure of
-    the current part together with x still satisfies `keep`; accepted
-    closures never leave R, and each seed inside R is absorbed at its turn,
-    so the sweep ends at R itself.  Runs entirely on the original domain.
-    `seed_ok` may discard seeds that cannot lie in R.
+    R exists.  R is g when g satisfies `keep`, and trivial when no minimal
+    normal subgroup does, since a nontrivial R contains one; both settle
+    without a sweep.  Otherwise the sweep adjoins a seed x exactly when
+    the normal closure of the current part together with x still satisfies
+    `keep`; accepted closures never leave R, and each seed inside R is
+    absorbed at its turn, so the sweep ends at R itself.  Runs entirely on
+    the original domain.  `seed_ok` may discard seeds that cannot lie in R.
     """
+    if g.is_trivial() or keep(g):
+        return g
+    if not any(keep(n) for n in minimal_normal_subgroups(g)):
+        return PermGroup.trivial(g.degree)
     current = PermGroup.trivial(g.degree)
-    for x in _cyclic_sweep_seeds(g, enumeration_cap()):
+    for x in _class_seeds(g, g, enumeration_cap()):
         if seed_ok is not None and not seed_ok(x):
             continue
         if current.contains(x):
@@ -425,12 +402,8 @@ def normal_part(g: PermGroup, keep, seed_ok=None) -> PermGroup:
 def soluble_radical(g: PermGroup) -> PermGroup:
     """Largest soluble normal subgroup.
 
-    A nontrivial radical contains an abelian minimal normal subgroup, so
-    the absence of one settles triviality without enumeration; otherwise a
-    closure sweep grows the radical.
+    A minimal normal subgroup is soluble exactly when it is abelian, so
+    normal_part settles a radical without abelian minimal normal subgroups
+    as trivial without a sweep.
     """
-    if g.is_trivial() or is_soluble(g):
-        return g
-    if not any(_is_abelian(n) for n in minimal_normal_subgroups(g)):
-        return PermGroup.trivial(g.degree)
     return normal_part(g, is_soluble)

@@ -275,13 +275,7 @@ def revalidate(data: dict) -> bool:
     return checks["theorem"] == expect_theorem and checks["corollary"] == expect_corollary
 
 
-def compute_invariant_report(
-    name: str,
-    g: PermGroup,
-    pi: PrimeSet,
-    p: int,
-    exhaustive: bool | None = None,
-) -> InvariantReport:
+def compute_invariant_report(name: str, g: PermGroup, pi: PrimeSet, p: int) -> InvariantReport:
     """Run every check for one (group, pi, p) instance and collect the report.
 
     The kernel-series invariants and the kernel lemma are always evaluated;
@@ -291,7 +285,7 @@ def compute_invariant_report(
     validate_hypotheses(pi, p)
     series = kernel_series(g, p)
     lemma = check_kernel_lemma(g, p)
-    result = find_hall_subgroup(g, pi, exhaustive=exhaustive)
+    result = find_hall_subgroup(g, pi)
     hall_order = h_star = l2 = None
     theorem = corollary = proposition = lemma_fitting = route = None
     skipped_reason = None

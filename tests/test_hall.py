@@ -8,6 +8,7 @@ from hallbound import (
     confirm_no_nilpotent_hall_2p,
     derived_subgroup,
     find_hall_subgroup,
+    group_from_spec,
     is_hall_subgroup,
     make_named,
     sylow_subgroup,
@@ -75,8 +76,13 @@ def test_budget_is_reported(a5):
     assert result.budget_used["sylow_combinations"] > 0
 
 
-def test_unknown_when_exhaustive_disabled(a5):
-    result = find_hall_subgroup(a5, PrimeSet([2, 5]), exhaustive=False)
+def test_unknown_above_the_exhaustive_cap():
+    # Order 25,200 is above the 20,000 cap of the Sylow scan, and greedy
+    # growth finds no subgroup of order 400 (there is none: A5 has no Hall
+    # {2,5}-subgroup), so the verdict stays open.
+    g = group_from_spec("A5 x A5 x C7")
+    assert g.order() == 25200
+    result = find_hall_subgroup(g, PrimeSet([2, 5]))
     assert result.status == "unknown"
     assert result.subgroup is None
 

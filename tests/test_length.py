@@ -48,7 +48,7 @@ def test_kernel_series_of_a5(a5):
 def test_kernel_series_never_reads_a_trivial_kernel_as_the_end(monkeypatch):
     g = wreath_product(make_named("A5"), make_named("C2"))
     monkeypatch.setattr(
-        length, "_p_kernel_step", lambda stage, p: (PermGroup.trivial(stage.degree), 0)
+        length, "_p_kernel_step", lambda stage, p: (PermGroup.trivial(stage.degree), 0, None)
     )
     kernel_series.cache_clear()
     try:

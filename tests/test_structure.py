@@ -1,5 +1,7 @@
 """Normal structure: minimal normal subgroups, socle, solubility, radicals."""
 
+import math
+
 import pytest
 
 from hallbound import (
@@ -20,6 +22,9 @@ from hallbound import (
     soluble_radical,
     symmetric_group,
 )
+from hallbound.perm import Permutation
+from hallbound.primes import factorize
+from hallbound.structure import _class_seeds
 
 
 def test_minimal_normal_of_s4_is_v4(s4):
@@ -65,6 +70,38 @@ def test_structured_minimal_normals_match_exhaustive(monkeypatch, spec, cap, ord
     assert [n.order() for n in exhaustive] == orders
     assert len(structured) == len(exhaustive)
     assert all(a.same_group_as(b) for a, b in zip(structured, exhaustive))
+
+
+def _cyclic(x):
+    return frozenset((x**e).images for e in range(x.order()))
+
+
+@pytest.mark.parametrize(
+    "spec, depth",
+    [("S4", 0), ("S4", 1), ("S4", 2), ("A5", 0), ("SL(2,3)", 0), ("D12", 0), ("A4 x S4", 0)],
+)
+def test_class_seeds_match_brute_force(spec, depth):
+    # k is a term of the derived series (for S4: S4, A4, V4), so normal in g.
+    g = group_from_spec(spec)
+    k = derived_series(g)[depth]
+    ambient = g.element_list()
+    class_of = {}
+    for x in k.element_list():
+        if x.is_identity or len(factorize(x.order())) != 1:
+            continue
+        c = _cyclic(x)
+        if c not in class_of:
+            orbit = frozenset(
+                frozenset(Permutation(y).conjugate(s).images for y in c) for s in ambient
+            )
+            class_of.update((d, orbit) for d in orbit)
+    seeds = _class_seeds(g, k, 10_000)
+    assert len(seeds) == len(set(class_of.values()))
+    assert {class_of[_cyclic(x)] for x in seeds} == set(class_of.values())
+    for x in seeds:
+        o = x.order()
+        assert x.images == min((x**e).images for e in range(1, o) if math.gcd(e, o) == 1)
+    assert [x.images for x in seeds] == sorted(x.images for x in seeds)
 
 
 def test_socle_of_s4(s4):
