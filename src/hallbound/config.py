@@ -11,6 +11,7 @@ import os
 DEFAULT_ENUMERATION_CAP = 1_000_000
 DEFAULT_QUOTIENT_DEGREE_CAP = 20_000
 DEFAULT_EXHAUSTIVE_SEARCH_CAP = 20_000
+LATTICE_ORDER_CAP = 2_000
 DEFAULT_SEED = 0
 
 # Budgets for bounded searches that are not element enumerations.

@@ -473,14 +473,14 @@ def span(degree: int, perms: Iterable[Permutation]) -> PermGroup:
     return current
 
 
-def centralizer(ambient: PermGroup, sub: PermGroup, cap: int | None = None) -> PermGroup:
+def centralizer(ambient: PermGroup, sub: PermGroup) -> PermGroup:
     """Centralizer of sub in ambient, by element filtering under the cap."""
     _require_subgroup(sub, ambient, "centralizer")
     if sub.is_trivial():
         return ambient
     hits = [
         x
-        for x in ambient.element_list(cap)
+        for x in ambient.element_list()
         if all(x * s == s * x for s in sub.generators)
     ]
     result = span(ambient.degree, hits)
@@ -489,16 +489,16 @@ def centralizer(ambient: PermGroup, sub: PermGroup, cap: int | None = None) -> P
     return result
 
 
-def center(g: PermGroup, cap: int | None = None) -> PermGroup:
-    return centralizer(g, g, cap)
+def center(g: PermGroup) -> PermGroup:
+    return centralizer(g, g)
 
 
-def intersection(a: PermGroup, b: PermGroup, cap: int | None = None) -> PermGroup:
+def intersection(a: PermGroup, b: PermGroup) -> PermGroup:
     """Intersection by enumerating the smaller group under the cap."""
     if a.degree != b.degree:
         raise DegreeMismatch("intersection: degree mismatch")
     small, big = (a, b) if a.order() <= b.order() else (b, a)
-    hits = [x for x in small.element_list(cap) if big.contains(x)]
+    hits = [x for x in small.element_list() if big.contains(x)]
     result = span(a.degree, hits)
     if result.order() != len(hits):
         raise AssertionError("intersection span lost elements")
@@ -603,16 +603,15 @@ def _join_partitions(
     return classes.blocks()
 
 
-def block_systems(g: PermGroup, budget: int | None = None) -> list[tuple[tuple[int, ...], ...]]:
+def block_systems(g: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
     """All non-trivial block systems of a transitive group.
 
     Every invariant partition is a join of the minimal ones, so the join
-    closure of the minimal systems is complete.  A budget guards pathological
-    lattices.
+    closure of the minimal systems is complete.  BLOCK_SYSTEM_BUDGET guards
+    pathological lattices.
     """
     from .config import BLOCK_SYSTEM_BUDGET
 
-    limit = BLOCK_SYSTEM_BUDGET if budget is None else budget
     if not g.is_transitive():
         raise ValueError("block systems require a transitive group")
     n = g.degree
@@ -623,11 +622,11 @@ def block_systems(g: PermGroup, budget: int | None = None) -> list[tuple[tuple[i
             systems.setdefault(system, None)
     work = list(systems)
     while work:
-        if len(systems) > limit:
+        if len(systems) > BLOCK_SYSTEM_BUDGET:
             raise CapExceeded(
-                f"block system lattice exceeds budget {limit}",
+                f"block system lattice exceeds budget {BLOCK_SYSTEM_BUDGET}",
                 needed=len(systems),
-                cap=limit,
+                cap=BLOCK_SYSTEM_BUDGET,
             )
         current = work.pop()
         for other in list(systems):

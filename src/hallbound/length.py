@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .config import NORMAL_LATTICE_BUDGET
+from .config import LATTICE_ORDER_CAP, NORMAL_LATTICE_BUDGET
 from .errors import CapExceeded, PreconditionError
 from .group import PermGroup, span
 from .perm import Permutation
@@ -48,35 +48,17 @@ def _kernel_of_factor_action(g: PermGroup, factors) -> PermGroup:
     return action_kernel(g, len(factors), on_factors)
 
 
-def _p_kernel_step(g: PermGroup, p: int) -> tuple[PermGroup, int, PermGroup | None]:
-    """One kernel computation; returns (kernel subgroup of g, factor count,
-    preimage of the socle above the p-soluble radical, or None if none)."""
-    radical = p_soluble_radical(g, p)
-    if radical.order() == g.order():
-        return g, 0, None
-    reduced, pull_back = quotient_or_self(g, radical)
-    decomposition = socle(reduced)
-    if any(decomposition.abelian_flags):
-        raise AssertionError(
-            "socle above the p-soluble radical has an abelian factor"
-        )
-    for f in decomposition.factors:
-        if f.order() % p != 0:
-            raise AssertionError(
-                "socle factor above the p-soluble radical has order prime to p"
-            )
-    kernel = _kernel_of_factor_action(reduced, decomposition.factors)
-    return pull_back(kernel), len(decomposition.factors), pull_back(decomposition.socle)
-
-
 @dataclass(frozen=True)
 class KernelSeries:
-    """The ascending kernel series with its per-level factor counts."""
+    """The ascending kernel series with its per-level factor counts, and the
+    preimage in G of the first socle above the p-soluble radical (None for a
+    p-soluble G)."""
 
     group: PermGroup
     p: int
     kernels: tuple[PermGroup, ...]
     socle_factor_counts: tuple[int, ...]
+    socle_preimage: PermGroup | None
 
     @property
     def length(self) -> int:
@@ -87,25 +69,41 @@ class KernelSeries:
 def kernel_series(g: PermGroup, p: int) -> KernelSeries:
     """Iterated full preimages of p-kernels until the quotient is p-soluble.
 
+    Each step reads the stage's p-soluble radical once, ends the series when
+    it is the whole stage, and keeps the socle's preimage on the first step.
     The series is strictly ascending and the number of terms is the
     non-p-soluble length; a p-soluble group yields the empty series.
     """
     _validate_prime(p)
     counts: list[int] = []
+    socle_preimage: PermGroup | None = None
 
     def step(stage: PermGroup) -> PermGroup:
-        if is_p_soluble(stage, p):
+        nonlocal socle_preimage
+        radical = p_soluble_radical(stage, p)
+        if radical.order() == stage.order():
             return PermGroup.trivial(stage.degree)
-        kernel, factor_count, _ = _p_kernel_step(stage, p)
+        reduced, pull_back = quotient_or_self(stage, radical)
+        decomposition = socle(reduced)
+        if any(decomposition.abelian_flags):
+            raise AssertionError(
+                "socle above the p-soluble radical has an abelian factor"
+            )
+        for f in decomposition.factors:
+            if f.order() % p != 0:
+                raise AssertionError(
+                    "socle factor above the p-soluble radical has order prime to p"
+                )
+        kernel = pull_back(_kernel_of_factor_action(reduced, decomposition.factors))
         if kernel.is_trivial():
             raise AssertionError("kernel series failed to ascend")
-        counts.append(factor_count)
+        if socle_preimage is None:
+            socle_preimage = pull_back(decomposition.socle)
+        counts.append(len(decomposition.factors))
         return kernel
 
-    kernels = ascending_series(g, step)[1:]
-    return KernelSeries(
-        group=g, p=p, kernels=tuple(kernels), socle_factor_counts=tuple(counts)
-    )
+    kernels = tuple(ascending_series(g, step)[1:])
+    return KernelSeries(g, p, kernels, tuple(counts), socle_preimage)
 
 
 def p_kernel(g: PermGroup, p: int) -> PermGroup:
@@ -126,7 +124,7 @@ def non_p_soluble_length(g: PermGroup, p: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def normal_subgroup_lattice(g: PermGroup, cap: int = 2000) -> tuple[PermGroup, ...]:
+def normal_subgroup_lattice(g: PermGroup) -> tuple[PermGroup, ...]:
     """Every normal subgroup of g, for small g.
 
     Normal closures of cyclic subgroups are join-dense in the normal lattice
@@ -134,15 +132,15 @@ def normal_subgroup_lattice(g: PermGroup, cap: int = 2000) -> tuple[PermGroup, .
     closing them under join and intersection reaches a fixed point that is
     the whole lattice.
     """
-    if g.order() > cap:
+    if g.order() > LATTICE_ORDER_CAP:
         raise CapExceeded(
-            f"normal lattice requires order <= {cap}, got {g.order()}",
+            f"normal lattice requires order <= {LATTICE_ORDER_CAP}, got {g.order()}",
             needed=g.order(),
-            cap=cap,
+            cap=LATTICE_ORDER_CAP,
         )
     from .group import normal_closure
 
-    elements = g.element_list(cap)
+    elements = g.element_list(LATTICE_ORDER_CAP)
     element_sets: dict[frozenset, PermGroup] = {}
 
     def register(sub: PermGroup) -> frozenset:
@@ -310,8 +308,8 @@ class KernelLemmaReport:
 def check_kernel_lemma(g: PermGroup, p: int) -> KernelLemmaReport:
     """Check that the p-kernel has non-p-soluble length at most one, and that
     above the socle's preimage the kernel is soluble (vacuous when p-soluble)."""
-    _validate_prime(p)
-    kernel, _, socle_preimage = _p_kernel_step(g, p)
+    socle_preimage = kernel_series(g, p).socle_preimage
+    kernel = p_kernel(g, p)
     kernel_length = non_p_soluble_length(kernel, p)
     outer_soluble: bool | None = None
     if socle_preimage is not None:

@@ -28,16 +28,15 @@ class QuotientMap:
 
     __slots__ = ("source", "kernel", "target", "coset_reps", "_index_of")
 
-    def __init__(self, source: PermGroup, kernel: PermGroup, degree_cap: int | None = None):
-        cap = DEFAULT_QUOTIENT_DEGREE_CAP if degree_cap is None else degree_cap
+    def __init__(self, source: PermGroup, kernel: PermGroup):
         if not is_normal(kernel, source):
             raise SubgroupError("quotient kernel must be normal in the source")
         index = source.order() // kernel.order()
-        if index > cap:
+        if index > DEFAULT_QUOTIENT_DEGREE_CAP:
             raise CapExceeded(
-                f"quotient index {index} exceeds degree cap {cap}",
+                f"quotient index {index} exceeds degree cap {DEFAULT_QUOTIENT_DEGREE_CAP}",
                 needed=index,
-                cap=cap,
+                cap=DEFAULT_QUOTIENT_DEGREE_CAP,
             )
         nchain = kernel.chain
         identity = tuple(range(source.degree))
@@ -123,9 +122,9 @@ class QuotientMap:
         return result
 
 
-def quotient_by(source: PermGroup, kernel: PermGroup, degree_cap: int | None = None) -> QuotientMap:
+def quotient_by(source: PermGroup, kernel: PermGroup) -> QuotientMap:
     """Quotient map of a group by a normal subgroup."""
-    return QuotientMap(source, kernel, degree_cap)
+    return QuotientMap(source, kernel)
 
 
 def quotient_or_self(

@@ -38,9 +38,11 @@ def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
 
     While the current p-subgroup P is not full, its normalizer in g contains
     a p-element outside P, and adjoining one keeps a p-group because P is
-    normal in the extension.  The normalizer is found by element filtering,
-    so this operation lives under the enumeration cap.  Deterministic: the
-    lexicographically least usable element is adjoined at each step.
+    normal in the extension.  Each round scans the elements in sorted order
+    and adjoins the p-part y of the first x with p dividing its order, x
+    and y outside P, and x normalizing P; the normalizer is tested per
+    element, only until that first hit.  The scan enumerates g, so this
+    operation lives under the enumeration cap.
     """
     target = PrimeSet([p]).part_of(g.order())
     current = PermGroup.trivial(g.degree)
@@ -48,29 +50,18 @@ def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
         return current
     elements = sorted(g.element_list(), key=lambda x: x.images)
     while current.order() < target:
-        adjoin = None
-        if current.is_trivial():
-            candidates = elements
-        else:
-            candidates = [
-                x
-                for x in elements
-                if all(current.contains(h.conjugate(x)) for h in current.generators)
-            ]
-        for x in candidates:
-            if current.contains(x):
-                continue
+        for x in elements:
             o = x.order()
-            if o % p != 0:
+            if o % p != 0 or current.contains(x):
                 continue
             y = x ** (o // (p ** factorize(o)[p]))
-            if current.contains(y):
-                continue
-            adjoin = y
-            break
-        if adjoin is None:
+            if not current.contains(y) and all(
+                current.contains(h.conjugate(x)) for h in current.generators
+            ):
+                break
+        else:
             raise AssertionError("Sylow growth stalled below the p-part")
-        current = PermGroup(g.degree, current.generators + (adjoin,))
+        current = PermGroup(g.degree, current.generators + (y,))
     if current.order() != target:
         raise AssertionError("Sylow subgroup overshot the p-part")
     return current
@@ -120,17 +111,12 @@ def p_soluble_radical(g: PermGroup, p: int) -> PermGroup:
     return g if top.order() == g.order() else top
 
 
-@functools.lru_cache(maxsize=None)
 def is_p_soluble(g: PermGroup, p: int) -> bool:
-    """Every composition factor is a p-group or a p'-group.
-
-    Fast paths: p'-groups and soluble groups qualify outright; otherwise
-    the group qualifies exactly when it equals its own p-soluble radical.
-    """
+    """Every composition factor is a p-group or a p'-group: the group equals
+    its own p-soluble radical, which returns p'-groups and soluble groups
+    outright."""
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    if g.order() % p != 0 or is_soluble(g):
-        return True
     return p_soluble_radical(g, p).order() == g.order()
 
 
@@ -151,7 +137,6 @@ def _perfect_core(g: PermGroup) -> PermGroup:
     return derived_series(g)[-1]
 
 
-@functools.lru_cache(maxsize=None)
 def layer(g: PermGroup) -> PermGroup:
     """Product of all subnormal quasisimple subgroups.
 

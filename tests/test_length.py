@@ -5,6 +5,7 @@ import pytest
 from hallbound import (
     PermGroup,
     check_kernel_lemma,
+    group_from_spec,
     is_normal,
     is_p_soluble,
     kernel_series,
@@ -48,7 +49,7 @@ def test_kernel_series_of_a5(a5):
 def test_kernel_series_never_reads_a_trivial_kernel_as_the_end(monkeypatch):
     g = wreath_product(make_named("A5"), make_named("C2"))
     monkeypatch.setattr(
-        length, "_p_kernel_step", lambda stage, p: (PermGroup.trivial(stage.degree), 0, None)
+        length, "_kernel_of_factor_action", lambda g, factors: PermGroup.trivial(g.degree)
     )
     kernel_series.cache_clear()
     try:
@@ -56,6 +57,28 @@ def test_kernel_series_never_reads_a_trivial_kernel_as_the_end(monkeypatch):
             kernel_series(g, 3)
     finally:
         kernel_series.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "name, p, preimage_order",
+    [("A5 wr C2", 3, 3600), ("S5", 5, 60), ("A5 x SL(2,3)", 5, 1440), ("S4", 3, None)],
+)
+def test_kernel_lemma_runs_no_second_step(monkeypatch, name, p, preimage_order):
+    g = group_from_spec(name)
+    series = kernel_series(g, p)
+    socle_preimage = series.socle_preimage
+    assert (socle_preimage and socle_preimage.order()) == preimage_order
+    calls = []
+    original = length._kernel_of_factor_action
+
+    def counted(stage, factors):
+        calls.append(stage)
+        return original(stage, factors)
+
+    monkeypatch.setattr(length, "_kernel_of_factor_action", counted)
+    assert check_kernel_lemma(g, p).holds
+    # Only the p-kernel's own series runs a step; g's series is cached.
+    assert len(calls) == (0 if preimage_order is None else 1)
 
 
 def test_kernel_series_of_wreath_product():
@@ -113,7 +136,7 @@ def test_normal_subgroup_lattice_of_cyclic_group():
 
 def test_normal_subgroup_lattice_cap():
     with pytest.raises(CapExceeded):
-        normal_subgroup_lattice(symmetric_group(7), cap=100)
+        normal_subgroup_lattice(symmetric_group(7))
 
 
 def test_lambda_oracle_matches_kernel_series(a5, s4):

@@ -104,9 +104,9 @@ def test_quotient_requires_normal_kernel(s4):
 
 
 def test_quotient_degree_cap():
-    g = symmetric_group(6)
+    g = symmetric_group(8)
     with pytest.raises(CapExceeded):
-        quotient_by(g, PermGroup.trivial(6), degree_cap=100)
+        quotient_by(g, PermGroup.trivial(8))
 
 
 @pytest.mark.property_based

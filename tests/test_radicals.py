@@ -3,6 +3,7 @@
 import pytest
 
 from hallbound import (
+    PermGroup,
     PrimeSet,
     alternating_group,
     cyclic_group,
@@ -12,6 +13,7 @@ from hallbound import (
     fitting_subgroup,
     generalized_fitting_height,
     generalized_fitting_subgroup,
+    group_from_spec,
     is_normal,
     is_p_soluble,
     layer,
@@ -26,6 +28,7 @@ from hallbound import (
     sylow_subgroup,
 )
 from hallbound.errors import CapExceeded, PreconditionError
+from hallbound.primes import factorize, prime_divisors
 
 
 def test_sylow_subgroup_orders(s4):
@@ -46,6 +49,40 @@ def test_sylow_subgroup_respects_enumeration_cap(monkeypatch):
             sylow_subgroup(s5, 2)
     finally:
         sylow_subgroup.cache_clear()
+
+
+def _sylow_by_normalizer_filter(g, p):
+    """Reference growth: filter every element into the normalizer of P on
+    each round, then adjoin the p-part of the first usable one."""
+    target = PrimeSet([p]).part_of(g.order())
+    current = PermGroup.trivial(g.degree)
+    elements = sorted(g.element_list(), key=lambda x: x.images)
+    while current.order() < target:
+        normalizer = [
+            x
+            for x in elements
+            if all(current.contains(h.conjugate(x)) for h in current.generators)
+        ]
+        for x in normalizer:
+            o = x.order()
+            if current.contains(x) or o % p != 0:
+                continue
+            y = x ** (o // (p ** factorize(o)[p]))
+            if not current.contains(y):
+                break
+        current = PermGroup(g.degree, current.generators + (y,))
+    return current
+
+
+@pytest.mark.parametrize(
+    "name", ["S4", "S5", "SL(2,3)", "A5 x S4", "PSL(2,7)", "D20 x S3"]
+)
+def test_sylow_choice_matches_normalizer_filter(name):
+    g = group_from_spec(name)
+    for p in prime_divisors(g.order()):
+        new = [x.images for x in sylow_subgroup(g, p).generators]
+        old = [x.images for x in _sylow_by_normalizer_filter(g, p).generators]
+        assert new == old, (name, p)
 
 
 def test_sylow_subgroup_trivial_when_p_absent(a5):
