@@ -183,23 +183,31 @@ _NAME_RE = re.compile(
     r"|PSL\(2,(?P<psl>\d+)\)|SL\(2,(?P<sl>\d+)\))$"
 )
 
+# Named families, keyed by their _NAME_RE group: the constructor and the
+# textbook order, each a function of the name's integer parameter.
+_FAMILIES = {
+    "cyclic": (cyclic_group, lambda n: n),
+    "dihedral": (dihedral_group, lambda n: n),
+    "symmetric": (symmetric_group, math.factorial),
+    "alternating": (alternating_group, lambda n: math.factorial(n) // 2 if n > 2 else 1),
+    "psl": (projective_special_linear_group, lambda q: q * (q * q - 1) // math.gcd(2, q - 1)),
+    "sl": (special_linear_group, lambda q: q * (q * q - 1)),
+}
 
-def make_named(name: str) -> PermGroup:
-    """Build a named group: C<n>, D<order>, S<n>, A<n>, PSL(2,q), SL(2,q)."""
+
+def _family(name: str):
+    """(constructor, order formula, parameter) of a group name."""
     match = _NAME_RE.match(name.replace(" ", ""))
     if match is None:
         raise PreconditionError(f"unknown group name {name!r}")
-    if match.group("cyclic") is not None:
-        return cyclic_group(int(match.group("cyclic")))
-    if match.group("dihedral") is not None:
-        return dihedral_group(int(match.group("dihedral")))
-    if match.group("symmetric") is not None:
-        return symmetric_group(int(match.group("symmetric")))
-    if match.group("alternating") is not None:
-        return alternating_group(int(match.group("alternating")))
-    if match.group("psl") is not None:
-        return projective_special_linear_group(int(match.group("psl")))
-    return special_linear_group(int(match.group("sl")))
+    build, order = _FAMILIES[match.lastgroup]
+    return build, order, int(match.group(match.lastgroup))
+
+
+def make_named(name: str) -> PermGroup:
+    """Build a named group: C<n>, D<order>, S<n>, A<n>, PSL(2,q), SL(2,q)."""
+    build, _, n = _family(name)
+    return build(n)
 
 
 _TOKEN_RE = re.compile(r"\s*(PSL\(2,\d+\)|SL\(2,\d+\)|[ACDS]\d+|wr|x|\(|\))")
@@ -301,23 +309,8 @@ def group_from_file(path: str | Path) -> PermGroup:
 
 def closed_form_order(name: str) -> int:
     """Textbook order of a named group, for cross-checking the engine."""
-    match = _NAME_RE.match(name.replace(" ", ""))
-    if match is None:
-        raise PreconditionError(f"unknown group name {name!r}")
-    if match.group("cyclic") is not None:
-        return int(match.group("cyclic"))
-    if match.group("dihedral") is not None:
-        return int(match.group("dihedral"))
-    if match.group("symmetric") is not None:
-        return math.factorial(int(match.group("symmetric")))
-    if match.group("alternating") is not None:
-        n = int(match.group("alternating"))
-        return math.factorial(n) // 2 if n > 2 else 1
-    if match.group("psl") is not None:
-        q = int(match.group("psl"))
-        return q * (q * q - 1) // math.gcd(2, q - 1)
-    q = int(match.group("sl"))
-    return q * (q * q - 1)
+    _, order, n = _family(name)
+    return order(n)
 
 
 # Suite tiers are cumulative: scale n runs every spec at scales <= n.

@@ -424,7 +424,8 @@ def normal_closure(ambient: PermGroup, sub: PermGroup) -> PermGroup:
     """Smallest normal subgroup of ambient containing sub.
 
     Conjugates of current generators are adjoined in batches until stable;
-    the chain is rebuilt once per batch.
+    the chain is rebuilt once per batch.  A closure of full order is
+    returned as ambient itself.
     """
     _require_subgroup(sub, ambient, "normal_closure")
     if sub.is_trivial():
@@ -438,7 +439,7 @@ def normal_closure(ambient: PermGroup, sub: PermGroup) -> PermGroup:
                 if not current.contains(c) and all(c != f for f in fresh):
                     fresh.append(c)
         if not fresh:
-            return current
+            return ambient if current.order() == ambient.order() else current
         current = PermGroup(ambient.degree, current.generators + tuple(fresh))
 
 

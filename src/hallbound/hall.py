@@ -23,7 +23,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_EXHAUSTIVE_SEARCH_CAP, SYLOW_COMBINATION_BUDGET, search_seed
+from .config import DEFAULT_EXHAUSTIVE_SEARCH_CAP, SEARCH_SEED, SYLOW_COMBINATION_BUDGET
 from .errors import CapExceeded, DegreeMismatch, PreconditionError, SubgroupError
 from .group import PermGroup, conjugate_subgroup, intersection, is_normal
 from .perm import Permutation
@@ -179,7 +179,7 @@ def find_hall_subgroup(g: PermGroup, pi: PrimeSet) -> HallSearchResult:
         )
     if target == g.order():
         return HallSearchResult(status="found", pi=pi, subgroup=g, budget_used=budget)
-    rng = random.Random(search_seed())
+    rng = random.Random(SEARCH_SEED)
     witness, tried = _greedy_phase(g, pi, target, rng)
     budget["random_growth_steps"] = tried
     if witness is None:

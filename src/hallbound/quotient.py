@@ -9,7 +9,9 @@ index and the map of the identity is the identity.
 
 The rule that a trivial kernel never builds a quotient (which would be the
 regular representation) lives here, in quotient_or_self, and every series
-that ascends through full preimages goes through ascending_series.
+that ascends through full preimages goes through ascending_series, whose
+top term is g itself whenever it has g's order, so caches keyed by the
+group see one handle.
 """
 
 from __future__ import annotations
@@ -148,8 +150,9 @@ def ascending_series(
     """1 = N_0 < N_1 < ... with N_{i+1} the full preimage of step(G/N_i).
 
     step must return a normal subgroup of its argument.  The series stops
-    at G or when step returns the trivial group; callers decide whether
-    stopping short of G is an answer or a failure.
+    at G, appending g itself for a term of order |G|, or when step returns
+    the trivial group; callers decide whether stopping short of G is an
+    answer or a failure.
     """
     series = [PermGroup.trivial(g.degree)]
     while series[-1].order() < g.order():
@@ -157,7 +160,8 @@ def ascending_series(
         found = step(quotient)
         if found.is_trivial():
             break
-        series.append(pull_back(found))
+        term = pull_back(found)
+        series.append(g if term.order() == g.order() else term)
     return series
 
 

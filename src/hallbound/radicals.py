@@ -105,16 +105,14 @@ def p_soluble_radical(g: PermGroup, p: int) -> PermGroup:
     inside one of them, so the limit is the whole radical.  Quotients are
     only ever taken by the accumulated radical, never by a small piece of it.
     """
-    if g.is_trivial() or g.order() % p != 0 or is_soluble(g):
+    if is_soluble(g):
         return g
-    top = ascending_series(g, lambda q: _upper_p_step(q, p))[-1]
-    return g if top.order() == g.order() else top
+    return ascending_series(g, lambda q: _upper_p_step(q, p))[-1]
 
 
 def is_p_soluble(g: PermGroup, p: int) -> bool:
     """Every composition factor is a p-group or a p'-group: the group equals
-    its own p-soluble radical, which returns p'-groups and soluble groups
-    outright."""
+    its own p-soluble radical, which returns soluble groups outright."""
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     return p_soluble_radical(g, p).order() == g.order()

@@ -26,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .config import enumeration_cap, search_seed
+from .config import SEARCH_SEED, enumeration_cap
 from .errors import CapExceeded, PreconditionError
 from .group import (
     PermGroup,
@@ -236,7 +236,7 @@ def _minimal_normals_structured(g: PermGroup, cap: int) -> list[PermGroup]:
         candidates.extend(_minimal_normals_inside(g, k, cap))
     # Seeded sampling catches normal subgroups missed by the kernels; any
     # candidate it adds is still certified below before being trusted.
-    rng = random.Random(search_seed())
+    rng = random.Random(SEARCH_SEED)
     pool: list[Permutation] = []
     for gen in g.generators:
         pool.extend(_prime_parts(gen))
@@ -346,7 +346,6 @@ def is_soluble(g: PermGroup) -> bool:
     return derived_series(g)[-1].is_trivial()
 
 
-@functools.lru_cache(maxsize=None)
 def lower_central_series(g: PermGroup) -> tuple[PermGroup, ...]:
     """G >= [G,G] >= [[G,G],G] >= ... until stable."""
     series = [g]
@@ -398,7 +397,6 @@ def normal_part(g: PermGroup, keep, seed_ok=None) -> PermGroup:
     return current
 
 
-@functools.lru_cache(maxsize=None)
 def soluble_radical(g: PermGroup) -> PermGroup:
     """Largest soluble normal subgroup.
 

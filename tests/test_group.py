@@ -114,6 +114,11 @@ def test_normal_closure_of_transposition_is_whole_s4(s4):
     assert normal_closure(s4, sub).order() == 24
 
 
+def test_normal_closure_of_full_order_is_the_ambient_itself(a5):
+    sub = span(5, [Permutation.from_cycles(5, [(0, 1, 2)])])
+    assert normal_closure(a5, sub) is a5
+
+
 def test_normal_closure_of_double_transposition_is_v4(s4):
     sub = span(4, [Permutation.from_cycles(4, [(0, 1), (2, 3)])])
     v4 = normal_closure(s4, sub)

@@ -32,6 +32,12 @@ def test_hall_found_in_a5(a5):
     assert is_hall_subgroup(result.subgroup, a5, PrimeSet([2, 3]))
 
 
+def test_hall_search_ignores_hallbound_seed(monkeypatch, a5):
+    plain = find_hall_subgroup(a5, PrimeSet([2, 3])).subgroup.generators
+    monkeypatch.setenv("HALLBOUND_SEED", "7")
+    assert find_hall_subgroup(a5, PrimeSet([2, 3])).subgroup.generators == plain
+
+
 def test_hall_proven_absent_in_a5(a5):
     result = find_hall_subgroup(a5, PrimeSet([2, 5]))
     assert result.status == "proven_absent"

@@ -32,6 +32,12 @@ def test_p_kernel_of_simple_group_is_whole(a5):
     assert p_kernel(a5, 5).same_group_as(a5)
 
 
+def test_p_kernel_of_full_order_is_the_group_itself():
+    s5 = make_named("S5")
+    kernel_series.cache_clear()
+    assert p_kernel(s5, 5) is s5
+
+
 def test_kernel_series_empty_for_p_soluble(s4):
     series = kernel_series(s4, 3)
     assert series.length == 0
@@ -59,11 +65,20 @@ def test_kernel_series_never_reads_a_trivial_kernel_as_the_end(monkeypatch):
         kernel_series.cache_clear()
 
 
+KERNEL_LEMMA_CASES = [
+    ("A5 wr C2", 3, 3600, 1),
+    ("S5", 5, 60, 0),
+    ("A5 x SL(2,3)", 5, 1440, 0),
+    ("S4", 3, None, 0),
+]
+
+
 @pytest.mark.parametrize(
-    "name, p, preimage_order",
-    [("A5 wr C2", 3, 3600), ("S5", 5, 60), ("A5 x SL(2,3)", 5, 1440), ("S4", 3, None)],
+    "name, p, preimage_order, steps",
+    KERNEL_LEMMA_CASES,
+    ids=[f"{name}-{p}-{order}" for name, p, order, _ in KERNEL_LEMMA_CASES],
 )
-def test_kernel_lemma_runs_no_second_step(monkeypatch, name, p, preimage_order):
+def test_kernel_lemma_runs_no_second_step(monkeypatch, name, p, preimage_order, steps):
     g = group_from_spec(name)
     series = kernel_series(g, p)
     socle_preimage = series.socle_preimage
@@ -77,8 +92,9 @@ def test_kernel_lemma_runs_no_second_step(monkeypatch, name, p, preimage_order):
 
     monkeypatch.setattr(length, "_kernel_of_factor_action", counted)
     assert check_kernel_lemma(g, p).holds
-    # Only the p-kernel's own series runs a step; g's series is cached.
-    assert len(calls) == (0 if preimage_order is None else 1)
+    # g's series is cached, and a p-kernel that is all of g is g itself, so
+    # only a proper p-kernel (A5 wr C2's, of order 3600) runs its own step.
+    assert len(calls) == steps
 
 
 def test_kernel_series_of_wreath_product():

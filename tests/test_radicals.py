@@ -185,6 +185,11 @@ def test_generalized_fitting_height_values(s4, a4, a5, sl25):
     assert generalized_fitting_height(sl25).height == 1
 
 
+def test_height_series_end_at_the_group_itself(s4):
+    assert fitting_height(s4).series[-1] is s4
+    assert generalized_fitting_height(s4).series[-1] is s4
+
+
 def test_height_certificate_series_shape(s4):
     cert = fitting_height(s4)
     assert cert.kind == "fitting"
