@@ -322,7 +322,7 @@ class PermGroup:
 
     def elements(self) -> Iterator[Permutation]:
         for images in self.chain.elements():
-            yield Permutation(images)
+            yield Permutation._trusted(images)
 
     def element_list(self, cap: int | None = None) -> list[Permutation]:
         """All elements, guarded by the enumeration cap."""
@@ -337,7 +337,7 @@ class PermGroup:
         return list(self.elements())
 
     def random_element(self, rng) -> Permutation:
-        return Permutation(self.chain.random_element(rng))
+        return Permutation._trusted(self.chain.random_element(rng))
 
     def orbit(self, point: int) -> list[int]:
         """Orbit of a point, BFS order starting at the point."""
@@ -433,10 +433,12 @@ def normal_closure(ambient: PermGroup, sub: PermGroup) -> PermGroup:
     current = PermGroup(ambient.degree, sub.generators)
     while True:
         fresh: list[Permutation] = []
+        seen: set[tuple[int, ...]] = set()
         for g in ambient.generators:
             for h in current.generators:
                 c = h.conjugate(g)
-                if not current.contains(c) and all(c != f for f in fresh):
+                if not current.contains(c) and c.images not in seen:
+                    seen.add(c.images)
                     fresh.append(c)
         if not fresh:
             return ambient if current.order() == ambient.order() else current
@@ -479,10 +481,11 @@ def centralizer(ambient: PermGroup, sub: PermGroup) -> PermGroup:
     _require_subgroup(sub, ambient, "centralizer")
     if sub.is_trivial():
         return ambient
+    subgens = [s.images for s in sub.generators]
     hits = [
         x
         for x in ambient.element_list()
-        if all(x * s == s * x for s in sub.generators)
+        if all(_mul(x.images, s) == _mul(s, x.images) for s in subgens)
     ]
     result = span(ambient.degree, hits)
     if result.order() != len(hits):
@@ -512,7 +515,9 @@ def pointwise_stabilizer(g: PermGroup, points: Sequence[int]) -> PermGroup:
     if not prefix:
         return g
     chain = StabChain(g.degree, [p.images for p in g.generators], base=prefix)
-    gens = [Permutation(images) for images in chain.level_generators(len(prefix))]
+    gens = [
+        Permutation._trusted(images) for images in chain.level_generators(len(prefix))
+    ]
     return PermGroup(g.degree, gens)
 
 

@@ -4,6 +4,18 @@ A permutation is stored as its image tuple: p.images[x] is the image of x.
 Composition is left-to-right throughout the library: (a * b)(x) = b(a(x)),
 i.e. a acts first.  Conjugation x ** g is g^-1 * x * g and the commutator
 [a, b] is a^-1 * b^-1 * a * b.
+
+Trust boundary: images are validated only where they enter the program.
+The public constructor ``Permutation(images)`` checks that the images are a
+bijection of 0..n-1, and ``identity``, ``from_cycles`` and ``parse_cycles``
+build through it, as do group files, the corpus builders and any caller.
+Products, inverses, powers, conjugates and commutators are built through the
+unvalidated ``Permutation._trusted``: an image tuple derived from bijections
+of one degree by composition or inversion is again such a bijection, so
+checking it again would only repeat a loop over every image.  Images that
+other modules assemble by other means (coset actions, restrictions of an
+extended action) keep the checking constructor, where the check doubles as
+an invariant check.
 """
 
 from __future__ import annotations
@@ -48,6 +60,20 @@ class Permutation:
             seen[v] = True
         object.__setattr__(self, "images", imgs)
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple without validating it.
+
+        Only for images derived from valid permutations of one degree (by
+        composition, inversion or conjugation) or read off a stabilizer
+        chain built from them: those are bijections by construction.
+        Anything from outside the permutation algebra goes through
+        ``Permutation(images)``, which checks it.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
@@ -82,14 +108,16 @@ class Permutation:
         return self.images[point]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
+        if not isinstance(other, Permutation):
+            return NotImplemented
         if self.degree != other.degree:
             raise DegreeMismatch(
                 f"cannot compose degree {self.degree} with degree {other.degree}"
             )
-        return Permutation(_mul(self.images, other.images))
+        return Permutation._trusted(_mul(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        return Permutation(_inv(self.images))
+        return Permutation._trusted(_inv(self.images))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -101,11 +129,20 @@ class Permutation:
                 result = _mul(result, base)
             base = _mul(base, base)
             k >>= 1
-        return Permutation(result)
+        return Permutation._trusted(result)
 
     def conjugate(self, g: "Permutation") -> "Permutation":
-        """self ** g = g^-1 * self * g."""
-        return g.inverse() * self * g
+        """self ** g = g^-1 * self * g, built in one pass: it sends g(i) to
+        g(self(i))."""
+        x, gi = self.images, g.images
+        if len(x) != len(gi):
+            raise DegreeMismatch(
+                f"cannot conjugate degree {len(x)} by degree {len(gi)}"
+            )
+        out = [0] * len(x)
+        for i, v in enumerate(x):
+            out[gi[i]] = gi[v]
+        return Permutation._trusted(tuple(out))
 
     def commutator(self, other: "Permutation") -> "Permutation":
         return self.inverse() * other.inverse() * self * other
@@ -158,6 +195,7 @@ def parse_cycles(text: str, degree: int | None = None, offset: int = 0) -> Permu
     if body:
         raise ValueError(f"malformed cycle notation: {text!r}")
     cycles = []
+    assigned: set[int] = set()
     for match in _CYCLE_RE.finditer(stripped):
         inner = match.group(1).replace(",", " ").split()
         if not inner:
@@ -170,6 +208,10 @@ def parse_cycles(text: str, degree: int | None = None, offset: int = 0) -> Permu
             raise ValueError(f"point below {offset} in {text!r}")
         if len(set(pts)) != len(pts):
             raise ValueError(f"repeated point inside a cycle: {text!r}")
+        for pt in pts:
+            if pt in assigned:
+                raise ValueError(f"point {pt + offset} appears in two cycles: {text!r}")
+            assigned.add(pt)
         cycles.append(pts)
     needed = 1 + max((pt for c in cycles for pt in c), default=0)
     if degree is None:

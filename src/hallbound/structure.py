@@ -96,7 +96,7 @@ def _class_seeds(ambient: PermGroup, k: PermGroup, cap: int) -> list[Permutation
     for key in sorted(set(key_of.values())):
         if key in visited:
             continue
-        seeds.append(Permutation(key))
+        seeds.append(Permutation._trusted(key))
         visited.add(key)
         frontier = [seeds[-1]]
         while frontier:

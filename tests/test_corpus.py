@@ -123,6 +123,13 @@ def test_group_from_file(tmp_path):
     assert g.order() == 4
 
 
+def test_group_from_file_names_repeated_point_one_based(tmp_path):
+    path = tmp_path / "overlap.grp"
+    path.write_text("degree 3\n(1 2)(2 3)\n")
+    with pytest.raises(ValueError, match="point 2 appears in two cycles"):
+        group_from_file(path)
+
+
 def test_group_from_file_rejects_missing_header(tmp_path):
     path = tmp_path / "bad.grp"
     path.write_text("(1 2)\n")

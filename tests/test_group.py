@@ -279,6 +279,24 @@ def test_rejected_order_divides_caches_no_chain():
 
 @pytest.mark.property_based
 @given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_chain_derived_elements_are_bijections(seed):
+    """Elements, random elements and stabilizer generators are read off the
+    chain without validation; each must still be a bijection of the degree."""
+    rng = random.Random(seed)
+    degree, gens = _random_subgroup_gens(rng)
+    g = PermGroup(degree, gens)
+    derived = list(g.elements())
+    derived += [g.random_element(rng) for _ in range(20)]
+    derived += list(pointwise_stabilizer(g, [0, 1]).generators)
+    for x in derived:
+        assert x.degree == degree
+        assert Permutation(x.images) == x
+    assert len({x.images for x in g.elements()}) == g.order()
+
+
+@pytest.mark.property_based
+@given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_random_elements_are_members(seed):
     g = make_named("A5")

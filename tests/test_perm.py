@@ -63,6 +63,58 @@ def test_invalid_images_rejected():
         Permutation((0, 0, 1))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Permutation((0, 3, 1)),
+        lambda: Permutation((0, 1.0)),
+        lambda: Permutation.identity(0),
+        lambda: Permutation.from_cycles(4, [(0, 1), (1, 2)]),
+        lambda: Permutation.from_cycles(3, [(0, 3)]),
+        lambda: parse_cycles("(1 2"),
+        lambda: parse_cycles("(1 x)"),
+        lambda: parse_cycles("(1 2) 3"),
+        lambda: parse_cycles("(0 1 0)"),
+        lambda: parse_cycles("(0 1)(1 2)"),
+        lambda: parse_cycles("(0 5)", degree=3),
+    ],
+)
+def test_outside_input_is_validated(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_point_repeated_across_cycles_is_named_with_offset():
+    with pytest.raises(ValueError, match="point 2 appears in two cycles"):
+        parse_cycles("(1 2)(2 3)", offset=1)
+
+
+def test_conjugate_degree_mismatch_rejected():
+    with pytest.raises(DegreeMismatch):
+        Permutation.identity(3).conjugate(Permutation.identity(4))
+    with pytest.raises(DegreeMismatch):
+        Permutation.identity(4).conjugate(Permutation.identity(3))
+
+
+def test_product_with_non_permutation_is_type_error():
+    a = Permutation([1, 0, 2])
+    with pytest.raises(TypeError):
+        a * 3
+    with pytest.raises(TypeError):
+        3 * a
+
+
+@pytest.mark.property_based
+@given(a=perms, b=perms, k=st.integers(-20, 20))
+@settings(max_examples=100)
+def test_derived_permutations_are_bijections(a, b, k):
+    """Derived images skip validation; the checking constructor must accept
+    each of them as a bijection of the same degree."""
+    for x in (a * b, a.inverse(), a**k, a.conjugate(b), a.commutator(b)):
+        assert x.degree == DEGREE
+        assert Permutation(x.images) == x
+
+
 @pytest.mark.property_based
 @given(a=perms, b=perms, c=perms)
 @settings(max_examples=100)
