@@ -32,6 +32,14 @@ class _OrbitDoesNotDivide(Exception):
     """A divisor-bounded chain build stopped early; never leaves this module."""
 
 
+def _extend_products(
+    prefixes: Iterable[tuple[int, ...]], level: Sequence[tuple[int, ...]]
+) -> Iterator[tuple[int, ...]]:
+    """p * u for each prefix p in turn and each u of level, in that order."""
+    for p in prefixes:
+        yield from map(_mul, itertools.repeat(p, len(level)), level)
+
+
 class StabChain:
     """Stabilizer chain with the full ordered base.
 
@@ -182,24 +190,22 @@ class StabChain:
         return self._gens_at(level)
 
     def elements(self) -> Iterator[tuple[int, ...]]:
-        """All elements, deterministically, as transversal products."""
-        nontrivial = [
-            sorted(self.transversal[i]) for i in range(len(self.base))
-            if len(self.transversal[i]) > 1
-        ]
-        levels = [
-            self.transversal[i] for i in range(len(self.base))
-            if len(self.transversal[i]) > 1
-        ]
-        if not levels:
-            yield self._identity
-            return
-        # deepest level first: the element is u_(k-1) * ... * u_0
-        for choice in itertools.product(*reversed(nontrivial)):
-            p = self._identity
-            for idx, pt in enumerate(choice):
-                p = _mul(p, levels[len(levels) - 1 - idx][pt])
-            yield p
+        """All elements, deterministically, as transversal products.
+
+        With u_j ranging over the sorted transversal of the j-th non-trivial
+        level, the elements are u_(k-1) * ... * u_0 in the order of
+        ``itertools.product`` over the levels from the deepest one (Seress,
+        *Permutation Group Algorithms*, §4.1).  Each stage lazily extends the
+        partial products of the deeper levels by one level, so every prefix
+        u_(k-1) * ... * u_j is formed once and shared by all elements below
+        it: an element costs one product, plus a share of its prefixes.
+        """
+        products: Iterator[tuple[int, ...]] = iter([self._identity])
+        for trans in reversed(self.transversal):
+            if len(trans) > 1:
+                level = [trans[pt] for pt in sorted(trans)]
+                products = _extend_products(products, level)
+        return products
 
     def random_element(self, rng) -> tuple[int, ...]:
         """Uniformly random element via one transversal pick per level."""
@@ -324,8 +330,8 @@ class PermGroup:
         for images in self.chain.elements():
             yield Permutation._trusted(images)
 
-    def element_list(self, cap: int | None = None) -> list[Permutation]:
-        """All elements, guarded by the enumeration cap."""
+    def check_enumerable(self, cap: int | None = None) -> None:
+        """Raise CapExceeded when the order exceeds the enumeration cap."""
         limit = enumeration_cap() if cap is None else cap
         n = self.order()
         if n > limit:
@@ -334,6 +340,10 @@ class PermGroup:
                 needed=n,
                 cap=limit,
             )
+
+    def element_list(self, cap: int | None = None) -> list[Permutation]:
+        """All elements, guarded by the enumeration cap."""
+        self.check_enumerable(cap)
         return list(self.elements())
 
     def random_element(self, rng) -> Permutation:
@@ -482,9 +492,10 @@ def centralizer(ambient: PermGroup, sub: PermGroup) -> PermGroup:
     if sub.is_trivial():
         return ambient
     subgens = [s.images for s in sub.generators]
+    ambient.check_enumerable()
     hits = [
         x
-        for x in ambient.element_list()
+        for x in ambient.elements()
         if all(_mul(x.images, s) == _mul(s, x.images) for s in subgens)
     ]
     result = span(ambient.degree, hits)
@@ -502,7 +513,8 @@ def intersection(a: PermGroup, b: PermGroup) -> PermGroup:
     if a.degree != b.degree:
         raise DegreeMismatch("intersection: degree mismatch")
     small, big = (a, b) if a.order() <= b.order() else (b, a)
-    hits = [x for x in small.element_list() if big.contains(x)]
+    small.check_enumerable()
+    hits = [x for x in small.elements() if big.contains(x)]
     result = span(a.degree, hits)
     if result.order() != len(hits):
         raise AssertionError("intersection span lost elements")

@@ -45,6 +45,22 @@ def _inv(a: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _conj(
+    x: Sequence[int], g: Sequence[int], g_inv: Sequence[int] | None = None
+) -> tuple[int, ...]:
+    """Raw image tuple of x ** g = g^-1 * x * g.
+
+    With the inverse of g at hand this is two products; without it, one pass
+    that sends g(i) to g(x(i)), which is cheaper than inverting g first.
+    """
+    if g_inv is not None:
+        return _mul(_mul(g_inv, x), g)
+    out = [0] * len(x)
+    for i, v in enumerate(x):
+        out[g[i]] = g[v]
+    return tuple(out)
+
+
 class Permutation:
     """An immutable permutation of fixed degree."""
 
@@ -132,24 +148,19 @@ class Permutation:
         return Permutation._trusted(result)
 
     def conjugate(self, g: "Permutation") -> "Permutation":
-        """self ** g = g^-1 * self * g, built in one pass: it sends g(i) to
-        g(self(i))."""
-        x, gi = self.images, g.images
-        if len(x) != len(gi):
+        """self ** g = g^-1 * self * g, built in one pass (see ``_conj``)."""
+        if self.degree != g.degree:
             raise DegreeMismatch(
-                f"cannot conjugate degree {len(x)} by degree {len(gi)}"
+                f"cannot conjugate degree {self.degree} by degree {g.degree}"
             )
-        out = [0] * len(x)
-        for i, v in enumerate(x):
-            out[gi[i]] = gi[v]
-        return Permutation._trusted(tuple(out))
+        return Permutation._trusted(_conj(self.images, g.images))
 
     def commutator(self, other: "Permutation") -> "Permutation":
         return self.inverse() * other.inverse() * self * other
 
     @property
     def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycle decomposition, each cycle starting at its least point."""
@@ -170,8 +181,21 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        lengths = [len(c) for c in self.cycles()]
-        return math.lcm(*lengths) if lengths else 1
+        """The lcm of the cycle lengths, from one pass over the images."""
+        images = self.images
+        seen = bytearray(len(images))
+        result = 1
+        for start, pt in enumerate(images):
+            if seen[start] or pt == start:
+                continue
+            length = 1
+            seen[start] = 1
+            while pt != start:
+                seen[pt] = 1
+                pt = images[pt]
+                length += 1
+            result = math.lcm(result, length)
+        return result
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images

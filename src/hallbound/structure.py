@@ -2,8 +2,11 @@
 
 Every normal-subgroup search here starts from one harvest, _class_seeds:
 one generator per conjugacy class of the cyclic subgroups of prime-power
-order.  The normal_part sweep behind cores and radicals adjoins those seeds,
-and minimal normal subgroups, which drive everything else, take two routes:
+order.  It reads the elements once, from the chain's shared-prefix
+enumeration, and sorts each one into its cyclic subgroup with one power walk
+per cyclic subgroup it has not met.  The normal_part sweep behind cores and
+radicals adjoins those seeds, and minimal normal subgroups, which drive
+everything else, take two routes:
 
   * under the enumeration cap, each prime-order seed is closed under
     conjugation; the inclusion-minimal closures are exactly the minimal
@@ -25,6 +28,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .config import SEARCH_SEED, enumeration_cap
 from .errors import CapExceeded, PreconditionError
@@ -39,7 +43,7 @@ from .group import (
     pointwise_stabilizer,
     span,
 )
-from .perm import Permutation
+from .perm import Permutation, _conj, _inv
 from .primes import factorize, is_prime
 
 
@@ -75,35 +79,60 @@ def _class_seeds(ambient: PermGroup, k: PermGroup, cap: int) -> list[Permutation
 
     The key of a cyclic subgroup is the lexicographically least image tuple
     among its generators, and each returned generator is its subgroup's key.
-    The harvest records the key of every generator, so the conjugation walk
-    computes no powers.  Every subgroup is
-    generated by its elements of prime-power order, and a normal subgroup
-    contains a seed exactly when it contains the seed's whole conjugacy
-    class, so sweeps may restrict to these seeds.
+    Every subgroup is generated by its elements of prime-power order, and a
+    normal subgroup contains a seed exactly when it contains the seed's whole
+    conjugacy class, so sweeps may restrict to these seeds.
+
+    The harvest reads k's elements once, under the enumeration cap, and
+    gives each element x that no earlier walk has met one power walk x,
+    x^2, ..., x^o = 1.  The walk yields o = |x| and sorts every power into
+    its cyclic subgroup: x^e generates <x^gcd(e, o)>.  Each of those
+    subgroups is recorded whole, under its key when its order is a prime
+    power and as merely seen otherwise, so no power of x is walked again.
+    The conjugation walk then reads the key of every conjugate from the
+    record and computes no powers.
     """
-    key_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for x in k.element_list(cap):
-        if x.images in key_of or x.is_identity:
+    k.check_enumerable(cap)
+    identity = tuple(range(k.degree))
+    # image tuple -> key of the cyclic subgroup it generates, or None when
+    # that subgroup's order is not a prime power
+    key_of: dict[tuple[int, ...], tuple[int, ...] | None] = {identity: None}
+    for element in k.elements():
+        x = element.images
+        if x in key_of:
             continue
-        o = x.order()
-        if len(factorize(o)) != 1:
-            continue
-        gens = [(x**e).images for e in range(1, o) if math.gcd(e, o) == 1]
-        key = min(gens)
-        key_of.update((y, key) for y in gens)
+        # powers of x commute, so x^(e+1) = x * x^e is one fixed itemgetter
+        step = itemgetter(*x)
+        powers = [x]
+        p = step(x)
+        while p != identity:
+            powers.append(p)
+            p = step(p)
+        o = len(powers) + 1
+        generators: dict[int, list[tuple[int, ...]]] = {}
+        for e, y in enumerate(powers, 1):
+            generators.setdefault(math.gcd(e, o), []).append(y)
+        for d, gens in generators.items():
+            if gens[0] in key_of:
+                continue
+            key = min(gens) if len(factorize(o // d)) == 1 else None
+            key_of.update((y, key) for y in gens)
+    keys = set(key_of.values())
+    keys.discard(None)
+    conjugators = [(s.images, _inv(s.images)) for s in ambient.generators]
     seeds: list[Permutation] = []
     visited: set[tuple[int, ...]] = set()
-    for key in sorted(set(key_of.values())):
+    for key in sorted(keys):
         if key in visited:
             continue
         seeds.append(Permutation._trusted(key))
         visited.add(key)
-        frontier = [seeds[-1]]
+        frontier = [key]
         while frontier:
             x = frontier.pop()
-            for s in ambient.generators:
-                y = x.conjugate(s)
-                c = key_of[y.images]
+            for s, s_inv in conjugators:
+                y = _conj(x, s, s_inv)
+                c = key_of[y]
                 if c not in visited:
                     visited.add(c)
                     frontier.append(y)

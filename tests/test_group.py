@@ -1,5 +1,6 @@
 """Stabilizer-chain engine: orders, membership, orbits, subgroup operations."""
 
+import itertools
 import math
 import random
 import sys
@@ -32,7 +33,9 @@ from hallbound import (
     span,
     symmetric_group,
 )
+from hallbound import group
 from hallbound.errors import CapExceeded, DegreeMismatch
+from hallbound.perm import _mul
 
 from conftest import random_permutation
 
@@ -66,6 +69,18 @@ def test_element_list_cap_enforced():
     g = symmetric_group(6)
     with pytest.raises(CapExceeded):
         g.element_list(100)
+
+
+def test_enumerating_operations_respect_the_cap(monkeypatch, s4, a4):
+    monkeypatch.setenv("HALLBOUND_CAP", "20")
+    with pytest.raises(CapExceeded) as info:
+        center(s4)
+    assert (info.value.needed, info.value.cap) == (24, 20)
+    with pytest.raises(CapExceeded) as info:
+        intersection(s4, s4)
+    assert info.value.needed == 24
+    # intersection enumerates only the smaller group
+    assert intersection(s4, a4).order() == 12
 
 
 def test_orbit_stabilizer_theorem(s4):
@@ -206,6 +221,59 @@ def _random_subgroup_gens(rng: random.Random) -> tuple[int, list[Permutation]]:
         for _ in range(rng.randint(1, 2))
     ]
     return degree, gens
+
+
+def _product_order_elements(chain: StabChain) -> list[tuple[int, ...]]:
+    """The elements as first enumerated: itertools.product over the sorted
+    transversals of the non-trivial levels, deepest first, each element
+    multiplied out from the identity."""
+    levels = [t for t in chain.transversal if len(t) > 1]
+    out = []
+    for choice in itertools.product(*(sorted(t) for t in reversed(levels))):
+        p = tuple(range(chain.degree))
+        for t, pt in zip(reversed(levels), choice):
+            p = _mul(p, t[pt])
+        out.append(p)
+    return out
+
+
+def _assert_product_order(g: PermGroup) -> None:
+    expected = _product_order_elements(g.chain)
+    assert list(g.chain.elements()) == expected
+    assert [x.images for x in g.elements()] == expected
+
+
+def test_elements_keep_product_order_on_small_groups():
+    _assert_product_order(PermGroup.trivial(5))
+    _assert_product_order(PermGroup(1, []))
+    _assert_product_order(cyclic_group(7))
+    _assert_product_order(make_named("S4"))
+
+
+@pytest.mark.property_based
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_elements_keep_product_order(seed):
+    degree, gens = _random_subgroup_gens(random.Random(seed))
+    _assert_product_order(PermGroup(degree, gens))
+
+
+@pytest.mark.parametrize("spec", ["A6", "PSL(2,7) x S3", "A5 x D12"])
+def test_enumeration_shares_prefix_products(spec, monkeypatch):
+    g = group_from_spec(spec)
+    n = g.order()
+    products = 0
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += 1
+        return _mul(a, b)
+
+    monkeypatch.setattr(group, "_mul", counting_mul)
+    assert sum(1 for _ in g.elements()) == n
+    # one product per element plus the shared prefixes; one product per
+    # non-trivial level per element would be several times |G|
+    assert products < 2 * n
 
 
 @pytest.mark.property_based

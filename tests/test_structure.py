@@ -22,6 +22,7 @@ from hallbound import (
     soluble_radical,
     symmetric_group,
 )
+from hallbound.errors import CapExceeded
 from hallbound.perm import Permutation
 from hallbound.primes import factorize
 from hallbound.structure import _class_seeds
@@ -78,7 +79,10 @@ def _cyclic(x):
 
 @pytest.mark.parametrize(
     "spec, depth",
-    [("S4", 0), ("S4", 1), ("S4", 2), ("A5", 0), ("SL(2,3)", 0), ("D12", 0), ("A4 x S4", 0)],
+    [
+        ("S4", 0), ("S4", 1), ("S4", 2), ("A5", 0), ("SL(2,3)", 0), ("D12", 0),
+        ("A4 x S4", 0), ("S5 x S3", 0), ("PSL(2,7)", 0),
+    ],
 )
 def test_class_seeds_match_brute_force(spec, depth):
     # k is a term of the derived series (for S4: S4, A4, V4), so normal in g.
@@ -102,6 +106,14 @@ def test_class_seeds_match_brute_force(spec, depth):
         o = x.order()
         assert x.images == min((x**e).images for e in range(1, o) if math.gcd(e, o) == 1)
     assert [x.images for x in seeds] == sorted(x.images for x in seeds)
+
+
+def test_class_seeds_keep_the_enumeration_cap():
+    g = group_from_spec("S5 x S3")
+    with pytest.raises(CapExceeded) as info:
+        _class_seeds(g, g, g.order() - 1)
+    assert info.value.needed == g.order()
+    assert info.value.cap == g.order() - 1
 
 
 def test_socle_of_s4(s4):
