@@ -1,14 +1,20 @@
 """Permutation groups backed by a deterministic stabilizer chain.
 
 The chain uses the full ordered base (every point is a base point, taken in
-increasing order unless a prefix is prescribed).  That costs a few trivial
-levels but buys two structural guarantees used throughout the library:
+increasing order unless a prefix is prescribed).  That buys two structural
+guarantees used throughout the library:
 
   * a permutation fixing every base point is the identity, so sifting needs
     no base extension and membership is a single pass;
   * the level-k subgroup of the chain is exactly the pointwise stabilizer of
     the first k base points, which gives polynomial-time pointwise
     stabilizers, action kernels and minimal coset representatives.
+
+Most levels of a full base are trivial (their orbit is the base point
+alone), and no per-level work runs on them: construction, sifting, random
+elements and coset representatives visit only the non-trivial levels, so
+their cost does not grow with the degree.  The chain is still exactly the
+full-base chain, with the same strong generators and transversals.
 
 Construction is deterministic: no randomization, fixed generator order,
 orbit points processed in sorted order.  Schreier generators are processed
@@ -18,9 +24,12 @@ new strong generator and the scan resumes at the residue's level.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import threading
 from collections import deque
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import enumeration_cap
@@ -43,11 +52,31 @@ def _extend_products(
 class StabChain:
     """Stabilizer chain with the full ordered base.
 
+    Level i is non-trivial exactly when some strong generator has level i
+    (moves base[i] and fixes the base points before it); only those levels
+    are built, scanned and sifted through.
+
+    * Build: a trivial level needs no Schreier generators.  Its orbit is the
+      base point alone, so its Schreier generators are the deeper strong
+      generators themselves, which already sift to the identity through the
+      finished deeper levels.  On a non-trivial level, a product u * x that
+      is itself the coset representative of its image of the base point
+      gives the identity as Schreier generator and is skipped.  Each level's
+      generator list is formed once per rebuild.
+    * Sift: between two non-trivial levels one C-level comparison checks
+      that p fixes every skipped base point; where it does not, p is
+      returned as it stands, exactly where a pass over every level would
+      have stopped, so sift residues (and hence the strong generators) are
+      those of the full pass.  After the last non-trivial level p is the
+      identity or the residue.
+    * Walks: random elements and minimal coset representatives take one
+      step per non-trivial level, with the same draws as over every level.
+
     Inverse transversal elements are computed the first time a sift or a
-    Schreier generator needs them.  A level's orbit is rebuilt only when a
-    strong generator at that level or deeper has arrived since its last
-    build; the BFS is deterministic, so a skipped rebuild would have produced
-    the same transversal.  A rebuilt level always restarts its BFS from
+    Schreier generator needs them.  A level is rebuilt only when a strong
+    generator at that level or deeper has arrived since its last build; the
+    scan descends from the level of the last residue, so every level it
+    reaches is such a level.  A rebuilt level always restarts its BFS from
     scratch: extending an orbit in place would pick other coset
     representatives.
 
@@ -55,8 +84,9 @@ class StabChain:
     rebuilt level whose orbit length does not divide n.  That level's orbit
     is an orbit of K_i = <strong generators at level >= i>, a subgroup of the
     group C being built, so its length divides |K_i| and hence |C|: the
-    early stop proves that |C| does not divide n.  A build that is not
-    stopped is exactly the build without a divisor.
+    early stop proves that |C| does not divide n.  A trivial level's orbit
+    length 1 always divides.  A build that is not stopped is exactly the
+    build without a divisor.
     """
 
     def __init__(
@@ -67,8 +97,10 @@ class StabChain:
         divisor: int | None = None,
     ):
         self.degree = degree
+        identity = tuple(range(degree))
+        self._identity = identity
         if base is None:
-            self.base = tuple(range(degree))
+            self.base = identity
         else:
             prefix = list(dict.fromkeys(base))
             if any(not 0 <= b < degree for b in prefix):
@@ -76,8 +108,6 @@ class StabChain:
             chosen = set(prefix)
             rest = [p for p in range(degree) if p not in chosen]
             self.base = tuple(prefix + rest)
-        identity = tuple(range(degree))
-        self._identity = identity
         # master list of (strong generator, level); level = first index i in
         # base order with g[base[i]] != base[i]
         self._strong: list[tuple[tuple[int, ...], int]] = []
@@ -87,10 +117,10 @@ class StabChain:
         self.transversal: list[dict[int, tuple[int, ...]]] = [
             {b: identity} for b in self.base
         ]
-        # inverses of transversal elements, filled on first use
-        self._transversal_inv: list[dict[int, tuple[int, ...]]] = [
-            {} for _ in self.base
-        ]
+        # inverses of transversal elements by non-trivial level, filled on
+        # first use
+        self._transversal_inv: dict[int, dict[int, tuple[int, ...]]] = {}
+        self._set_levels(sorted({lv for _, lv in self._strong}))
         self._build(divisor)
 
     def _level_of(self, g: tuple[int, ...]) -> int:
@@ -99,12 +129,24 @@ class StabChain:
                 return i
         return len(self.base)
 
-    def _gens_at(self, level: int) -> list[tuple[int, ...]]:
-        return [g for g, lv in self._strong if lv >= level]
+    def _set_levels(self, levels: Sequence[int]) -> None:
+        """Record the non-trivial levels, in base order, as (level, base
+        point, gap check, gap points): the gap check (None for no gap) reads
+        the base points strictly between the previous non-trivial level and
+        this one, which a sifted permutation must fix."""
+        table = []
+        prev = -1
+        for i in levels:
+            gap = self.base[prev + 1 : i]
+            check = itemgetter(*gap) if gap else None
+            table.append((i, self.base[i], check, gap[0] if len(gap) == 1 else gap))
+            prev = i
+        self._levels = table
 
-    def _rebuild_level(self, i: int) -> None:
+    def _rebuild_level(
+        self, i: int, gens: Sequence[tuple[int, ...]]
+    ) -> dict[int, tuple[int, ...]]:
         b = self.base[i]
-        gens = self._gens_at(i)
         trans = {b: self._identity}
         queue = deque([b])
         while queue:
@@ -117,6 +159,7 @@ class StabChain:
                     queue.append(img)
         self.transversal[i] = trans
         self._transversal_inv[i] = {}
+        return trans
 
     def _u_inv(self, i: int, pt: int) -> tuple[int, ...]:
         """Inverse of the level-i transversal element for pt, cached."""
@@ -126,58 +169,68 @@ class StabChain:
             u_inv = inv[pt] = _inv(self.transversal[i][pt])
         return u_inv
 
-    def _sift(self, p: tuple[int, ...], start: int = 0) -> tuple[int, ...] | None:
-        """Reduce p through levels >= start; None means p sifted to identity."""
-        for i in range(start, len(self.base)):
-            b = self.base[i]
-            img = p[b]
-            if img == b:
-                continue
-            if img not in self.transversal[i]:
+    def _sift(self, p: tuple[int, ...], k: int = 0) -> tuple[int, ...] | None:
+        """Reduce p through the non-trivial levels from the k-th one on.
+
+        p must fix the base points before the k-th non-trivial level's gap.
+        Returns None when p sifts to the identity, else the residue.
+        """
+        for i, b, gap_check, gap in self._levels[k:]:
+            if gap_check is not None and gap_check(p) != gap:
                 return p
-            p = _mul(p, self._u_inv(i, img))
+            img = p[b]
+            if img != b:
+                if img not in self.transversal[i]:
+                    return p
+                p = _mul(p, self._u_inv(i, img))
         # full base: anything fixing every base point is the identity
+        return None if p == self._identity else p
+
+    def _first_residue(
+        self, k: int, gens: Sequence[tuple[int, ...]]
+    ) -> tuple[int, ...] | None:
+        """First Schreier generator of the k-th non-trivial level that does
+        not sift through the deeper levels, as its sift residue."""
+        i, b, _, _ = self._levels[k]
+        trans = self.transversal[i]
+        for beta in sorted(trans):
+            u = trans[beta]
+            for x in gens:
+                v = _mul(u, x)
+                img = v[b]
+                if v == trans[img]:
+                    continue  # the Schreier generator is the identity
+                residue = self._sift(_mul(v, self._u_inv(i, img)), k + 1)
+                if residue is not None:
+                    return residue
         return None
 
     def _build(self, divisor: int | None) -> None:
-        n = len(self.base)
-        # stale[i]: a strong generator at level >= i arrived since level i
-        # was last built
-        stale = [True] * n
-        i = n - 1
-        while i >= 0:
-            if stale[i]:
-                self._rebuild_level(i)
-                stale[i] = False
-                if divisor is not None and divisor % len(self.transversal[i]):
-                    raise _OrbitDoesNotDivide
-            clean = True
-            b = self.base[i]
-            gens_i = self._gens_at(i)
-            trans_i = self.transversal[i]
-            for beta in sorted(trans_i):
-                u = trans_i[beta]
-                for x in gens_i:
-                    v = _mul(u, x)
-                    schreier = _mul(v, self._u_inv(i, v[b]))
-                    residue = self._sift(schreier, i + 1)
-                    if residue is not None:
-                        lv = self._level_of(residue)
-                        self._strong.append((residue, lv))
-                        stale[: lv + 1] = [True] * (lv + 1)
-                        i = lv
-                        clean = False
-                        break
-                if not clean:
-                    break
-            if clean:
-                i -= 1
+        levels = [entry[0] for entry in self._levels]
+        k = len(levels) - 1
+        while k >= 0:
+            i = levels[k]
+            gens = [g for g, lv in self._strong if lv >= i]
+            trans = self._rebuild_level(i, gens)
+            if divisor is not None and divisor % len(trans):
+                raise _OrbitDoesNotDivide
+            residue = self._first_residue(k, gens)
+            if residue is None:
+                k -= 1
+                continue
+            lv = self._level_of(residue)
+            self._strong.append((residue, lv))
+            k = bisect.bisect_left(levels, lv)
+            if k == len(levels) or levels[k] != lv:
+                levels.insert(k, lv)
+                self._set_levels(levels)
+
+    def _level_transversals(self) -> list[dict[int, tuple[int, ...]]]:
+        """Transversals of the non-trivial levels, in base order."""
+        return [self.transversal[entry[0]] for entry in self._levels]
 
     def order(self) -> int:
-        n = 1
-        for trans in self.transversal:
-            n *= len(trans)
-        return n
+        return math.prod(len(trans) for trans in self._level_transversals())
 
     def contains(self, p: tuple[int, ...]) -> bool:
         return self._sift(p) is None
@@ -187,7 +240,7 @@ class StabChain:
 
     def level_generators(self, level: int) -> list[tuple[int, ...]]:
         """Generators of the pointwise stabilizer of the first `level` base points."""
-        return self._gens_at(level)
+        return [g for g, lv in self._strong if lv >= level]
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         """All elements, deterministically, as transversal products.
@@ -201,21 +254,16 @@ class StabChain:
         it: an element costs one product, plus a share of its prefixes.
         """
         products: Iterator[tuple[int, ...]] = iter([self._identity])
-        for trans in reversed(self.transversal):
-            if len(trans) > 1:
-                level = [trans[pt] for pt in sorted(trans)]
-                products = _extend_products(products, level)
+        for trans in reversed(self._level_transversals()):
+            level = [trans[pt] for pt in sorted(trans)]
+            products = _extend_products(products, level)
         return products
 
     def random_element(self, rng) -> tuple[int, ...]:
         """Uniformly random element via one transversal pick per level."""
         p = self._identity
-        for i in range(len(self.base) - 1, -1, -1):
-            trans = self.transversal[i]
-            if len(trans) == 1:
-                continue
-            pt = rng.choice(sorted(trans))
-            p = _mul(p, trans[pt])
+        for trans in reversed(self._level_transversals()):
+            p = _mul(p, trans[rng.choice(sorted(trans))])
         return p
 
     def min_coset_rep(self, c: tuple[int, ...]) -> tuple[int, ...]:
@@ -224,14 +272,12 @@ class StabChain:
         Requires the natural base 0..n-1: at level i the remaining freedom
         fixes all points below i, so greedily minimizing position i is exact.
         """
-        if self.base != tuple(range(self.degree)):
+        if self.base != self._identity:
             raise ValueError("min_coset_rep requires the natural base order")
         rep = c
-        for i in range(self.degree):
+        for i, _, _, _ in self._levels:
             trans = self.transversal[i]
-            if len(trans) == 1:
-                continue
-            best = min(trans, key=lambda pt: rep[pt])
+            best = min(trans, key=rep.__getitem__)
             if best != i:
                 rep = _mul(trans[best], rep)
         return rep

@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import threading
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,7 @@ from hallbound import (
 )
 from hallbound import group
 from hallbound.errors import CapExceeded, DegreeMismatch
-from hallbound.perm import _mul
+from hallbound.perm import _inv, _mul
 
 from conftest import random_permutation
 
@@ -384,3 +385,205 @@ def test_product_closure(seed):
     y = g.random_element(rng)
     assert g.contains(x * y)
     assert g.contains(x.inverse())
+
+
+class _ReferenceChain:
+    """Plain full-base Schreier-Sims: every level is rebuilt, scanned and
+    sifted through, trivial or not.  This is the engine's construction before
+    it skipped trivial levels, kept as the oracle that StabChain must match
+    chain for chain."""
+
+    def __init__(self, degree, generators, base=None):
+        self.degree = degree
+        if base is None:
+            self.base = tuple(range(degree))
+        else:
+            prefix = list(dict.fromkeys(base))
+            self.base = tuple(prefix + [p for p in range(degree) if p not in prefix])
+        identity = tuple(range(degree))
+        self._identity = identity
+        self._strong = []
+        for g in generators:
+            if g != identity and all(s[0] != g for s in self._strong):
+                self._strong.append((g, self._level_of(g)))
+        self.transversal = [{b: identity} for b in self.base]
+        self._transversal_inv = [{} for _ in self.base]
+        self._build()
+
+    def _level_of(self, g):
+        for i, b in enumerate(self.base):
+            if g[b] != b:
+                return i
+        return len(self.base)
+
+    def _gens_at(self, level):
+        return [g for g, lv in self._strong if lv >= level]
+
+    def _rebuild_level(self, i):
+        b = self.base[i]
+        gens = self._gens_at(i)
+        trans = {b: self._identity}
+        queue = deque([b])
+        while queue:
+            pt = queue.popleft()
+            u = trans[pt]
+            for g in gens:
+                img = g[pt]
+                if img not in trans:
+                    trans[img] = _mul(u, g)
+                    queue.append(img)
+        self.transversal[i] = trans
+        self._transversal_inv[i] = {}
+
+    def _u_inv(self, i, pt):
+        inv = self._transversal_inv[i]
+        u_inv = inv.get(pt)
+        if u_inv is None:
+            u_inv = inv[pt] = _inv(self.transversal[i][pt])
+        return u_inv
+
+    def _sift(self, p, start=0):
+        for i in range(start, len(self.base)):
+            b = self.base[i]
+            img = p[b]
+            if img == b:
+                continue
+            if img not in self.transversal[i]:
+                return p
+            p = _mul(p, self._u_inv(i, img))
+        return None
+
+    def _build(self):
+        n = len(self.base)
+        stale = [True] * n
+        i = n - 1
+        while i >= 0:
+            if stale[i]:
+                self._rebuild_level(i)
+                stale[i] = False
+            clean = True
+            b = self.base[i]
+            gens_i = self._gens_at(i)
+            trans_i = self.transversal[i]
+            for beta in sorted(trans_i):
+                u = trans_i[beta]
+                for x in gens_i:
+                    v = _mul(u, x)
+                    schreier = _mul(v, self._u_inv(i, v[b]))
+                    residue = self._sift(schreier, i + 1)
+                    if residue is not None:
+                        lv = self._level_of(residue)
+                        self._strong.append((residue, lv))
+                        stale[: lv + 1] = [True] * (lv + 1)
+                        i = lv
+                        clean = False
+                        break
+                if not clean:
+                    break
+            if clean:
+                i -= 1
+
+    def random_element(self, rng):
+        p = self._identity
+        for i in range(len(self.base) - 1, -1, -1):
+            trans = self.transversal[i]
+            if len(trans) == 1:
+                continue
+            pt = rng.choice(sorted(trans))
+            p = _mul(p, trans[pt])
+        return p
+
+    def min_coset_rep(self, c):
+        rep = c
+        for i in range(self.degree):
+            trans = self.transversal[i]
+            if len(trans) == 1:
+                continue
+            best = min(trans, key=lambda pt: rep[pt])
+            if best != i:
+                rep = _mul(trans[best], rep)
+        return rep
+
+
+def _assert_same_chain(degree, images, base, rng: random.Random):
+    """Build the chain both ways and compare everything a caller can read."""
+    chain = StabChain(degree, images, base=base)
+    ref = _ReferenceChain(degree, images, base=base)
+    assert chain.base == ref.base
+    assert chain.strong_generators() == [g for g, _ in ref._strong]
+    assert [list(t.items()) for t in chain.transversal] == [
+        list(t.items()) for t in ref.transversal
+    ]
+    for k in range(degree + 1):
+        assert chain.level_generators(k) == ref._gens_at(k)
+    probes = [random_permutation(rng, degree).images for _ in range(20)]
+    probes += [ref.random_element(rng) for _ in range(10)]
+    # the residue, not only the verdict: a skipped level must stop a sift
+    # exactly where the full pass stops it
+    assert [chain._sift(x) for x in probes] == [ref._sift(x) for x in probes]
+    assert [chain.contains(x) for x in probes] == [ref._sift(x) is None for x in probes]
+    draw_seed = rng.getrandbits(32)
+    ours, theirs = random.Random(draw_seed), random.Random(draw_seed)
+    assert [chain.random_element(ours) for _ in range(10)] == [
+        ref.random_element(theirs) for _ in range(10)
+    ]
+    return chain, ref
+
+
+@pytest.mark.property_based
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_chain_matches_reference_schreier_sims(seed):
+    rng = random.Random(seed)
+    degree, gens = _random_subgroup_gens(rng)
+    images = [g.images for g in gens]
+    chain, ref = _assert_same_chain(degree, images, None, rng)
+    cosets = [random_permutation(rng, degree).images for _ in range(10)]
+    assert [chain.min_coset_rep(c) for c in cosets] == [ref.min_coset_rep(c) for c in cosets]
+    # a prescribed base prefix, as pointwise_stabilizer and action_kernel use
+    prefix = rng.sample(range(degree), rng.randint(1, degree))
+    _assert_same_chain(degree, images, prefix, rng)
+
+
+def _spread(x: Permutation, degree: int) -> Permutation:
+    """x moved onto the points 7 + 37*i of a larger degree, fixing the rest."""
+    points = [7 + 37 * i for i in range(x.degree)]
+    images = list(range(degree))
+    for i, pt in enumerate(points):
+        images[pt] = points[x(i)]
+    return Permutation(images)
+
+
+@pytest.mark.parametrize("spec", ["S4", "A5 wr C2", "PSL(2,7)"])
+def test_chain_cost_does_not_grow_with_the_degree(spec, monkeypatch):
+    """Building a chain and sifting through it cost the same products and
+    inversions whether the group acts on its own points or on points spread
+    across degree 400: the trivial levels in between cost nothing."""
+    g = group_from_spec(spec)
+    rng = random.Random(5)
+    probes = [random_permutation(rng, g.degree) for _ in range(5)]
+    probes += [g.random_element(rng) for _ in range(5)]
+    counts = [0, 0]
+
+    def counting_mul(a, b):
+        counts[0] += 1
+        return _mul(a, b)
+
+    def counting_inv(a):
+        counts[1] += 1
+        return _inv(a)
+
+    def cost(degree, gens, elements):
+        counts[:] = [0, 0]
+        chain = StabChain(degree, [x.images for x in gens])
+        verdicts = [chain.contains(x.images) for x in elements]
+        return tuple(counts), chain.order(), verdicts
+
+    monkeypatch.setattr(group, "_mul", counting_mul)
+    monkeypatch.setattr(group, "_inv", counting_inv)
+    own = cost(g.degree, g.generators, probes)
+    spread = cost(
+        400, [_spread(x, 400) for x in g.generators], [_spread(x, 400) for x in probes]
+    )
+    assert own[1] == g.order() and any(own[2])
+    assert spread == own
