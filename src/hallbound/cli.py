@@ -105,6 +105,12 @@ def _cmd_order(args) -> int:
     return EXIT_OK
 
 
+def _route_line(budget) -> str:
+    """The deciding step of a Hall search and the budget it used."""
+    details = ", ".join(f"{k} {v}" for k, v in sorted(budget.items()) if k != "route")
+    return f"route: {budget['route']}" + (f" ({details})" if details else "")
+
+
 def _cmd_hall(args) -> int:
     g = _load_group(args.spec)
     pi = _parse_pi(args.pi)
@@ -118,6 +124,7 @@ def _cmd_hall(args) -> int:
                 "status": result.status,
                 "order": result.subgroup.order() if result.subgroup else None,
             },
+            "budget": dict(result.budget_used),
         }
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -125,6 +132,7 @@ def _cmd_hall(args) -> int:
         if result.subgroup is not None:
             line += f", order {result.subgroup.order()}"
         print(line)
+        print(_route_line(result.budget_used))
     if result.status == "unknown":
         return EXIT_SKIPPED
     return EXIT_OK

@@ -12,9 +12,10 @@ guarantees used throughout the library:
 
 Most levels of a full base are trivial (their orbit is the base point
 alone), and no per-level work runs on them: construction, sifting, random
-elements and coset representatives visit only the non-trivial levels, so
-their cost does not grow with the degree.  The chain is still exactly the
-full-base chain, with the same strong generators and transversals.
+elements and coset representatives visit only the non-trivial levels, and
+only those store a transversal, so neither time nor memory grows with the
+degree.  The chain is still exactly the full-base chain, with the same
+strong generators and transversals.
 
 Construction is deterministic: no randomization, fixed generator order,
 orbit points processed in sorted order.  Schreier generators are processed
@@ -114,14 +115,21 @@ class StabChain:
         for g in generators:
             if g != identity and all(s[0] != g for s in self._strong):
                 self._strong.append((g, self._level_of(g)))
-        self.transversal: list[dict[int, tuple[int, ...]]] = [
-            {b: identity} for b in self.base
-        ]
-        # inverses of transversal elements by non-trivial level, filled on
-        # first use
+        # transversals and their inverses (filled on first use) by
+        # non-trivial level; a trivial level's transversal is never stored
+        self._trans: dict[int, dict[int, tuple[int, ...]]] = {}
         self._transversal_inv: dict[int, dict[int, tuple[int, ...]]] = {}
         self._set_levels(sorted({lv for _, lv in self._strong}))
         self._build(divisor)
+
+    @property
+    def transversal(self) -> list[dict[int, tuple[int, ...]]]:
+        """One transversal per base point, {base point: identity} on the
+        trivial levels; built on demand."""
+        return [
+            self._trans[i] if i in self._trans else {b: self._identity}
+            for i, b in enumerate(self.base)
+        ]
 
     def _level_of(self, g: tuple[int, ...]) -> int:
         for i, b in enumerate(self.base):
@@ -157,7 +165,7 @@ class StabChain:
                 if img not in trans:
                     trans[img] = _mul(u, g)
                     queue.append(img)
-        self.transversal[i] = trans
+        self._trans[i] = trans
         self._transversal_inv[i] = {}
         return trans
 
@@ -166,7 +174,7 @@ class StabChain:
         inv = self._transversal_inv[i]
         u_inv = inv.get(pt)
         if u_inv is None:
-            u_inv = inv[pt] = _inv(self.transversal[i][pt])
+            u_inv = inv[pt] = _inv(self._trans[i][pt])
         return u_inv
 
     def _sift(self, p: tuple[int, ...], k: int = 0) -> tuple[int, ...] | None:
@@ -180,7 +188,7 @@ class StabChain:
                 return p
             img = p[b]
             if img != b:
-                if img not in self.transversal[i]:
+                if img not in self._trans[i]:
                     return p
                 p = _mul(p, self._u_inv(i, img))
         # full base: anything fixing every base point is the identity
@@ -192,7 +200,7 @@ class StabChain:
         """First Schreier generator of the k-th non-trivial level that does
         not sift through the deeper levels, as its sift residue."""
         i, b, _, _ = self._levels[k]
-        trans = self.transversal[i]
+        trans = self._trans[i]
         for beta in sorted(trans):
             u = trans[beta]
             for x in gens:
@@ -227,7 +235,7 @@ class StabChain:
 
     def _level_transversals(self) -> list[dict[int, tuple[int, ...]]]:
         """Transversals of the non-trivial levels, in base order."""
-        return [self.transversal[entry[0]] for entry in self._levels]
+        return [self._trans[entry[0]] for entry in self._levels]
 
     def order(self) -> int:
         return math.prod(len(trans) for trans in self._level_transversals())
@@ -276,7 +284,7 @@ class StabChain:
             raise ValueError("min_coset_rep requires the natural base order")
         rep = c
         for i, _, _, _ in self._levels:
-            trans = self.transversal[i]
+            trans = self._trans[i]
             best = min(trans, key=rep.__getitem__)
             if best != i:
                 rep = _mul(trans[best], rep)

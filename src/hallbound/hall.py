@@ -1,36 +1,54 @@
 """Hall subgroup search and related checks.
 
-A Hall pi-subgroup has pi-number order and pi'-number index.  The search has
-two phases: a seeded randomized greedy growth (fast, may miss), then for
-groups under the exhaustive cap a complete scan over subgroups generated by
-Sylow systems.  The scan is exact: a subgroup of full pi-part order contains
-a Sylow p-subgroup of the whole group for every p in pi and is generated by
+A Hall pi-subgroup has pi-number order and pi'-number index.  The search
+answers each (group, pi) pair once (find_hall_subgroup is memoized, so its
+results are shared and their budget_used mapping is read-only) and tries,
+in order:
+
+  1. the trivial cases, where the pi-part is 1 or the whole order;
+  2. a seeded randomized greedy growth (fast, may miss);
+  3. P. Hall's coset-action bound (Theorems like Sylow's, 1956): a Hall
+     pi-subgroup of index m makes G act on its m cosets with a kernel inside
+     O_pi(G), so |G : O_pi(G)| divides m!.  A Hall pi-subgroup of G meets
+     every subnormal subgroup in a Hall pi-subgroup of it, so the bound must
+     also hold for each socle factor.  A failure proves absence;
+  4. for groups under the exhaustive cap, a complete scan over subgroups
+     generated by Sylow systems; above the cap the verdict stays unknown.
+
+The bound runs after greedy growth because it needs pi_core, which costs far
+more than a greedy success; a CapExceeded inside it only means no
+certificate.  The scan is exact: a subgroup of full pi-part order contains a
+Sylow p-subgroup of the whole group for every p in pi and is generated by
 one such choice per prime, and all Sylow p-subgroups are conjugate, so
 fixing one reference factor and ranging over conjugates of the rest visits a
 conjugate of every Hall pi-subgroup.  Absence proofs and the
 no-nilpotent-Hall confirmation ride on the same scan.
 
-Both phases reject a candidate during its chain build: PermGroup.order_divides
-stops the build at the first orbit whose length does not divide the pi-part
-of |G|, so a candidate that cannot be a pi-group never pays for a full
-Schreier-Sims run.  The decisions are the same as with the full order.
+Greedy growth and the scan reject a candidate during its chain build:
+PermGroup.order_divides stops the build at the first orbit whose length does
+not divide the pi-part of |G|, so a candidate that cannot be a pi-group
+never pays for a full Schreier-Sims run.  The decisions are the same as with
+the full order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from .config import DEFAULT_EXHAUSTIVE_SEARCH_CAP, SEARCH_SEED, SYLOW_COMBINATION_BUDGET
 from .errors import CapExceeded, DegreeMismatch, PreconditionError, SubgroupError
 from .group import PermGroup, conjugate_subgroup, intersection, is_normal
 from .perm import Permutation
-from .primes import PrimeSet
+from .primes import PrimeSet, factorize
 from .quotient import quotient_by
-from .radicals import sylow_subgroup
-from .structure import is_nilpotent, is_simple, is_soluble
+from .radicals import pi_core, sylow_subgroup
+from .structure import is_nilpotent, is_simple, is_soluble, socle
 
 
 def is_hall_subgroup(sub: PermGroup, g: PermGroup, pi: PrimeSet) -> bool:
@@ -46,12 +64,21 @@ def is_hall_subgroup(sub: PermGroup, g: PermGroup, pi: PrimeSet) -> bool:
 
 @dataclass(frozen=True)
 class HallSearchResult:
-    """Outcome of a Hall search: found / proven_absent / unknown."""
+    """Outcome of a Hall search: found / proven_absent / unknown.
+
+    budget_used is read-only.  Its "route" names the step that decided:
+    "trivial", "greedy", "certificate" (with "certificate_order", the order
+    of G or of the socle factor that fails the coset-action bound), "scan",
+    or "cap" when the group is above the exhaustive cap and stays unknown.
+    """
 
     status: str
     pi: PrimeSet
     subgroup: PermGroup | None
-    budget_used: dict = field(default_factory=dict)
+    budget_used: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "budget_used", MappingProxyType(dict(self.budget_used)))
 
     @property
     def found(self) -> bool:
@@ -86,6 +113,38 @@ def _greedy_phase(
         if current.order() == target:
             return current, tried
     return None, tried
+
+
+def _factorial_valuation(m: int, r: int) -> int:
+    """Exponent of the prime r in m!, by Legendre's formula."""
+    total = 0
+    while m:
+        m //= r
+        total += m
+    return total
+
+
+def _fails_coset_bound(k: PermGroup, pi: PrimeSet) -> bool:
+    """True when |k : O_pi(k)| does not divide m!, m the pi'-part of |k|:
+    then k has no Hall pi-subgroup.  O_pi(k) is computed only when |k|
+    itself does not divide m!."""
+    order = k.order()
+    m = pi.coprime_part_of(order)
+    if all(e <= _factorial_valuation(m, r) for r, e in factorize(order).items()):
+        return False
+    index = order // pi_core(k, pi).order()
+    return any(e > _factorial_valuation(m, r) for r, e in factorize(index).items())
+
+
+def _coset_bound_witness(g: PermGroup, pi: PrimeSet) -> PermGroup | None:
+    """G or a socle factor of G that fails the coset-action bound, or None,
+    also when a cap stops the check."""
+    try:
+        if _fails_coset_bound(g, pi):
+            return g
+        return next((f for f in socle(g).factors if _fails_coset_bound(f, pi)), None)
+    except CapExceeded:
+        return None
 
 
 def _subgroup_conjugates(g: PermGroup, sub: PermGroup) -> list[PermGroup]:
@@ -162,38 +221,42 @@ def _sylow_generated(g: PermGroup, pi: PrimeSet, target: int, built: list[int]):
     yield from walk(list(base.generators), 0)
 
 
+@functools.lru_cache(maxsize=None)
 def find_hall_subgroup(g: PermGroup, pi: PrimeSet) -> HallSearchResult:
-    """Search for a Hall pi-subgroup.
+    """Search for a Hall pi-subgroup; memoized per (g, pi).
 
-    Phase one is seeded randomized greedy growth.  Phase two, entered when
-    the greedy phase fails and the group is under the exhaustive cap, is the
-    complete Sylow system scan: its first subgroup of order pi-part is a
-    witness, and its failure proves absence.  On soluble groups under the
-    cap the result is therefore always found.
+    After the trivial cases, seeded randomized greedy growth looks for a
+    witness.  When it fails, the coset-action bound on g and its socle
+    factors may prove absence.  Otherwise groups under the exhaustive cap go
+    through the complete Sylow system scan, whose first subgroup of order
+    pi-part is a witness and whose failure proves absence; larger groups
+    stay unknown.  On soluble groups under the cap the result is therefore
+    always found.
     """
-    budget: dict = {}
     target = pi.part_of(g.order())
     if target == 1:
         return HallSearchResult(
-            status="found", pi=pi, subgroup=PermGroup.trivial(g.degree), budget_used=budget
+            "found", pi, PermGroup.trivial(g.degree), {"route": "trivial"}
         )
     if target == g.order():
-        return HallSearchResult(status="found", pi=pi, subgroup=g, budget_used=budget)
+        return HallSearchResult("found", pi, g, {"route": "trivial"})
     rng = random.Random(SEARCH_SEED)
     witness, tried = _greedy_phase(g, pi, target, rng)
-    budget["random_growth_steps"] = tried
-    if witness is None:
-        if g.order() > DEFAULT_EXHAUSTIVE_SEARCH_CAP:
-            return HallSearchResult(status="unknown", pi=pi, subgroup=None, budget_used=budget)
-        built = [0]
-        scan = _sylow_generated(g, pi, target, built)
-        witness = next((c for c in scan if c.order() == target), None)
-        budget["sylow_combinations"] = built[0]
-        if witness is None:
-            return HallSearchResult(
-                status="proven_absent", pi=pi, subgroup=None, budget_used=budget
-            )
-    return HallSearchResult(status="found", pi=pi, subgroup=witness, budget_used=budget)
+    budget = {"random_growth_steps": tried}
+    if witness is not None:
+        return HallSearchResult("found", pi, witness, {**budget, "route": "greedy"})
+    failing = _coset_bound_witness(g, pi)
+    if failing is not None:
+        budget.update(route="certificate", certificate_order=failing.order())
+        return HallSearchResult("proven_absent", pi, None, budget)
+    if g.order() > DEFAULT_EXHAUSTIVE_SEARCH_CAP:
+        return HallSearchResult("unknown", pi, None, {**budget, "route": "cap"})
+    built = [0]
+    scan = _sylow_generated(g, pi, target, built)
+    witness = next((c for c in scan if c.order() == target), None)
+    budget.update(route="scan", sylow_combinations=built[0])
+    status = "found" if witness is not None else "proven_absent"
+    return HallSearchResult(status, pi, witness, budget)
 
 
 @dataclass(frozen=True)

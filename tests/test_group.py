@@ -587,3 +587,35 @@ def test_chain_cost_does_not_grow_with_the_degree(spec, monkeypatch):
     )
     assert own[1] == g.order() and any(own[2])
     assert spread == own
+
+
+def _dicts_held(chain: StabChain) -> int:
+    """Dicts reachable from the chain's attributes through dicts, lists and
+    tuples."""
+    count, seen, stack = 0, set(), [vars(chain)]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            count += 1
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(x for x in obj if isinstance(x, (dict, list, tuple)))
+    return count
+
+
+@pytest.mark.parametrize("spec", ["S4", "A5 wr C2", "PSL(2,7)"])
+def test_chain_storage_does_not_grow_with_the_degree(spec):
+    """Only non-trivial levels store a transversal: spread across degree
+    400, the chain holds as many dicts as on the group's own points, while
+    its full per-base-point transversal list is still there on demand."""
+    g = group_from_spec(spec)
+    own = StabChain(g.degree, [x.images for x in g.generators])
+    spread = StabChain(400, [_spread(x, 400).images for x in g.generators])
+    assert _dicts_held(spread) == _dicts_held(own)
+    assert len(spread.transversal) == 400
+    assert sum(len(t) > 1 for t in spread.transversal) == sum(
+        len(t) > 1 for t in own.transversal
+    )

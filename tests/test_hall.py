@@ -1,20 +1,38 @@
 """Hall subgroup search: existence verdicts, heredity, nilpotency confirmation."""
 
+import itertools
+import random
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallbound import (
+    Permutation,
+    PermGroup,
     PrimeSet,
     check_hall_heredity,
+    compute_invariant_report,
     confirm_no_nilpotent_hall_2p,
+    conjugate_subgroup,
     derived_subgroup,
     find_hall_subgroup,
     group_from_spec,
     is_hall_subgroup,
     make_named,
+    pi_core,
+    suite_specs,
     sylow_subgroup,
+    valid_instances,
     wreath_product,
 )
-from hallbound.errors import PreconditionError
+from hallbound.config import DEFAULT_EXHAUSTIVE_SEARCH_CAP
+from hallbound.errors import CapExceeded, PreconditionError
+from hallbound.hall import _coset_bound_witness, _sylow_generated
+from hallbound.primes import prime_divisors
+
+from conftest import random_permutation
 
 
 def test_is_hall_subgroup_basics(s4, a4):
@@ -74,23 +92,147 @@ def test_hall_search_is_deterministic(a5):
     assert first.subgroup.generators == second.subgroup.generators
 
 
-def test_budget_is_reported(a5):
-    result = find_hall_subgroup(a5, PrimeSet([2, 5]))
-    assert set(result.budget_used) <= {"random_growth_steps", "sylow_combinations"}
+def test_budget_is_reported():
+    # A6 has no Hall {2,5}-subgroup, and |A6| = 360 divides 9! (m = 9), so
+    # the coset-action bound cannot decide and the Sylow scan proves absence.
+    result = find_hall_subgroup(make_named("A6"), PrimeSet([2, 5]))
+    assert set(result.budget_used) <= {"random_growth_steps", "sylow_combinations", "route"}
     assert result.budget_used
     # every join the absence proof builds is counted, pruned ones included
     assert result.budget_used["sylow_combinations"] > 0
 
 
-def test_unknown_above_the_exhaustive_cap():
-    # Order 25,200 is above the 20,000 cap of the Sylow scan, and greedy
-    # growth finds no subgroup of order 400 (there is none: A5 has no Hall
-    # {2,5}-subgroup), so the verdict stays open.
+def test_coset_bound_proves_absence_above_the_exhaustive_cap():
+    # Order 25,200 is above the 20,000 cap of the Sylow scan.  The socle
+    # factor A5 would need a Hall {2,5}-subgroup of index 3, and |A5| = 60
+    # does not divide 3!.
     g = group_from_spec("A5 x A5 x C7")
     assert g.order() == 25200
     result = find_hall_subgroup(g, PrimeSet([2, 5]))
+    assert result.status == "proven_absent"
+    assert result.subgroup is None
+    assert result.budget_used["route"] == "certificate"
+    assert result.budget_used["certificate_order"] == 60
+
+
+def test_unknown_above_the_exhaustive_cap_within_the_coset_bound():
+    # A Hall {2,3}-subgroup of A9 would have index m = 35, and |A9| divides
+    # 35!, so the bound proves nothing; the order is above the scan cap.
+    g = make_named("A9")
+    result = find_hall_subgroup(g, PrimeSet([2, 3]))
     assert result.status == "unknown"
     assert result.subgroup is None
+    assert result.budget_used["route"] == "cap"
+
+
+def test_results_are_shared_and_read_only(a5):
+    first = find_hall_subgroup(a5, PrimeSet([2, 5]))
+    assert find_hall_subgroup(a5, PrimeSet([2, 5])) is first
+    with pytest.raises(TypeError):
+        first.budget_used["route"] = "scan"
+    assert first.budget_used["route"] == "certificate"
+
+
+def test_route_names_the_deciding_step(a5, s4):
+    assert find_hall_subgroup(s4, PrimeSet([2, 3])).budget_used["route"] == "trivial"
+    assert find_hall_subgroup(a5, PrimeSet([2, 3])).budget_used["route"] == "greedy"
+    g = group_from_spec("C2 wr S6")
+    result = find_hall_subgroup(g, PrimeSet([2, 3]))
+    assert result.status == "proven_absent"
+    # the bound fails on G itself: |G : O_{2,3}(G)| = 720 does not divide 5!
+    assert result.budget_used["route"] == "certificate"
+    assert result.budget_used["certificate_order"] == g.order() == 46080
+
+
+def test_capped_certificate_keeps_the_verdict(monkeypatch):
+    # A relabelled copy shares no cached results.  With a cap below its
+    # order pi_core cannot enumerate, so there is no certificate and the
+    # group, above the scan cap, stays unknown as without the bound.
+    g = group_from_spec("C2 wr S6")
+    g = conjugate_subgroup(g, Permutation(list(range(1, g.degree)) + [0]))
+    pi = PrimeSet([2, 3])
+    monkeypatch.setenv("HALLBOUND_CAP", "1000")
+    with pytest.raises(CapExceeded):
+        pi_core(g, pi)
+    result = find_hall_subgroup(g, pi)
+    assert result.status == "unknown"
+    assert result.budget_used["route"] == "cap"
+
+
+def test_coset_bound_settles_reports_above_the_scan_cap():
+    # Without the bound both searches end unknown: the orders
+    # (46,656,000,000 and 46,080) are above the scan cap.  Measured at about
+    # 6 s together.
+    start = time.perf_counter()
+    report = compute_invariant_report(
+        "A5 wr A5", group_from_spec("A5 wr A5"), PrimeSet([2, 5]), 5
+    )
+    assert report.hall_status == "proven_absent"
+    assert report.lambda_p == 2
+    assert report.kernel_orders == (777600000, 46656000000)
+    report = compute_invariant_report(
+        "C2 wr S6", group_from_spec("C2 wr S6"), PrimeSet([2, 3]), 3
+    )
+    assert report.hall_status == "proven_absent"
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30, f"reports took {elapsed:.1f}s, budget 30s"
+
+
+def _scan_finds_hall(g, pi) -> bool:
+    """The exact Sylow system scan on its own, without greedy or bound."""
+    target = pi.part_of(g.order())
+    return any(c.order() == target for c in _sylow_generated(g, pi, target, [0]))
+
+
+def test_coset_bound_agrees_with_the_scan_on_the_suite():
+    present = absent = decided = 0
+    seen = set()
+    for name in suite_specs(3):
+        g = group_from_spec(name)
+        for pi, _ in valid_instances(g):
+            if (name, pi) in seen:
+                continue
+            seen.add((name, pi))
+            fires = _coset_bound_witness(g, pi) is not None
+            result = find_hall_subgroup(g, pi)
+            if result.found:
+                assert is_hall_subgroup(result.subgroup, g, pi)
+                assert not fires, (name, pi)
+                present += 1
+                continue
+            assert g.order() <= DEFAULT_EXHAUSTIVE_SEARCH_CAP, (name, pi)
+            assert not _scan_finds_hall(g, pi), (name, pi)
+            absent += 1
+            decided += fires
+    assert (present, absent) == (36, 25)
+    assert decided >= 15
+
+
+def _coset_bound_is_sound(g):
+    order = g.order()
+    if order > DEFAULT_EXHAUSTIVE_SEARCH_CAP:
+        return
+    primes = prime_divisors(order) if order > 1 else ()
+    for size in range(1, len(primes)):
+        for chosen in itertools.combinations(primes, size):
+            pi = PrimeSet(chosen)
+            if _coset_bound_witness(g, pi) is not None:
+                assert not _scan_finds_hall(g, pi), (g, pi)
+
+
+def test_coset_bound_is_sound_on_fixture_groups(s4, a4, a5, sl25):
+    for g in (s4, a4, a5, sl25):
+        _coset_bound_is_sound(g)
+
+
+@pytest.mark.property_based
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_coset_bound_is_sound_on_random_groups(seed):
+    rng = random.Random(seed)
+    degree = rng.randint(5, 7)
+    gens = [random_permutation(rng, degree) for _ in range(rng.randint(1, 2))]
+    _coset_bound_is_sound(PermGroup(degree, gens))
 
 
 def test_trivial_pi_part(a5):

@@ -188,6 +188,17 @@ def test_cli_hall_json(capsys):
     assert payload["hall"]["status"] == "proven_absent"
     assert payload["hall"]["order"] is None
     assert payload["group"]["order"] == 60
+    assert payload["budget"]["route"] == "certificate"
+
+
+def test_cli_hall_prints_route(capsys):
+    assert main(["hall", "A6", "--pi", "2,5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "hall pi={2,5}: proven_absent"
+    assert lines[1].startswith("route: scan (random_growth_steps ")
+    assert "sylow_combinations" in lines[1]
+    assert main(["hall", "A5", "--pi", "2,3"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("route: greedy")
 
 
 def test_cli_invariants_json_revalidates(capsys):
