@@ -26,6 +26,7 @@ new strong generator and the scan resumes at the residue's level.
 from __future__ import annotations
 
 import bisect
+import copy
 import itertools
 import math
 import threading
@@ -73,13 +74,20 @@ class StabChain:
     * Walks: random elements and minimal coset representatives take one
       step per non-trivial level, with the same draws as over every level.
 
-    Inverse transversal elements are computed the first time a sift or a
-    Schreier generator needs them.  A level is rebuilt only when a strong
-    generator at that level or deeper has arrived since its last build; the
-    scan descends from the level of the last residue, so every level it
-    reaches is such a level.  A rebuilt level always restarts its BFS from
-    scratch: extending an orbit in place would pick other coset
-    representatives.
+    Every build extends a complete chain (incremental Schreier-Sims; Seress,
+    *Permutation Group Algorithms*, 2003, §4.2): the constructor extends the
+    trivial chain by all generators, ``extended`` a copy of a finished chain
+    by a few more.  The new strong generators are appended and the build
+    resumes at the deepest level among them: the levels deeper than that
+    keep their generators, so they are still complete (resuming at a
+    shallower new level would leave a deeper one unbuilt).  A level is rebuilt only when a
+    strong generator at that level or deeper has arrived since its last
+    build, and the scan then descends from the level of the last residue.
+    A rebuild restarts its BFS from scratch into a fresh dict (extending an
+    orbit in place would pick other coset representatives), so the levels a
+    copy does not rebuild share their transversal dicts, and the inverse
+    caches that both fill with the same values, with the chain it came
+    from.  Inverse transversal elements are computed when first needed.
 
     With a divisor n the build stops (``_OrbitDoesNotDivide``) at the first
     rebuilt level whose orbit length does not divide n.  That level's orbit
@@ -95,7 +103,6 @@ class StabChain:
         degree: int,
         generators: Sequence[tuple[int, ...]],
         base: Sequence[int] | None = None,
-        divisor: int | None = None,
     ):
         self.degree = degree
         identity = tuple(range(degree))
@@ -112,15 +119,38 @@ class StabChain:
         # master list of (strong generator, level); level = first index i in
         # base order with g[base[i]] != base[i]
         self._strong: list[tuple[tuple[int, ...], int]] = []
-        for g in generators:
-            if g != identity and all(s[0] != g for s in self._strong):
-                self._strong.append((g, self._level_of(g)))
         # transversals and their inverses (filled on first use) by
         # non-trivial level; a trivial level's transversal is never stored
         self._trans: dict[int, dict[int, tuple[int, ...]]] = {}
         self._transversal_inv: dict[int, dict[int, tuple[int, ...]]] = {}
-        self._set_levels(sorted({lv for _, lv in self._strong}))
-        self._build(divisor)
+        self._levels: list[tuple] = []
+        self._extend(generators, None)
+
+    def extended(self, generators: Sequence[tuple[int, ...]], divisor: int | None = None):
+        """The chain of <this group, generators>, built on a copy of this
+        chain, which is left as it was; raises ``_OrbitDoesNotDivide`` when
+        the divisor stops the build."""
+        chain = copy.copy(self)
+        chain._strong = list(self._strong)
+        chain._trans = dict(self._trans)
+        chain._transversal_inv = dict(self._transversal_inv)
+        chain._extend(generators, divisor)
+        return chain
+
+    def _extend(self, generators: Sequence[tuple[int, ...]], divisor: int | None) -> None:
+        """Append the new strong generators and resume the build at the
+        deepest level among them."""
+        fresh = []
+        for g in generators:
+            if g != self._identity and all(s[0] != g for s in self._strong):
+                lv = self._level_of(g)
+                self._strong.append((g, lv))
+                fresh.append(lv)
+        if not fresh:
+            return
+        levels = sorted({entry[0] for entry in self._levels}.union(fresh))
+        self._set_levels(levels)
+        self._build(levels.index(max(fresh)), divisor)
 
     @property
     def transversal(self) -> list[dict[int, tuple[int, ...]]]:
@@ -213,9 +243,10 @@ class StabChain:
                     return residue
         return None
 
-    def _build(self, divisor: int | None) -> None:
+    def _build(self, k: int, divisor: int | None) -> None:
+        """Rebuild the k-th non-trivial level and every shallower one, and
+        descend again from the level of each new residue."""
         levels = [entry[0] for entry in self._levels]
-        k = len(levels) - 1
         while k >= 0:
             i = levels[k]
             gens = [g for g, lv in self._strong if lv >= i]
@@ -329,19 +360,13 @@ class PermGroup:
     def trivial(cls, degree: int) -> "PermGroup":
         return cls(degree, [])
 
-    def _build_chain(self, divisor: int | None = None) -> None:
-        """Build and cache the chain; a build stopped by the divisor caches nothing."""
-        with self._lock:
-            if self._chain is None:
-                built = StabChain(
-                    self.degree, [g.images for g in self.generators], divisor=divisor
-                )
-                object.__setattr__(self, "_chain", built)
-
     @property
     def chain(self) -> StabChain:
         if self._chain is None:
-            self._build_chain()
+            with self._lock:
+                if self._chain is None:
+                    built = StabChain(self.degree, [g.images for g in self.generators])
+                    object.__setattr__(self, "_chain", built)
         return self._chain
 
     def order(self) -> int:
@@ -349,19 +374,32 @@ class PermGroup:
             object.__setattr__(self, "_order", self.chain.order())
         return self._order
 
-    def order_divides(self, n: int) -> bool:
-        """True iff |G| divides n.
+    def adjoin(
+        self, new: Sequence[Permutation], divisor: int | None = None
+    ) -> "PermGroup | None":
+        """<self, new>, its chain extended from self's (which stays as it
+        was); with a divisor n, None unless its order divides n.
 
-        Without a cached chain, the build stops at the first orbit whose
-        length does not divide n (see StabChain), which is far cheaper than a
-        full build when the answer is no.
+        Before any chain work, the order of y * x for each new y and each
+        generator x of self must divide n (Lagrange); then the extension
+        stops at the first rebuilt orbit whose length does not divide n (see
+        StabChain).  The generators are self.generators + new, as
+        PermGroup(degree, self.generators + new) has them.
         """
-        if self._chain is None:
-            try:
-                self._build_chain(divisor=n)
-            except _OrbitDoesNotDivide:
-                return False
-        return n % self.order() == 0
+        joined = PermGroup(self.degree, self.generators + tuple(new))
+        if divisor is not None:
+            for y in new:
+                for x in self.generators:
+                    if divisor % Permutation._trusted(_mul(y.images, x.images)).order():
+                        return None
+        try:
+            chain = self.chain.extended([y.images for y in new], divisor)
+        except _OrbitDoesNotDivide:
+            return None
+        if divisor is not None and divisor % chain.order():
+            return None
+        object.__setattr__(joined, "_chain", chain)
+        return joined
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
@@ -487,14 +525,16 @@ def is_normal(sub: PermGroup, ambient: PermGroup) -> bool:
 def normal_closure(ambient: PermGroup, sub: PermGroup) -> PermGroup:
     """Smallest normal subgroup of ambient containing sub.
 
-    Conjugates of current generators are adjoined in batches until stable;
-    the chain is rebuilt once per batch.  A closure of full order is
-    returned as ambient itself.
+    Conjugates of current generators are adjoined in batches until stable.
+    The start group is a span and each batch enlarges it the same way,
+    keeping a conjugate only when it enlarges the group, so a closure of
+    order n has at most log2 n generators.  A closure of full order is returned as ambient
+    itself.
     """
     _require_subgroup(sub, ambient, "normal_closure")
     if sub.is_trivial():
         return PermGroup.trivial(ambient.degree)
-    current = PermGroup(ambient.degree, sub.generators)
+    current = span(ambient.degree, sub.generators)
     while True:
         fresh: list[Permutation] = []
         seen: set[tuple[int, ...]] = set()
@@ -506,7 +546,7 @@ def normal_closure(ambient: PermGroup, sub: PermGroup) -> PermGroup:
                     fresh.append(c)
         if not fresh:
             return ambient if current.order() == ambient.order() else current
-        current = PermGroup(ambient.degree, current.generators + tuple(fresh))
+        current = _enlarge(current, fresh)
 
 
 def commutator_subgroup(a: PermGroup, b: PermGroup, ambient: PermGroup) -> PermGroup:
@@ -531,12 +571,18 @@ def derived_subgroup(g: PermGroup) -> PermGroup:
 
 def span(degree: int, perms: Iterable[Permutation]) -> PermGroup:
     """Generate a group from perms with a greedily reduced generating set."""
-    current = PermGroup.trivial(degree)
-    gens: list[Permutation] = []
+    return _enlarge(PermGroup.trivial(degree), perms)
+
+
+def _enlarge(current: PermGroup, perms: Iterable[Permutation]) -> PermGroup:
+    """<current, perms>, adding to current's generators each of perms that
+    enlarges the group.  On a span this is the span of its generators
+    followed by perms, without rebuilding the groups on their prefixes."""
+    gens = list(current.generators)
     for p in perms:
         if not current.contains(p):
             gens.append(p)
-            current = PermGroup(degree, gens)
+            current = PermGroup(current.degree, gens)
     return current
 
 

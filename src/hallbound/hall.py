@@ -1,9 +1,9 @@
 """Hall subgroup search and related checks.
 
 A Hall pi-subgroup has pi-number order and pi'-number index.  The search
-answers each (group, pi) pair once (find_hall_subgroup is memoized, so its
-results are shared and their budget_used mapping is read-only) and tries,
-in order:
+answers each (group, pi) pair once under a given enumeration cap
+(hall_search is the memo behind find_hall_subgroup, so results are shared
+and their budget_used mapping is read-only) and tries, in order:
 
   1. the trivial cases, where the pi-part is 1 or the whole order;
   2. a seeded randomized greedy growth (fast, may miss);
@@ -24,11 +24,14 @@ fixing one reference factor and ranging over conjugates of the rest visits a
 conjugate of every Hall pi-subgroup.  Absence proofs and the
 no-nilpotent-Hall confirmation ride on the same scan.
 
-Greedy growth and the scan reject a candidate during its chain build:
-PermGroup.order_divides stops the build at the first orbit whose length does
-not divide the pi-part of |G|, so a candidate that cannot be a pi-group
-never pays for a full Schreier-Sims run.  The decisions are the same as with
-the full order.
+Greedy growth and the scan build each candidate <current, new> with
+PermGroup.adjoin, which extends current's complete chain instead of building
+the join's from scratch.  It rejects a candidate whose order cannot divide
+the pi-part of |G| first by Lagrange (the order of new * old must divide
+it), then during the extension, at the first rebuilt orbit whose length does
+not; a candidate that cannot be a pi-group never pays for a full
+Schreier-Sims run.  The decisions are the same as with the full order, and
+the generators are those of PermGroup(degree, current.generators + new).
 """
 
 from __future__ import annotations
@@ -41,7 +44,12 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .config import DEFAULT_EXHAUSTIVE_SEARCH_CAP, SEARCH_SEED, SYLOW_COMBINATION_BUDGET
+from .config import (
+    DEFAULT_EXHAUSTIVE_SEARCH_CAP,
+    SEARCH_SEED,
+    SYLOW_COMBINATION_BUDGET,
+    enumeration_cap,
+)
 from .errors import CapExceeded, DegreeMismatch, PreconditionError, SubgroupError
 from .group import PermGroup, conjugate_subgroup, intersection, is_normal
 from .perm import Permutation
@@ -104,8 +112,8 @@ def _greedy_phase(
             if y.is_identity or current.contains(y):
                 stale += 1
                 continue
-            candidate = PermGroup(g.degree, current.generators + (y,))
-            if candidate.order_divides(target):
+            candidate = current.adjoin((y,), target)
+            if candidate is not None:
                 current = candidate
                 stale = 0
             else:
@@ -207,23 +215,23 @@ def _sylow_generated(g: PermGroup, pi: PrimeSet, target: int, built: list[int]):
         yield base
         return
 
-    def walk(gens: list, level: int):
+    def walk(joined: PermGroup, level: int):
         for factor in conjugate_lists[level]:
-            candidate = PermGroup(g.degree, gens + list(factor.generators))
+            candidate = joined.adjoin(factor.generators, target)
             built[0] += 1
-            if not candidate.order_divides(target):
+            if candidate is None:
                 continue
             if level + 1 == len(conjugate_lists):
                 yield candidate
             else:
-                yield from walk(gens + list(factor.generators), level + 1)
+                yield from walk(candidate, level + 1)
 
-    yield from walk(list(base.generators), 0)
+    yield from walk(base, 0)
 
 
-@functools.lru_cache(maxsize=None)
 def find_hall_subgroup(g: PermGroup, pi: PrimeSet) -> HallSearchResult:
-    """Search for a Hall pi-subgroup; memoized per (g, pi).
+    """Search for a Hall pi-subgroup; memoized per (g, pi) and the
+    enumeration cap in force (see hall_search).
 
     After the trivial cases, seeded randomized greedy growth looks for a
     witness.  When it fails, the coset-action bound on g and its socle
@@ -233,6 +241,14 @@ def find_hall_subgroup(g: PermGroup, pi: PrimeSet) -> HallSearchResult:
     stay unknown.  On soluble groups under the cap the result is therefore
     always found.
     """
+    return hall_search(g, pi, enumeration_cap())
+
+
+@functools.lru_cache(maxsize=None)
+def hall_search(g: PermGroup, pi: PrimeSet, cap: int) -> HallSearchResult:
+    """find_hall_subgroup with cap the enumeration cap in force.  The cap
+    only keys the memo: the certificate reads it at call time, so a verdict
+    that a small cap left unknown is not served under a larger one."""
     target = pi.part_of(g.order())
     if target == 1:
         return HallSearchResult(

@@ -277,31 +277,69 @@ def test_enumeration_shares_prefix_products(spec, monkeypatch):
     assert products < 2 * n
 
 
+def _chain_state(chain: StabChain):
+    """Everything a caller can read off a chain: strong generators,
+    transversal items and order."""
+    return (
+        chain.strong_generators(),
+        [list(t.items()) for t in chain.transversal],
+        chain.order(),
+    )
+
+
 @pytest.mark.property_based
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.one_of(st.integers(1, 10_000), st.integers(1, 6).map(lambda k: k * 40_320)),
 )
-@settings(max_examples=100, deadline=None)
-def test_order_divides_agrees_with_order(seed, n):
-    degree, gens = _random_subgroup_gens(random.Random(seed))
-    fresh = PermGroup(degree, gens)
-    assert fresh.order_divides(n) == (n % PermGroup(degree, gens).order() == 0)
+@settings(max_examples=60, deadline=None)
+def test_adjoin_agrees_with_the_plain_chain(seed, n):
+    """<old, new> extended from old's chain is rejected under n exactly when
+    the plain chain's order does not divide n, and is otherwise the group of
+    the plain chain; old's chain is left as it was."""
+    rng = random.Random(seed)
+    degree, gens = _random_subgroup_gens(rng)
+    gens += [random_permutation(rng, degree) ** 2 for _ in range(rng.randint(0, 1))]
+    split = rng.randint(0, len(gens))
+    old = PermGroup(degree, gens[:split])
+    new = gens[split:]
+    plain = PermGroup(degree, old.generators + tuple(new))
+    before = _chain_state(old.chain)
+    joined = old.adjoin(new, n)
+    assert (joined is None) == (n % plain.order() != 0)
+    if joined is None:
+        joined = old.adjoin(new)
+    assert _chain_state(old.chain) == before
+    assert joined.generators == plain.generators
+    assert joined.order() == plain.order()
+    probes = [random_permutation(rng, degree) for _ in range(20)]
+    probes += [plain.random_element(rng) for _ in range(10)]
+    assert [joined.contains(x) for x in probes] == [plain.contains(x) for x in probes]
+    members = {x.images for x in joined.elements()}
+    assert len(members) == plain.order()
+    assert all(plain.contains(Permutation(x)) for x in rng.sample(sorted(members), min(10, len(members))))
 
 
 @pytest.mark.property_based
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
-def test_divisor_build_matches_plain_build(seed):
-    degree, gens = _random_subgroup_gens(random.Random(seed))
-    g = PermGroup(degree, gens)
-    assert g.order_divides(math.factorial(degree))
-    plain = StabChain(degree, [x.images for x in g.generators])
-    assert g.chain.strong_generators() == plain.strong_generators()
-    assert [list(t.items()) for t in g.chain.transversal] == [
-        list(t.items()) for t in plain.transversal
-    ]
-    assert g.order() == plain.order()
+def test_trivial_chain_extended_by_all_generators_is_the_plain_chain(seed):
+    """The constructor is this extension, so the reference Schreier-Sims
+    comparison below guards every extension of the trivial chain."""
+    rng = random.Random(seed)
+    degree, gens = _random_subgroup_gens(rng)
+    images = [x.images for x in gens]
+    plain = StabChain(degree, images)
+    trivial = StabChain(degree, [])
+    extended = trivial.extended(images)
+    assert _chain_state(extended) == _chain_state(plain)
+    assert extended.base == plain.base
+    assert [entry[0] for entry in extended._levels] == [entry[0] for entry in plain._levels]
+    assert _chain_state(trivial) == ([], [[(b, trivial._identity)] for b in trivial.base], 1)
+    prefix = rng.sample(range(degree), rng.randint(1, degree))
+    assert _chain_state(StabChain(degree, [], base=prefix).extended(images)) == (
+        _chain_state(StabChain(degree, images, base=prefix))
+    )
 
 
 def test_membership_under_concurrent_sifts():
@@ -335,15 +373,24 @@ def test_membership_under_concurrent_sifts():
     assert results == [expected] * 8
 
 
-def test_rejected_order_divides_caches_no_chain():
+def test_rejected_join_caches_no_chain():
     s5 = make_named("S5")
-    # 7 is stopped at the first orbit (length 5); 40 only at a deeper level
-    # of length 3, after Schreier generators have been added
+    # the product of the two generators has order 4, which divides neither
+    # 7 nor 30, so Lagrange rejects the join before any chain is built
+    x, y = s5.generators
+    for n in (7, 30):
+        g = PermGroup(5, [x])
+        assert g.adjoin([y], n) is None
+        assert g._chain is None
+    # from the trivial group there is no product to check: 7 is stopped at
+    # the first orbit (length 5), 40 only at a deeper level of length 3,
+    # after Schreier generators have been added
     for n in (7, 40):
-        g = PermGroup(5, s5.generators)
-        assert not g.order_divides(n)
-        assert g.order() == 120
-        assert g.order_divides(240)
+        g = PermGroup.trivial(5)
+        assert g.adjoin(s5.generators, n) is None
+        assert _chain_state(g.chain) == _chain_state(StabChain(5, []))
+        assert g.adjoin(s5.generators).order() == 120
+        assert g.adjoin(s5.generators, 240).order() == 120
 
 
 @pytest.mark.property_based

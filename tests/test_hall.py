@@ -27,9 +27,17 @@ from hallbound import (
     valid_instances,
     wreath_product,
 )
-from hallbound.config import DEFAULT_EXHAUSTIVE_SEARCH_CAP
+from hallbound import group
+from hallbound.config import DEFAULT_EXHAUSTIVE_SEARCH_CAP, SEARCH_SEED
 from hallbound.errors import CapExceeded, PreconditionError
-from hallbound.hall import _coset_bound_witness, _sylow_generated
+from hallbound.hall import (
+    _coset_bound_witness,
+    _greedy_phase,
+    _pi_part_of_element,
+    _subgroup_conjugates,
+    _sylow_generated,
+)
+from hallbound.perm import _mul
 from hallbound.primes import prime_divisors
 
 from conftest import random_permutation
@@ -157,6 +165,138 @@ def test_capped_certificate_keeps_the_verdict(monkeypatch):
     result = find_hall_subgroup(g, pi)
     assert result.status == "unknown"
     assert result.budget_used["route"] == "cap"
+
+
+def test_memo_follows_the_enumeration_cap(monkeypatch):
+    # A verdict that a small cap left unknown is not served once the cap is
+    # lifted, with no cache cleared in between.  The relabelling differs
+    # from the one above, so no earlier result is shared.
+    g = group_from_spec("C2 wr S6")
+    g = conjugate_subgroup(g, Permutation(list(range(2, g.degree)) + [0, 1]))
+    pi = PrimeSet([2, 3])
+    monkeypatch.setenv("HALLBOUND_CAP", "1000")
+    capped = find_hall_subgroup(g, pi)
+    assert (capped.status, capped.budget_used["route"]) == ("unknown", "cap")
+    monkeypatch.delenv("HALLBOUND_CAP")
+    lifted = find_hall_subgroup(g, pi)
+    assert (lifted.status, lifted.budget_used["route"]) == ("proven_absent", "certificate")
+    assert find_hall_subgroup(g, pi) is lifted
+
+
+def _greedy_from_scratch(g, pi, target, rng):
+    """Greedy growth as it was before joins extended the current chain:
+    every candidate's chain is built from scratch."""
+    tried = 0
+    for _ in range(20):
+        current = PermGroup.trivial(g.degree)
+        stale = 0
+        while current.order() < target and stale < 40:
+            tried += 1
+            y = _pi_part_of_element(g.random_element(rng), pi)
+            if y.is_identity or current.contains(y):
+                stale += 1
+                continue
+            candidate = PermGroup(g.degree, current.generators + (y,))
+            if target % candidate.order() == 0:
+                current = candidate
+                stale = 0
+            else:
+                stale += 1
+        if current.order() == target:
+            return current, tried
+    return None, tried
+
+
+def _scan_from_scratch(g, pi, target):
+    """The Sylow system scan's yields (as generator tuples) and its join
+    count, with every join's chain built from scratch."""
+    primes = [p for p in pi if g.order() % p == 0]
+    sylows = {p: sylow_subgroup(g, p) for p in primes}
+    fixed = max(primes, key=lambda p: (sylows[p].order(), p))
+    conjugate_lists = [_subgroup_conjugates(g, sylows[p]) for p in primes if p != fixed]
+    yields, built = [], [0]
+
+    def walk(gens, level):
+        for factor in conjugate_lists[level]:
+            candidate = PermGroup(g.degree, gens + list(factor.generators))
+            built[0] += 1
+            if target % candidate.order():
+                continue
+            if level + 1 == len(conjugate_lists):
+                yields.append(candidate.generators)
+            else:
+                walk(gens + list(factor.generators), level + 1)
+
+    walk(list(sylows[fixed].generators), 0)
+    return yields, built[0]
+
+
+@pytest.mark.parametrize(
+    "spec, primes",
+    [("A5", [2, 3]), ("A6", [2, 5]), ("PSL(2,11)", [2, 5]), ("PSL(2,13)", [2, 3, 7])],
+)
+def test_scan_decides_as_the_from_scratch_joins(spec, primes):
+    g, pi = group_from_spec(spec), PrimeSet(primes)
+    target = pi.part_of(g.order())
+    built = [0]
+    ours = [c.generators for c in _sylow_generated(g, pi, target, built)]
+    assert (ours, built[0]) == _scan_from_scratch(g, pi, target)
+
+
+@pytest.mark.parametrize(
+    "spec, primes",
+    [
+        ("A5", [2, 3]),
+        ("A5 wr C2", [2, 3]),
+        ("PSL(2,13)", [2, 3]),
+        ("S7", [2, 3]),
+        ("A5", [2, 5]),
+        ("PSL(2,7)", [2, 7]),
+        ("S5", [2, 5]),
+    ],
+)
+def test_greedy_decides_as_the_from_scratch_growth(spec, primes):
+    # extending the current chain changes only the candidates' strong
+    # generators, never which candidates are kept
+    g, pi = group_from_spec(spec), PrimeSet(primes)
+    target = pi.part_of(g.order())
+    ours = _greedy_phase(g, pi, target, random.Random(SEARCH_SEED))
+    theirs = _greedy_from_scratch(g, pi, target, random.Random(SEARCH_SEED))
+    assert ours[1] == theirs[1]
+    assert (ours[0] is None) == (theirs[0] is None)
+    if ours[0] is not None:
+        assert ours[0].generators == theirs[0].generators
+        assert ours[0].order() == target
+
+
+def test_greedy_extends_chains_instead_of_rebuilding_them(monkeypatch):
+    # S7 with pi = {2,5,7} has no Hall subgroup, so greedy makes all of its
+    # tries.  Building each candidate's chain from scratch formed 50,983
+    # products; extending the current chain, with the Lagrange check first,
+    # forms about 20,000.
+    g, pi = make_named("S7"), PrimeSet([2, 5, 7])
+    g.order()
+    count = [0]
+
+    def counting_mul(a, b):
+        count[0] += 1
+        return _mul(a, b)
+
+    built_from = []
+    init = group.StabChain.__init__
+
+    def recording_init(chain, degree, generators, base=None):
+        built_from.append(len(generators))
+        init(chain, degree, generators, base)
+
+    monkeypatch.setattr(group, "_mul", counting_mul)
+    monkeypatch.setattr(group.StabChain, "__init__", recording_init)
+    witness, tried = _greedy_phase(g, pi, pi.part_of(g.order()), random.Random(SEARCH_SEED))
+    assert witness is None
+    assert tried == 1134
+    assert count[0] < 25_000
+    # the only chains built by the constructor are the trivial start groups
+    assert built_from and set(built_from) == {0}
 
 
 def test_coset_bound_settles_reports_above_the_scan_cap():
