@@ -56,10 +56,6 @@ def _load_group(spec: str) -> PermGroup:
         raise
 
 
-def _parse_pi(text: str) -> PrimeSet:
-    return PrimeSet.parse(text)
-
-
 def _status_word(flag: bool | None) -> str:
     if flag is None:
         return "skipped"
@@ -113,7 +109,7 @@ def _route_line(budget) -> str:
 
 def _cmd_hall(args) -> int:
     g = _load_group(args.spec)
-    pi = _parse_pi(args.pi)
+    pi = PrimeSet.parse(args.pi)
     result = find_hall_subgroup(g, pi)
     if args.json:
         payload = {
@@ -140,7 +136,7 @@ def _cmd_hall(args) -> int:
 
 def _report_for_args(args) -> InvariantReport:
     g = _load_group(args.spec)
-    pi = _parse_pi(args.pi) if args.pi else PrimeSet([2, args.p])
+    pi = PrimeSet.parse(args.pi) if args.pi else PrimeSet([2, args.p])
     return compute_invariant_report(args.spec, g, pi, args.p)
 
 

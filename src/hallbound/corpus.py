@@ -297,7 +297,7 @@ def group_from_file(path: str | Path) -> PermGroup:
     if not lines:
         raise PreconditionError(f"group file {path} has no content")
     header = lines[0].split()
-    if len(header) != 2 or header[0].lower() != "degree" or not header[1].isdigit():
+    if len(header) != 2 or header[0].lower() != "degree" or not header[1].isdecimal():
         raise PreconditionError(f"group file {path} must start with 'degree N'")
     degree = int(header[1])
     if degree < 1:

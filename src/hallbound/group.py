@@ -34,7 +34,7 @@ from collections import deque
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .config import enumeration_cap
+from .config import BLOCK_SYSTEM_BUDGET, enumeration_cap
 from .errors import CapExceeded, DegreeMismatch, SubgroupError
 from .perm import Permutation, _inv, _mul
 
@@ -586,22 +586,30 @@ def _enlarge(current: PermGroup, perms: Iterable[Permutation]) -> PermGroup:
     return current
 
 
+def _filtered_subgroup(
+    group: PermGroup, keep: Callable[[Permutation], bool], label: str
+) -> PermGroup:
+    """The span of the elements of group that satisfy keep, enumerated under
+    the cap; keep must select a subgroup, so the span has exactly the hits."""
+    group.check_enumerable()
+    hits = [x for x in group.elements() if keep(x)]
+    result = span(group.degree, hits)
+    if result.order() != len(hits):
+        raise AssertionError(f"{label} span lost elements")
+    return result
+
+
 def centralizer(ambient: PermGroup, sub: PermGroup) -> PermGroup:
     """Centralizer of sub in ambient, by element filtering under the cap."""
     _require_subgroup(sub, ambient, "centralizer")
     if sub.is_trivial():
         return ambient
     subgens = [s.images for s in sub.generators]
-    ambient.check_enumerable()
-    hits = [
-        x
-        for x in ambient.elements()
-        if all(_mul(x.images, s) == _mul(s, x.images) for s in subgens)
-    ]
-    result = span(ambient.degree, hits)
-    if result.order() != len(hits):
-        raise AssertionError("centralizer span lost elements")
-    return result
+    return _filtered_subgroup(
+        ambient,
+        lambda x: all(_mul(x.images, s) == _mul(s, x.images) for s in subgens),
+        "centralizer",
+    )
 
 
 def center(g: PermGroup) -> PermGroup:
@@ -613,12 +621,7 @@ def intersection(a: PermGroup, b: PermGroup) -> PermGroup:
     if a.degree != b.degree:
         raise DegreeMismatch("intersection: degree mismatch")
     small, big = (a, b) if a.order() <= b.order() else (b, a)
-    small.check_enumerable()
-    hits = [x for x in small.elements() if big.contains(x)]
-    result = span(a.degree, hits)
-    if result.order() != len(hits):
-        raise AssertionError("intersection span lost elements")
-    return result
+    return _filtered_subgroup(small, big.contains, "intersection")
 
 
 def pointwise_stabilizer(g: PermGroup, points: Sequence[int]) -> PermGroup:
@@ -728,8 +731,6 @@ def block_systems(g: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
     closure of the minimal systems is complete.  BLOCK_SYSTEM_BUDGET guards
     pathological lattices.
     """
-    from .config import BLOCK_SYSTEM_BUDGET
-
     if not g.is_transitive():
         raise ValueError("block systems require a transitive group")
     n = g.degree

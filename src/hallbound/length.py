@@ -14,11 +14,12 @@ cross-checking at small orders.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass
 
 from .config import LATTICE_ORDER_CAP, NORMAL_LATTICE_BUDGET
 from .errors import CapExceeded, PreconditionError
-from .group import PermGroup, span
+from .group import PermGroup, action_kernel, is_normal, normal_closure, span
 from .perm import Permutation
 from .primes import is_prime
 from .quotient import ascending_series, factor_group, quotient_or_self
@@ -37,7 +38,6 @@ def _kernel_of_factor_action(g: PermGroup, factors) -> PermGroup:
     This is the kernel of the conjugation action on the factors, computed as
     an action kernel on factor indices (no coset enumeration).
     """
-    from .group import action_kernel
 
     def on_factors(gen: Permutation) -> list[int]:
         images = _factor_images(gen, factors)
@@ -138,8 +138,6 @@ def normal_subgroup_lattice(g: PermGroup) -> tuple[PermGroup, ...]:
             needed=g.order(),
             cap=LATTICE_ORDER_CAP,
         )
-    from .group import normal_closure
-
     elements = g.element_list(LATTICE_ORDER_CAP)
     element_sets: dict[frozenset, PermGroup] = {}
 
@@ -213,10 +211,6 @@ def _lattice_shortest(g: PermGroup, p: int, classify) -> int:
     when the smaller is normal in the larger and the factor is classified.
     """
     lattice = normal_subgroup_lattice(g)
-    from collections import deque
-
-    from .group import is_normal
-
     bottom = next(i for i, n in enumerate(lattice) if n.is_trivial())
     top = next(i for i, n in enumerate(lattice) if n.order() == g.order())
     edges: list[list[tuple[int, int]]] = [[] for _ in lattice]

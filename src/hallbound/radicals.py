@@ -21,7 +21,7 @@ from .group import (
     is_normal,
 )
 from .perm import Permutation
-from .primes import PrimeSet, factorize, is_prime, prime_divisors
+from .primes import PrimeSet, is_prime, prime_divisors
 from .quotient import ascending_series, quotient_or_self
 from .structure import (
     derived_series,
@@ -34,37 +34,33 @@ from .structure import (
 
 @functools.lru_cache(maxsize=None)
 def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
-    """A Sylow p-subgroup, grown greedily through normalizers.
+    """A Sylow p-subgroup, grown in one pass over the elements of g.
 
-    While the current p-subgroup P is not full, its normalizer in g contains
-    a p-element outside P, and adjoining one keeps a p-group because P is
-    normal in the extension.  Each round scans the elements in sorted order
-    and adjoins the p-part y of the first x with p dividing its order, x
-    and y outside P, and x normalizing P; the normalizer is tested per
-    element, only until that first hit.  The scan enumerates g, so this
-    operation lives under the enumeration cap.
+    Each x with p dividing its order offers its p-part y, and y joins the
+    current p-subgroup P when it lies outside P.  adjoin, with the p-part
+    of |g| as divisor, returns None exactly when <P, y> is not a p-group,
+    and such a rejection is final: <P, y> lies in <P', y> whenever P lies
+    in P'.  So the pass cannot end below a Sylow subgroup, for N(P) would
+    then hold a p-element y outside P with <P, y> a p-group, and y would
+    have been adjoined when the pass reached it.  The pass enumerates g, so
+    this operation lives under the enumeration cap.
     """
-    target = PrimeSet([p]).part_of(g.order())
+    prime = PrimeSet([p])
+    target = prime.part_of(g.order())
     current = PermGroup.trivial(g.degree)
     if target == 1:
         return current
-    elements = sorted(g.element_list(), key=lambda x: x.images)
-    while current.order() < target:
-        for x in elements:
-            o = x.order()
-            if o % p != 0 or current.contains(x):
-                continue
-            y = x ** (o // (p ** factorize(o)[p]))
-            if not current.contains(y) and all(
-                current.contains(h.conjugate(x)) for h in current.generators
-            ):
-                break
-        else:
-            raise AssertionError("Sylow growth stalled below the p-part")
-        current = PermGroup(g.degree, current.generators + (y,))
-    if current.order() != target:
-        raise AssertionError("Sylow subgroup overshot the p-part")
-    return current
+    g.check_enumerable()
+    for x in g.elements():
+        o = x.order()
+        if o % p:
+            continue
+        y = x ** prime.coprime_part_of(o)
+        if not current.contains(y):
+            current = current.adjoin((y,), target) or current
+            if current.order() == target:
+                return current
+    raise AssertionError("Sylow growth stalled below the p-part")
 
 
 @functools.lru_cache(maxsize=None)

@@ -137,6 +137,14 @@ def test_group_from_file_rejects_missing_header(tmp_path):
         group_from_file(path)
 
 
+def test_group_from_file_rejects_non_decimal_digit_degree(tmp_path):
+    """'²' is a digit to str.isdigit but not a number to int."""
+    path = tmp_path / "superscript.grp"
+    path.write_text("degree ²\n(1 2)\n", encoding="utf-8")
+    with pytest.raises(PreconditionError, match="superscript.grp must start with 'degree N'"):
+        group_from_file(path)
+
+
 def test_suite_specs_are_cumulative():
     small = set(suite_specs(1))
     standard = set(suite_specs(2))

@@ -1,7 +1,12 @@
 """Cores, radicals, Fitting machinery, layer, and height/length certificates."""
 
-import pytest
+import time
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import permutations_of_degree
 from hallbound import (
     PermGroup,
     PrimeSet,
@@ -28,7 +33,7 @@ from hallbound import (
     sylow_subgroup,
 )
 from hallbound.errors import CapExceeded, PreconditionError
-from hallbound.primes import factorize, prime_divisors
+from hallbound.primes import prime_divisors
 
 
 def test_sylow_subgroup_orders(s4):
@@ -51,38 +56,47 @@ def test_sylow_subgroup_respects_enumeration_cap(monkeypatch):
         sylow_subgroup.cache_clear()
 
 
-def _sylow_by_normalizer_filter(g, p):
-    """Reference growth: filter every element into the normalizer of P on
-    each round, then adjoin the p-part of the first usable one."""
-    target = PrimeSet([p]).part_of(g.order())
-    current = PermGroup.trivial(g.degree)
-    elements = sorted(g.element_list(), key=lambda x: x.images)
-    while current.order() < target:
-        normalizer = [
-            x
-            for x in elements
-            if all(current.contains(h.conjugate(x)) for h in current.generators)
-        ]
-        for x in normalizer:
-            o = x.order()
-            if current.contains(x) or o % p != 0:
-                continue
-            y = x ** (o // (p ** factorize(o)[p]))
-            if not current.contains(y):
-                break
-        current = PermGroup(g.degree, current.generators + (y,))
-    return current
+def _assert_sylow(g, p):
+    """The Sylow contract: a subgroup of g whose order is the p-part of |g|."""
+    sylow = sylow_subgroup(g, p)
+    assert sylow.is_subgroup_of(g), p
+    assert sylow.order() == PrimeSet([p]).part_of(g.order()), p
 
 
 @pytest.mark.parametrize(
     "name", ["S4", "S5", "SL(2,3)", "A5 x S4", "PSL(2,7)", "D20 x S3"]
 )
-def test_sylow_choice_matches_normalizer_filter(name):
+def test_sylow_subgroup_contract(name):
     g = group_from_spec(name)
     for p in prime_divisors(g.order()):
-        new = [x.images for x in sylow_subgroup(g, p).generators]
-        old = [x.images for x in _sylow_by_normalizer_filter(g, p).generators]
-        assert new == old, (name, p)
+        _assert_sylow(g, p)
+
+
+@pytest.mark.property_based
+@given(
+    perms=st.integers(1, 7).flatmap(
+        lambda degree: st.lists(permutations_of_degree(degree), min_size=1, max_size=3)
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_sylow_subgroup_contract_on_random_groups(perms):
+    g = PermGroup(perms[0].degree, perms)
+    for p in (2, 3, 5, 7):
+        _assert_sylow(g, p)
+
+
+def test_sylow_subgroups_of_large_groups_within_budget():
+    """One pass per prime: A5 wr C3 (order 648,000) and A9 well inside 5 s."""
+    groups = {"A5 wr C3": group_from_spec("A5 wr C3"), "A9": alternating_group(9)}
+    sylow_subgroup.cache_clear()
+    start = time.perf_counter()
+    orders = {
+        name: [sylow_subgroup(g, p).order() for p in prime_divisors(g.order())]
+        for name, g in groups.items()
+    }
+    elapsed = time.perf_counter() - start
+    assert orders == {"A5 wr C3": [64, 81, 125], "A9": [64, 81, 5, 7]}
+    assert elapsed < 5, f"Sylow subgroups took {elapsed:.1f}s, budget 5s"
 
 
 def test_sylow_subgroup_trivial_when_p_absent(a5):
