@@ -612,8 +612,63 @@ def centralizer(ambient: PermGroup, sub: PermGroup) -> PermGroup:
     )
 
 
+def _is_abelian(g: PermGroup) -> bool:
+    gens = g.generators
+    return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1 :])
+
+
+def _commuting_map(
+    gens: Sequence[tuple[int, ...]], alpha: int, beta: int, degree: int
+) -> Permutation | None:
+    """The permutation z with z(alpha) = beta that fixes every point off
+    alpha's orbit and commutes there with every generator, or None.
+
+    z is forced along the orbit: z(gamma^s) = z(gamma)^s for each generator
+    s, so one BFS from alpha defines it and checks every such equation,
+    stopping at the first that fails.  A map that satisfies them all is a
+    bijection of the orbit, for its image is a non-empty invariant subset.
+    """
+    z = list(range(degree))
+    z[alpha] = beta
+    reached = [alpha]
+    seen = {alpha}
+    for gamma in reached:
+        for s in gens:
+            img, want = s[gamma], s[z[gamma]]
+            if img not in seen:
+                seen.add(img)
+                z[img] = want
+                reached.append(img)
+            elif z[img] != want:
+                return None
+    return Permutation._trusted(tuple(z))
+
+
 def center(g: PermGroup) -> PermGroup:
-    return centralizer(g, g)
+    """Z(G), read off the action: G's intersection with the product C of
+    the centralizers C_Sym(D)(G^D) over the orbits D of G.
+
+    An element of G preserves every orbit, so it is central exactly when
+    its restriction to each orbit D centralizes G^D, that is, when it lies
+    in C.  The centralizer of a transitive group is semiregular, so each of
+    its elements is determined by the image beta of one point alpha, and
+    such an element exists exactly when the stabilizer of alpha fixes beta
+    (Dixon & Mortimer, *Permutation Groups*, 1996, Thm 4.2A; Wielandt,
+    *Finite Permutation Groups*, 1964, §4); _commuting_map tries each beta
+    of the orbit.  ``intersection`` enumerates only the smaller of G and C,
+    and a group with commuting generators is its own center, so G itself
+    is never enumerated unless |G| <= |C|.
+    """
+    if _is_abelian(g):
+        return g
+    gens = [s.images for s in g.generators]
+    commuting = []
+    for orbit in g.orbits():
+        for beta in orbit[1:]:
+            z = _commuting_map(gens, orbit[0], beta, g.degree)
+            if z is not None:
+                commuting.append(z)
+    return intersection(g, span(g.degree, commuting))
 
 
 def intersection(a: PermGroup, b: PermGroup) -> PermGroup:

@@ -56,8 +56,15 @@ class PrimeSet:
 
     @classmethod
     def parse(cls, text: str) -> "PrimeSet":
-        """Parse a comma- or space-separated list such as '2,3' or '2 3 5'."""
-        parts = [p for chunk in text.split(",") for p in chunk.split()]
+        """Parse a comma- or space-separated list such as '2,3' or '2 3 5'.
+
+        An empty comma-separated item, as in '2,,3' or '2,3,', is malformed
+        rather than skipped, so a typo cannot silently drop a prime.
+        """
+        chunks = [chunk.split() for chunk in text.split(",")]
+        if len(chunks) > 1 and not all(chunks):
+            raise ValueError(f"malformed prime set {text!r}")
+        parts = [p for chunk in chunks for p in chunk]
         if not parts:
             raise ValueError("empty prime set")
         try:

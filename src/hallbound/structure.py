@@ -34,6 +34,7 @@ from .config import SEARCH_SEED, enumeration_cap
 from .errors import CapExceeded, PreconditionError
 from .group import (
     PermGroup,
+    _is_abelian,
     block_action_kernel,
     block_systems,
     commutator_subgroup,
@@ -305,11 +306,6 @@ def minimal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
     return tuple(result)
 
 
-def _is_abelian(g: PermGroup) -> bool:
-    gens = g.generators
-    return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1 :])
-
-
 @dataclass(frozen=True)
 class SocleDecomposition:
     """The socle with its minimal normal subgroups and simple refinement."""
@@ -326,7 +322,9 @@ def socle(g: PermGroup) -> SocleDecomposition:
 
     Non-abelian minimal normal subgroups are split into their simple direct
     factors (their own minimal normal subgroups); abelian ones are kept whole
-    and flagged.
+    and flagged.  A split reads the factors off the orbits first
+    (_support_factorization, exact whenever it succeeds) and enumerates N
+    for its minimal normal subgroups only when that fails under the cap.
     """
     mins = minimal_normal_subgroups(g)
     gens: list[Permutation] = []
@@ -338,20 +336,18 @@ def socle(g: PermGroup) -> SocleDecomposition:
         if _is_abelian(n):
             factors.append(n)
             flags.append(True)
-        elif n.order() <= cap:
-            for f in minimal_normal_subgroups(n):
-                factors.append(f)
-                flags.append(False)
-        else:
-            parts = _support_factorization(n, cap)
-            if parts is None:
-                raise CapExceeded(
-                    f"cannot refine minimal normal subgroup of order {n.order()}",
-                    needed=n.order(),
-                    cap=cap,
-                )
-            factors.extend(parts)
-            flags.extend(False for _ in parts)
+            continue
+        parts = _support_factorization(n, cap)
+        if parts is None and n.order() <= cap:
+            parts = minimal_normal_subgroups(n)
+        if parts is None:
+            raise CapExceeded(
+                f"cannot refine minimal normal subgroup of order {n.order()}",
+                needed=n.order(),
+                cap=cap,
+            )
+        factors.extend(parts)
+        flags.extend(False for _ in parts)
     return SocleDecomposition(
         socle=PermGroup(g.degree, gens),
         minimal_normals=mins,

@@ -1,11 +1,13 @@
 """Stabilizer-chain engine: orders, membership, orbits, subgroup operations."""
 
+import contextlib
 import itertools
 import math
 import random
 import sys
 import threading
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,13 +34,14 @@ from hallbound import (
     normal_closure,
     pointwise_stabilizer,
     span,
+    suite_specs,
     symmetric_group,
 )
 from hallbound import group
 from hallbound.errors import CapExceeded, DegreeMismatch
 from hallbound.perm import _inv, _mul
 
-from conftest import random_permutation
+from conftest import permutations_of_degree, random_permutation
 
 
 def test_symmetric_group_order_and_membership():
@@ -74,9 +77,13 @@ def test_element_list_cap_enforced():
 
 def test_enumerating_operations_respect_the_cap(monkeypatch, s4, a4):
     monkeypatch.setenv("HALLBOUND_CAP", "20")
+    transposition = span(4, [Permutation.from_cycles(4, [(0, 1)])])
     with pytest.raises(CapExceeded) as info:
-        center(s4)
+        centralizer(s4, transposition)
     assert (info.value.needed, info.value.cap) == (24, 20)
+    # the center is read off the action and enumerates only the trivial
+    # centralizer of S4 in Sym(4)
+    assert center(s4).is_trivial()
     with pytest.raises(CapExceeded) as info:
         intersection(s4, s4)
     assert info.value.needed == 24
@@ -160,6 +167,91 @@ def test_center_of_dihedral_group():
     assert center(dihedral_group(12)).order() == 2
     assert center(dihedral_group(10)).order() == 1
     assert center(symmetric_group(4)).order() == 1
+
+
+KERNEL_SPECS = (
+    "A5 x D12", "PSL(2,7) x S3", "S5 x S3", "A5 x SL(2,3)", "A8",
+    "PSL(2,7) wr C2", "A6 x A5",
+)
+
+
+@contextlib.contextmanager
+def _counted_enumerations():
+    """Record [group, elements yielded] for each PermGroup.elements call."""
+    calls = []
+    elements = PermGroup.elements
+
+    def counted(group):
+        record = [group, 0]
+        calls.append(record)
+        for x in elements(group):
+            record[1] += 1
+            yield x
+
+    with mock.patch.object(PermGroup, "elements", counted):
+        yield calls
+
+
+def _orbit_centralizer_order(g: PermGroup) -> int:
+    """|C|, the product over the orbits D of |C_Sym(D)(G^D)|: the number of
+    points of D that the stabilizer of D's least point fixes."""
+    order = 1
+    for orbit in g.orbits():
+        stabilizer = pointwise_stabilizer(g, [orbit[0]])
+        order *= sum(all(s(pt) == pt for s in stabilizer.generators) for pt in orbit)
+    return order
+
+
+def _assert_center_matches_centralizer(g: PermGroup) -> None:
+    """center(g) is the enumeration center, and enumerates at most
+    min(|G|, |C|) elements."""
+    with _counted_enumerations() as calls:
+        z = center(g)
+    assert sum(n for _, n in calls) <= min(g.order(), _orbit_centralizer_order(g))
+    oracle = centralizer(g, g)
+    assert z.order() == oracle.order()
+    assert z.is_subgroup_of(oracle)
+
+
+@pytest.mark.parametrize(
+    "spec", list(suite_specs(3)) + list(KERNEL_SPECS) + ["C2 wr S6", "S4 wr C2"]
+)
+def test_center_matches_the_centralizer_oracle(spec):
+    _assert_center_matches_centralizer(group_from_spec(spec))
+
+
+@st.composite
+def _two_block_groups(draw):
+    """Groups whose generators act on two disjoint blocks of at most eight
+    points, so that most of them are intransitive."""
+    left = draw(st.integers(1, 5))
+    right = draw(st.integers(1, 8 - left))
+    count = draw(st.integers(1, 3))
+    gens = [
+        Permutation(
+            draw(permutations_of_degree(left)).images
+            + tuple(left + i for i in draw(permutations_of_degree(right)).images)
+        )
+        for _ in range(count)
+    ]
+    return PermGroup(left + right, gens)
+
+
+@pytest.mark.property_based
+@given(g=_two_block_groups())
+@settings(max_examples=60, deadline=None)
+def test_center_matches_the_centralizer_oracle_on_intransitive_groups(g):
+    _assert_center_matches_centralizer(g)
+
+
+@pytest.mark.parametrize("spec", ["A8", "PSL(2,7) wr C2"])
+def test_center_of_a_transitive_group_enumerates_none_of_it(spec):
+    g = group_from_spec(spec)
+    assert g.is_transitive()
+    with _counted_enumerations() as calls:
+        assert center(g).is_trivial()
+    # only the trivial orbit centralizer is enumerated
+    assert [(group.order(), n) for group, n in calls] == [(1, 1)]
 
 
 def test_centralizer_in_s4(s4):

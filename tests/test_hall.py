@@ -318,6 +318,26 @@ def test_coset_bound_settles_reports_above_the_scan_cap():
     assert elapsed < 30, f"reports took {elapsed:.1f}s, budget 30s"
 
 
+def test_theorem_holds_at_non_p_soluble_length_two():
+    # pi = {2,3,5} covers |A5 wr A5|, so H = G.  The first checks of the
+    # bound at lambda_p = 2; the center in h*(H)'s layer step is read off
+    # the action, since the group (order 46,656,000,000) is far above the
+    # enumeration cap.  Measured at about 2 s together.
+    g = group_from_spec("A5 wr A5")
+    start = time.perf_counter()
+    for p in (3, 5):
+        report = compute_invariant_report("A5 wr A5", g, PrimeSet([2, 3, 5]), p)
+        assert report.hall_status == "found"
+        assert report.hall_order == 46656000000
+        assert report.lambda_p == 2
+        assert report.kernel_orders == (777600000, 46656000000)
+        assert report.h_star_hall == 2
+        assert report.theorem and report.proposition
+        assert report.lemma_fitting and report.kernel_lemma
+    elapsed = time.perf_counter() - start
+    assert elapsed < 15, f"reports took {elapsed:.1f}s, budget 15s"
+
+
 def _scan_finds_hall(g, pi) -> bool:
     """The exact Sylow system scan on its own, without greedy or bound."""
     target = pi.part_of(g.order())

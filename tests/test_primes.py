@@ -39,6 +39,10 @@ def test_prime_set_parse_forms():
     assert PrimeSet.parse("2, 3, 5").primes == (2, 3, 5)
     with pytest.raises(ValueError):
         PrimeSet.parse("2,six")
+    # an empty item is a typo, not a shorter set
+    for text in ("2,,3", "2,3,", ","):
+        with pytest.raises(ValueError, match="malformed prime set"):
+            PrimeSet.parse(text)
 
 
 def test_part_of_and_complement():

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from hallbound import (
+    PermGroup,
     PrimeSet,
     alternating_group,
     compute_invariant_report,
@@ -24,6 +25,7 @@ from hallbound import (
     minimal_normal_subgroups,
     socle,
     soluble_radical,
+    suite_specs,
     symmetric_group,
 )
 from hallbound.errors import CapExceeded
@@ -140,6 +142,52 @@ def test_socle_of_sl25_is_the_center(sl25):
     dec = socle(sl25)
     assert dec.socle.order() == 2
     assert dec.abelian_flags == (True,)
+
+
+def _a5_squared_with_swap() -> PermGroup:
+    """(A5 x A5):2 on the 60 elements x of A5, generated by x -> a * x,
+    x -> x * b and inversion, which swaps the two factors.  Its socle
+    A5 x A5 is minimal normal and transitive, so its simple factors cannot
+    be read off orbits."""
+    a5 = make_named("A5")
+    elements = a5.element_list()
+    index = {x.images: i for i, x in enumerate(elements)}
+
+    def on_points(f) -> Permutation:
+        return Permutation([index[f(x).images] for x in elements])
+
+    gens = [on_points(lambda x, a=a: a * x) for a in a5.generators]
+    gens += [on_points(lambda x, b=b: x * b) for b in a5.generators]
+    gens.append(on_points(Permutation.inverse))
+    return PermGroup(len(elements), gens)
+
+
+def _assert_socle_factors_are_minimal_normals(g: PermGroup) -> None:
+    """The socle factors inside each non-abelian minimal normal N are the
+    minimal normal subgroups of N."""
+    dec = socle(g)
+    for n in dec.minimal_normals:
+        if all(a * b == b * a for a in n.generators for b in n.generators):
+            continue
+        inside = [
+            f for f, abelian in zip(dec.factors, dec.abelian_flags)
+            if not abelian and f.is_subgroup_of(n)
+        ]
+        expected = minimal_normal_subgroups(n)
+        assert len(inside) == len(expected)
+        assert all(any(f.same_group_as(e) for e in expected) for f in inside)
+
+
+@pytest.mark.parametrize("spec", list(suite_specs(3)) + ["PSL(2,7) wr C2", "A6 x A5"])
+def test_socle_factors_are_the_minimal_normals_of_each_minimal_normal(spec):
+    _assert_socle_factors_are_minimal_normals(group_from_spec(spec))
+
+
+def test_socle_factors_of_a_transitive_minimal_normal_subgroup():
+    g = _a5_squared_with_swap()
+    assert g.order() == 7200 and g.is_transitive()
+    assert [f.order() for f in socle(g).factors] == [60, 60]
+    _assert_socle_factors_are_minimal_normals(g)
 
 
 def test_derived_series_of_s4(s4):
