@@ -15,7 +15,7 @@ import re
 from pathlib import Path
 
 from .config import DEFAULT_QUOTIENT_DEGREE_CAP
-from .errors import CapExceeded, PreconditionError
+from .errors import PreconditionError, check_cap
 from .group import PermGroup
 from .perm import Permutation, parse_cycles
 from .primes import is_prime
@@ -26,12 +26,7 @@ DEGREE_CAP = DEFAULT_QUOTIENT_DEGREE_CAP
 
 
 def _check_degree(degree: int) -> None:
-    if degree > DEGREE_CAP:
-        raise CapExceeded(
-            f"construction degree {degree} exceeds cap {DEGREE_CAP}",
-            needed=degree,
-            cap=DEGREE_CAP,
-        )
+    check_cap(degree, DEGREE_CAP, "construction: degree")
 
 
 def cyclic_group(n: int) -> PermGroup:

@@ -14,12 +14,20 @@ class DegreeMismatch(GroupError, ValueError):
 
 
 class CapExceeded(GroupError):
-    """A brute-force operation was asked to exceed its enumeration budget."""
+    """An operation would exceed a cap or budget; raised only by check_cap."""
 
     def __init__(self, message: str, *, needed=None, cap=None):
         super().__init__(message)
         self.needed = needed
         self.cap = cap
+
+
+def check_cap(needed: int, cap: int, what: str) -> None:
+    """Raise CapExceeded exactly when needed > cap; the one place that builds
+    one.  what names the operation and the quantity it measures, so the
+    message reads "<what> <needed> exceeds cap <cap>"."""
+    if needed > cap:
+        raise CapExceeded(f"{what} {needed} exceeds cap {cap}", needed=needed, cap=cap)
 
 
 class SubgroupError(GroupError, ValueError):

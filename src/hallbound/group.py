@@ -29,13 +29,12 @@ import bisect
 import copy
 import itertools
 import math
-import threading
 from collections import deque
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import BLOCK_SYSTEM_BUDGET, enumeration_cap
-from .errors import CapExceeded, DegreeMismatch, SubgroupError
+from .errors import DegreeMismatch, SubgroupError, check_cap
 from .perm import Permutation, _inv, _mul
 
 
@@ -325,12 +324,14 @@ class StabChain:
 class PermGroup:
     """A finite permutation group given by generators on {0..degree-1}.
 
-    Immutable; the stabilizer chain is built lazily (thread-safe) and cached.
+    Immutable; the stabilizer chain is built lazily and cached.  The build is
+    deterministic, so threads racing on a first build only repeat identical
+    work and keep equal chains.
     Equality and hashing go by (degree, generator tuple) so identically
     constructed handles share memoized structure results.
     """
 
-    __slots__ = ("degree", "generators", "_chain", "_order", "_lock")
+    __slots__ = ("degree", "generators", "_chain", "_order")
 
     def __init__(self, degree: int, generators: Iterable[Permutation]):
         if degree < 1:
@@ -351,7 +352,6 @@ class PermGroup:
         object.__setattr__(self, "generators", tuple(gens))
         object.__setattr__(self, "_chain", None)
         object.__setattr__(self, "_order", None)
-        object.__setattr__(self, "_lock", threading.Lock())
 
     def __setattr__(self, name, value):
         raise AttributeError("PermGroup is immutable")
@@ -363,10 +363,8 @@ class PermGroup:
     @property
     def chain(self) -> StabChain:
         if self._chain is None:
-            with self._lock:
-                if self._chain is None:
-                    built = StabChain(self.degree, [g.images for g in self.generators])
-                    object.__setattr__(self, "_chain", built)
+            built = StabChain(self.degree, [g.images for g in self.generators])
+            object.__setattr__(self, "_chain", built)
         return self._chain
 
     def order(self) -> int:
@@ -422,20 +420,10 @@ class PermGroup:
         for images in self.chain.elements():
             yield Permutation._trusted(images)
 
-    def check_enumerable(self, cap: int | None = None) -> None:
-        """Raise CapExceeded when the order exceeds the enumeration cap."""
-        limit = enumeration_cap() if cap is None else cap
-        n = self.order()
-        if n > limit:
-            raise CapExceeded(
-                f"group of order {n} exceeds enumeration cap {limit}",
-                needed=n,
-                cap=limit,
-            )
-
     def element_list(self, cap: int | None = None) -> list[Permutation]:
-        """All elements, guarded by the enumeration cap."""
-        self.check_enumerable(cap)
+        """All elements, guarded by cap (default: the enumeration cap)."""
+        limit = enumeration_cap() if cap is None else cap
+        check_cap(self.order(), limit, "element list: group order")
         return list(self.elements())
 
     def random_element(self, rng) -> Permutation:
@@ -591,7 +579,7 @@ def _filtered_subgroup(
 ) -> PermGroup:
     """The span of the elements of group that satisfy keep, enumerated under
     the cap; keep must select a subgroup, so the span has exactly the hits."""
-    group.check_enumerable()
+    check_cap(group.order(), enumeration_cap(), f"{label}: enumerating group order")
     hits = [x for x in group.elements() if keep(x)]
     result = span(group.degree, hits)
     if result.order() != len(hits):
@@ -796,12 +784,7 @@ def block_systems(g: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
             systems.setdefault(system, None)
     work = list(systems)
     while work:
-        if len(systems) > BLOCK_SYSTEM_BUDGET:
-            raise CapExceeded(
-                f"block system lattice exceeds budget {BLOCK_SYSTEM_BUDGET}",
-                needed=len(systems),
-                cap=BLOCK_SYSTEM_BUDGET,
-            )
+        check_cap(len(systems), BLOCK_SYSTEM_BUDGET, "block systems: lattice size")
         current = work.pop()
         for other in list(systems):
             joined = _join_partitions(current, other, n)

@@ -50,7 +50,13 @@ from .config import (
     SYLOW_COMBINATION_BUDGET,
     enumeration_cap,
 )
-from .errors import CapExceeded, DegreeMismatch, PreconditionError, SubgroupError
+from .errors import (
+    CapExceeded,
+    DegreeMismatch,
+    PreconditionError,
+    SubgroupError,
+    check_cap,
+)
 from .group import PermGroup, conjugate_subgroup, intersection, is_normal
 from .perm import Permutation
 from .primes import PrimeSet, factorize
@@ -203,12 +209,7 @@ def _sylow_generated(g: PermGroup, pi: PrimeSet, target: int, built: list[int]):
     rest = [p for p in primes if p != fixed]
     conjugate_lists = [_subgroup_conjugates(g, sylows[p]) for p in rest]
     total = math.prod(len(lst) for lst in conjugate_lists)
-    if total > SYLOW_COMBINATION_BUDGET:
-        raise CapExceeded(
-            f"Sylow system scan needs {total} combinations",
-            needed=total,
-            cap=SYLOW_COMBINATION_BUDGET,
-        )
+    check_cap(total, SYLOW_COMBINATION_BUDGET, "Sylow system scan: combinations")
     base = sylows[fixed]
     if not rest:
         built[0] += 1

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .config import LATTICE_ORDER_CAP, NORMAL_LATTICE_BUDGET
-from .errors import CapExceeded, PreconditionError
+from .errors import PreconditionError, check_cap
 from .group import PermGroup, action_kernel, is_normal, normal_closure, span
 from .perm import Permutation
 from .primes import is_prime
@@ -132,12 +132,6 @@ def normal_subgroup_lattice(g: PermGroup) -> tuple[PermGroup, ...]:
     closing them under join and intersection reaches a fixed point that is
     the whole lattice.
     """
-    if g.order() > LATTICE_ORDER_CAP:
-        raise CapExceeded(
-            f"normal lattice requires order <= {LATTICE_ORDER_CAP}, got {g.order()}",
-            needed=g.order(),
-            cap=LATTICE_ORDER_CAP,
-        )
     elements = g.element_list(LATTICE_ORDER_CAP)
     element_sets: dict[frozenset, PermGroup] = {}
 
@@ -160,12 +154,7 @@ def normal_subgroup_lattice(g: PermGroup) -> tuple[PermGroup, ...]:
         register(normal_closure(g, PermGroup(g.degree, [x])))
     work = list(element_sets)
     while work:
-        if len(element_sets) > NORMAL_LATTICE_BUDGET:
-            raise CapExceeded(
-                f"normal lattice exceeds budget {NORMAL_LATTICE_BUDGET}",
-                needed=len(element_sets),
-                cap=NORMAL_LATTICE_BUDGET,
-            )
+        check_cap(len(element_sets), NORMAL_LATTICE_BUDGET, "normal lattice: size")
         current = work.pop()
         for other in list(element_sets):
             meet = current & other
@@ -265,12 +254,7 @@ def p_length_oracle(g: PermGroup, p: int) -> int:
     _validate_prime(p)
     if not is_p_soluble(g, p):
         raise PreconditionError("p-length oracle requires a p-soluble group")
-    if g.order() > 1000:
-        raise CapExceeded(
-            f"p-length oracle requires order <= 1000, got {g.order()}",
-            needed=g.order(),
-            cap=1000,
-        )
+    check_cap(g.order(), 1000, "p-length oracle: group order")
 
     def classify(h: PermGroup):
         n = h.order()

@@ -20,7 +20,7 @@ from collections import deque
 from typing import Callable
 
 from .config import DEFAULT_QUOTIENT_DEGREE_CAP
-from .errors import CapExceeded, SubgroupError
+from .errors import SubgroupError, check_cap
 from .group import PermGroup, is_normal
 from .perm import Permutation, _mul
 
@@ -34,12 +34,7 @@ class QuotientMap:
         if not is_normal(kernel, source):
             raise SubgroupError("quotient kernel must be normal in the source")
         index = source.order() // kernel.order()
-        if index > DEFAULT_QUOTIENT_DEGREE_CAP:
-            raise CapExceeded(
-                f"quotient index {index} exceeds degree cap {DEFAULT_QUOTIENT_DEGREE_CAP}",
-                needed=index,
-                cap=DEFAULT_QUOTIENT_DEGREE_CAP,
-            )
+        check_cap(index, DEFAULT_QUOTIENT_DEGREE_CAP, "quotient: coset action degree")
         nchain = kernel.chain
         identity = tuple(range(source.degree))
         reps: list[tuple[int, ...]] = [nchain.min_coset_rep(identity)]

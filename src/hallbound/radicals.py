@@ -13,7 +13,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .config import enumeration_cap
+from .errors import PreconditionError, check_cap
 from .group import (
     PermGroup,
     center,
@@ -50,7 +51,7 @@ def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
     current = PermGroup.trivial(g.degree)
     if target == 1:
         return current
-    g.check_enumerable()
+    check_cap(g.order(), enumeration_cap(), "Sylow subgroup: enumerating group order")
     for x in g.elements():
         o = x.order()
         if o % p:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .config import SEARCH_SEED, enumeration_cap
-from .errors import CapExceeded, PreconditionError
+from .errors import PreconditionError, check_cap
 from .group import (
     PermGroup,
     _is_abelian,
@@ -93,7 +93,7 @@ def _class_seeds(ambient: PermGroup, k: PermGroup, cap: int) -> list[Permutation
     The conjugation walk then reads the key of every conjugate from the
     record and computes no powers.
     """
-    k.check_enumerable(cap)
+    check_cap(k.order(), cap, "class-seed harvest: enumerating group order")
     identity = tuple(range(k.degree))
     # image tuple -> key of the cyclic subgroup it generates, or None when
     # that subgroup's order is not a prime power
@@ -223,22 +223,15 @@ def _minimal_normals_inside(g: PermGroup, k: PermGroup, cap: int) -> list[PermGr
             for x in _class_seeds(g, k, cap)
             if is_prime(x.order())
         )
+    # k is over the cap, so each failed certificate below raises
     factors = _support_factorization(k, cap)
     if factors is None:
-        raise CapExceeded(
-            f"normal subgroup of order {k.order()} exceeds cap {cap} and has no "
-            "disjoint-support factorization",
-            needed=k.order(),
-            cap=cap,
-        )
+        what = "minimal normal search: no disjoint-support factorization of order"
+        check_cap(k.order(), cap, what)
     products = _factor_orbit_products(g, factors)
     if products is None:
-        raise CapExceeded(
-            "conjugation does not permute the candidate simple factors; "
-            "cannot certify minimality over the enumeration cap",
-            needed=k.order(),
-            cap=cap,
-        )
+        what = "minimal normal search: factors not permuted by conjugation, order"
+        check_cap(k.order(), cap, what)
     # Each orbit product is a direct product of non-abelian simple groups
     # permuted transitively by g, hence a minimal normal subgroup.
     return products
@@ -278,12 +271,9 @@ def _minimal_normals_structured(g: PermGroup, cap: int) -> list[PermGroup]:
             candidates.append(n)
     minimal = _inclusion_minimal(candidates)
     if not minimal:
-        raise CapExceeded(
-            f"group of order {g.order()} exceeds enumeration cap {cap} and no "
-            "proper normal subgroup could be certified (possibly simple)",
-            needed=g.order(),
-            cap=cap,
-        )
+        # only groups over the cap come here, so this raises
+        what = "minimal normal search: no proper normal subgroup certified, order"
+        check_cap(g.order(), cap, what)
     certified: list[PermGroup] = []
     for n in minimal:
         certified.extend(_minimal_normals_inside(g, n, cap))
@@ -338,14 +328,10 @@ def socle(g: PermGroup) -> SocleDecomposition:
             flags.append(True)
             continue
         parts = _support_factorization(n, cap)
-        if parts is None and n.order() <= cap:
-            parts = minimal_normal_subgroups(n)
         if parts is None:
-            raise CapExceeded(
-                f"cannot refine minimal normal subgroup of order {n.order()}",
-                needed=n.order(),
-                cap=cap,
-            )
+            what = "socle: no disjoint-support factorization of order"
+            check_cap(n.order(), cap, what)
+            parts = minimal_normal_subgroups(n)
         factors.extend(parts)
         flags.extend(False for _ in parts)
     return SocleDecomposition(

@@ -1,0 +1,71 @@
+"""Every exhausted cap or budget raises through errors.check_cap.
+
+One helper decides whether a cap is exceeded, so every CapExceeded carries
+needed and cap and names the operation that ran out; a hand-rolled raise
+elsewhere would bring back a message without them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from hallbound import CapExceeded, group_from_spec, minimal_normal_subgroups
+from hallbound.config import enumeration_cap
+from hallbound.errors import check_cap
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hallbound"
+
+
+def _builds_cap_exceeded(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    return name == "CapExceeded"
+
+
+def test_cap_exceeded_is_built_only_in_check_cap():
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    outside = []
+    inside = 0
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helper = set()
+        for node in tree.body:
+            if path.name == "errors.py" and getattr(node, "name", "") == "check_cap":
+                helper = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not _builds_cap_exceeded(node):
+                continue
+            if id(node) in helper:
+                inside += 1
+            else:
+                outside.append(f"{path.name}:{node.lineno}")
+    assert inside == 1
+    assert outside == []
+
+
+def test_check_cap_raises_exactly_above_the_cap():
+    check_cap(10, 10, "test: size")
+    with pytest.raises(CapExceeded) as info:
+        check_cap(11, 10, "test: size")
+    assert (info.value.needed, info.value.cap) == (11, 10)
+    assert str(info.value) == "test: size 11 exceeds cap 10"
+
+
+def test_construction_degree_cap():
+    with pytest.raises(CapExceeded, match="construction") as info:
+        group_from_spec("C20001")
+    assert (info.value.needed, info.value.cap) == (20001, 20000)
+
+
+@pytest.mark.parametrize("spec", ["S10", "A10"])
+def test_giants_over_the_cap_name_the_minimal_normal_search(spec):
+    # A10 (the minimal normal subgroup of S10, and A10 itself) neither
+    # splits on disjoint supports nor is under the cap, so both stop before
+    # enumerating
+    with pytest.raises(CapExceeded, match="minimal normal search") as info:
+        minimal_normal_subgroups(group_from_spec(spec))
+    assert (info.value.needed, info.value.cap) == (1_814_400, enumeration_cap())

@@ -160,7 +160,7 @@ def test_capped_certificate_keeps_the_verdict(monkeypatch):
     g = conjugate_subgroup(g, Permutation(list(range(1, g.degree)) + [0]))
     pi = PrimeSet([2, 3])
     monkeypatch.setenv("HALLBOUND_CAP", "1000")
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="class-seed harvest"):
         pi_core(g, pi)
     result = find_hall_subgroup(g, pi)
     assert result.status == "unknown"

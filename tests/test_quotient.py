@@ -105,8 +105,9 @@ def test_quotient_requires_normal_kernel(s4):
 
 def test_quotient_degree_cap():
     g = symmetric_group(8)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="quotient") as info:
         quotient_by(g, PermGroup.trivial(8))
+    assert (info.value.needed, info.value.cap) == (40320, 20000)
 
 
 @pytest.mark.property_based

@@ -266,7 +266,7 @@ def test_s4_wr_s4_reaches_the_enumeration_cap_fast():
     g = group_from_spec("S4 wr S4")
     g = conjugate_subgroup(g, Permutation(list(range(1, g.degree)) + [0]))
     start = time.perf_counter()
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="class-seed harvest"):
         compute_invariant_report("S4 wr S4", g, PrimeSet([2, 3]), 3)
     elapsed = time.perf_counter() - start
     assert elapsed < 10, f"report took {elapsed:.1f}s, budget 10s"
