@@ -64,15 +64,10 @@ def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
     raise AssertionError("Sylow growth stalled below the p-part")
 
 
-@functools.lru_cache(maxsize=None)
 def pi_core(g: PermGroup, pi: PrimeSet) -> PermGroup:
     """Largest normal pi-subgroup, by normal_part: groups without a minimal
     normal pi-subgroup finish on that structural certificate alone."""
-    return normal_part(
-        g,
-        lambda n: pi.is_pi_number(n.order()),
-        seed_ok=lambda x: pi.is_pi_number(x.order()),
-    )
+    return normal_part(g, lambda n: pi.is_pi_number(n.order()))
 
 
 def p_core(g: PermGroup, p: int) -> PermGroup:
@@ -204,17 +199,16 @@ def p_length(g: PermGroup, p: int) -> HeightCertificate:
     """Number of p-factors in the alternating upper p-series.
 
     Requires a p-soluble group.  The series is the one p_soluble_radical
-    ascends, with the same step; each factor of order divisible by p is
-    counted.
+    ascends, with the same step, and it stalls below the whole group
+    exactly when the group is not p-soluble; each factor of order divisible
+    by p is counted.
     """
-    if not is_p_soluble(g, p):
-        raise PreconditionError(f"p_length requires a {p}-soluble group")
-    series = ascending_series(g, lambda q: _upper_p_step(q, p))
-    if series[-1].order() < g.order():
-        raise AssertionError("upper p-series stalled; group should have been p-soluble")
-    count = sum((b.order() // a.order()) % p == 0 for a, b in zip(series, series[1:]))
+    if not is_prime(p):
+        raise PreconditionError(f"{p} is not prime")
     kind = "two_length" if p == 2 else "p_length"
-    return HeightCertificate(series=tuple(series), height=count, kind=kind)
+    series = _ascending_tower(g, lambda q: _upper_p_step(q, p), kind).series
+    count = sum((b.order() // a.order()) % p == 0 for a, b in zip(series, series[1:]))
+    return HeightCertificate(series=series, height=count, kind=kind)
 
 
 def p_length_value(g: PermGroup, p: int) -> int:

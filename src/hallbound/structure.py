@@ -4,15 +4,14 @@ Every normal-subgroup search here starts from one harvest, _class_seeds:
 one generator per conjugacy class of the cyclic subgroups of prime-power
 order.  It reads the elements once, from the chain's shared-prefix
 enumeration, and sorts each one into its cyclic subgroup with one power walk
-per cyclic subgroup it has not met.  The normal_part sweep behind cores and
-radicals adjoins those seeds, and minimal normal subgroups, which drive
-everything else, take two routes:
+per cyclic subgroup it has not met.  seed_closures closes each seed of the
+whole group under conjugation, once per group.  The cores and radicals of
+normal_part are spans of those closures, and minimal normal subgroups,
+which drive everything else, take two routes:
 
-  * under the enumeration cap, each prime-order seed is closed under
-    conjugation; the inclusion-minimal closures are exactly the minimal
-    normal subgroups (any nontrivial normal subgroup contains one, and a
-    minimal normal subgroup is the closure of each of its nontrivial
-    elements);
+  * under the enumeration cap, they are the inclusion-minimal seed
+    closures (any nontrivial normal subgroup contains one, and a minimal
+    normal subgroup is the closure of each of its nontrivial elements);
   * over the cap, candidates come from kernels of block actions (every
     intransitive normal subgroup fixes an invariant partition) and each
     returned subgroup carries a certificate: either it is small enough to
@@ -82,7 +81,8 @@ def _class_seeds(ambient: PermGroup, k: PermGroup, cap: int) -> list[Permutation
     among its generators, and each returned generator is its subgroup's key.
     Every subgroup is generated by its elements of prime-power order, and a
     normal subgroup contains a seed exactly when it contains the seed's whole
-    conjugacy class, so sweeps may restrict to these seeds.
+    conjugacy class, so a normal subgroup of k is generated by the normal
+    closures of the seeds it contains.
 
     The harvest reads k's elements once, under the enumeration cap, and
     gives each element x that no earlier walk has met one power walk x,
@@ -215,8 +215,20 @@ def _factor_orbit_products(
     ]
 
 
+@functools.lru_cache(maxsize=None)
+def seed_closures(g: PermGroup) -> tuple[PermGroup, ...]:
+    """The distinct normal closures in g of g's class seeds, in seed order;
+    every normal subgroup of g is the span of the closures it contains.
+    Like minimal_normal_subgroups, it reads the enumeration cap at call
+    time but is memoized per group only."""
+    seeds = _class_seeds(g, g, enumeration_cap())
+    closures = [normal_closure(g, PermGroup(g.degree, [x])) for x in seeds]
+    return tuple(_dedupe_subgroups(closures))
+
+
 def _minimal_normals_inside(g: PermGroup, k: PermGroup, cap: int) -> list[PermGroup]:
-    """All minimal normal subgroups of g contained in the normal subgroup k."""
+    """All minimal normal subgroups of g contained in the proper normal
+    subgroup k."""
     if k.order() <= cap:
         return _inclusion_minimal(
             normal_closure(g, PermGroup(g.degree, [x]))
@@ -287,7 +299,7 @@ def minimal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
         raise PreconditionError("the trivial group has no minimal normal subgroups")
     cap = enumeration_cap()
     if g.order() <= cap:
-        result = _minimal_normals_inside(g, g, cap)
+        result = _inclusion_minimal(seed_closures(g))
     else:
         result = _minimal_normals_structured(g, cap)
     for n in result:
@@ -379,33 +391,22 @@ def is_simple(g: PermGroup) -> bool:
     return len(mins) == 1 and mins[0].order() == g.order()
 
 
-def normal_part(g: PermGroup, keep, seed_ok=None) -> PermGroup:
-    """Largest normal subgroup satisfying `keep`, by a closure sweep.
+def normal_part(g: PermGroup, keep) -> PermGroup:
+    """Largest normal subgroup satisfying `keep`, as a span of seed closures.
 
     `keep` must hold for the trivial group and be inherited by subgroups and
     by products of normal subgroups, so that a largest normal `keep`-subgroup
     R exists.  R is g when g satisfies `keep`, and trivial when no minimal
     normal subgroup does, since a nontrivial R contains one; both settle
-    without a sweep.  Otherwise the sweep adjoins a seed x exactly when
-    the normal closure of the current part together with x still satisfies
-    `keep`; accepted closures never leave R, and each seed inside R is
-    absorbed at its turn, so the sweep ends at R itself.  Runs entirely on
-    the original domain.  `seed_ok` may discard seeds that cannot lie in R.
+    without a harvest.  Otherwise a seed closure lies in R exactly when it
+    satisfies `keep`, and R is the span of the closures inside it.  Runs
+    entirely on the original domain.
     """
     if g.is_trivial() or keep(g):
         return g
     if not any(keep(n) for n in minimal_normal_subgroups(g)):
         return PermGroup.trivial(g.degree)
-    current = PermGroup.trivial(g.degree)
-    for x in _class_seeds(g, g, enumeration_cap()):
-        if seed_ok is not None and not seed_ok(x):
-            continue
-        if current.contains(x):
-            continue
-        candidate = normal_closure(g, span(g.degree, (*current.generators, x)))
-        if keep(candidate):
-            current = candidate
-    return current
+    return span(g.degree, (x for n in seed_closures(g) if keep(n) for x in n.generators))
 
 
 def soluble_radical(g: PermGroup) -> PermGroup:
@@ -413,6 +414,6 @@ def soluble_radical(g: PermGroup) -> PermGroup:
 
     A minimal normal subgroup is soluble exactly when it is abelian, so
     normal_part settles a radical without abelian minimal normal subgroups
-    as trivial without a sweep.
+    as trivial without reading the seed closures.
     """
     return normal_part(g, is_soluble)

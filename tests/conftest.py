@@ -5,12 +5,46 @@ generated value is a legal group element and shrinking stays inside the
 domain.  Groups used across modules are built once per session.
 """
 
+import ast
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from hallbound import Permutation, make_named
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hallbound"
+
+
+def _is_cache(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+    return name in {"lru_cache", "cache"}
+
+
+def cached_definitions() -> list[tuple[str, str, bool]]:
+    """(module, function name, defined at module level) for every memoized
+    function of the package, read from its source."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top_level = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _is_cache(d) for d in node.decorator_list
+            ):
+                found.append((path.stem, node.name, id(node) in top_level))
+    return found
+
+
+def clear_caches() -> None:
+    """Empty every memo of the package.  Memos are keyed by their arguments,
+    not by the HALLBOUND_CAP they were computed under, so a test that
+    changes the cap clears them before it starts and after it ends."""
+    for module, name, _ in cached_definitions():
+        getattr(importlib.import_module(f"hallbound.{module}"), name).cache_clear()
 
 
 def permutations_of_degree(degree: int):

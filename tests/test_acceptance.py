@@ -8,6 +8,7 @@ independently of the production series computations they guard.
 """
 
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -42,8 +43,10 @@ from hallbound import (
     p_core,
     p_length_oracle,
     p_length_value,
+    pi_core,
     pointwise_stabilizer,
     quotient_by,
+    soluble_radical,
     span,
     suite_specs,
     sylow_subgroup,
@@ -225,9 +228,21 @@ def test_criterion_4_oracle_equivalences():
     start = time.perf_counter()
     small = [(name, g) for name, g in corpus_groups() if g.order() <= 2000]
     assert small, "corpus lost its small groups"
-    series_pairs = layer_pairs = core_pairs = length_pairs = 0
+    series_pairs = layer_pairs = core_pairs = length_pairs = radical_pairs = 0
+
+    def largest_normal(g, keep):
+        return max((n for n in normal_subgroup_lattice(g) if keep(n)), key=lambda n: n.order())
+
     for name, g in small:
-        for p in prime_divisors(g.order()):
+        primes = prime_divisors(g.order())
+        for size in range(1, len(primes) + 1):
+            for pi in map(PrimeSet, itertools.combinations(primes, size)):
+                oracle = largest_normal(g, lambda n: pi.is_pi_number(n.order()))
+                assert pi_core(g, pi).same_group_as(oracle), (name, tuple(pi))
+                radical_pairs += 1
+        assert soluble_radical(g).same_group_as(largest_normal(g, is_soluble)), name
+        radical_pairs += 1
+        for p in primes:
             assert non_p_soluble_length(g, p) == lambda_oracle(g, p), (name, p)
             series_pairs += 1
             assert p_core(g, p).same_group_as(sylow_conjugate_intersection(g, p)), (name, p)
@@ -242,7 +257,8 @@ def test_criterion_4_oracle_equivalences():
     print(
         "criterion 4 (oracle equivalences: "
         f"{series_pairs} series, {layer_pairs} layers, {core_pairs} cores, "
-        f"{length_pairs} lengths): PASS [{elapsed:.1f}s]"
+        f"{length_pairs} lengths, {radical_pairs} pi-cores and soluble radicals): "
+        f"PASS [{elapsed:.1f}s]"
     )
 
 

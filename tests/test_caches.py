@@ -5,32 +5,24 @@ module-level functions; a private or nested cache would survive the clearing
 and carry its entries, and their memory, into the next pass.
 """
 
-import ast
-from pathlib import Path
+import importlib
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hallbound"
-
-
-def _is_cache(decorator: ast.expr) -> bool:
-    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-    return name in {"lru_cache", "cache"}
+from conftest import cached_definitions, clear_caches
+from hallbound import generalized_fitting_height
 
 
 def test_every_cached_function_is_public_and_module_level():
-    sources = sorted(SRC.glob("*.py"))
-    assert sources
-    cached, hidden = [], []
-    for path in sources:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        top_level = {id(node) for node in tree.body}
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not any(_is_cache(d) for d in node.decorator_list):
-                continue
-            cached.append(f"{path.name}: {node.name}")
-            if node.name.startswith("_") or id(node) not in top_level:
-                hidden.append(f"{path.name}: {node.name}")
+    cached = cached_definitions()
     assert cached
+    hidden = [
+        f"{module}: {name}" for module, name, top in cached if name.startswith("_") or not top
+    ]
     assert hidden == []
+
+
+def test_clear_caches_empties_every_memo(s4):
+    generalized_fitting_height(s4)
+    clear_caches()
+    for module, name, _ in cached_definitions():
+        memo = getattr(importlib.import_module(f"hallbound.{module}"), name)
+        assert memo.cache_info().currsize == 0, f"{module}.{name}"

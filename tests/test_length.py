@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import clear_caches
 from hallbound import (
     PermGroup,
     check_kernel_lemma,
@@ -34,7 +35,7 @@ def test_p_kernel_of_simple_group_is_whole(a5):
 
 def test_p_kernel_of_full_order_is_the_group_itself():
     s5 = make_named("S5")
-    kernel_series.cache_clear()
+    clear_caches()
     assert p_kernel(s5, 5) is s5
 
 
@@ -57,12 +58,12 @@ def test_kernel_series_never_reads_a_trivial_kernel_as_the_end(monkeypatch):
     monkeypatch.setattr(
         length, "_kernel_of_factor_action", lambda g, factors: PermGroup.trivial(g.degree)
     )
-    kernel_series.cache_clear()
+    clear_caches()
     try:
         with pytest.raises(AssertionError, match="failed to ascend"):
             kernel_series(g, 3)
     finally:
-        kernel_series.cache_clear()
+        clear_caches()
 
 
 KERNEL_LEMMA_CASES = [

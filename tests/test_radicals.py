@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import permutations_of_degree
+from conftest import clear_caches, permutations_of_degree
 from hallbound import (
     PermGroup,
     PrimeSet,
@@ -47,13 +47,13 @@ def test_sylow_subgroup_orders(s4):
 
 def test_sylow_subgroup_respects_enumeration_cap(monkeypatch):
     s5 = symmetric_group(5)
-    sylow_subgroup.cache_clear()
+    clear_caches()
     monkeypatch.setenv("HALLBOUND_CAP", "100")
     try:
         with pytest.raises(CapExceeded):
             sylow_subgroup(s5, 2)
     finally:
-        sylow_subgroup.cache_clear()
+        clear_caches()
 
 
 def _assert_sylow(g, p):
@@ -88,7 +88,7 @@ def test_sylow_subgroup_contract_on_random_groups(perms):
 def test_sylow_subgroups_of_large_groups_within_budget():
     """One pass per prime: A5 wr C3 (order 648,000) and A9 well inside 5 s."""
     groups = {"A5 wr C3": group_from_spec("A5 wr C3"), "A9": alternating_group(9)}
-    sylow_subgroup.cache_clear()
+    clear_caches()
     start = time.perf_counter()
     orders = {
         name: [sylow_subgroup(g, p).order() for p in prime_divisors(g.order())]

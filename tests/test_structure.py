@@ -2,24 +2,29 @@
 
 import math
 import time
+from collections import Counter
 
 import pytest
 
+from conftest import clear_caches
 from hallbound import (
     PermGroup,
     PrimeSet,
     alternating_group,
+    check_kernel_lemma,
     compute_invariant_report,
     conjugate_subgroup,
     cyclic_group,
     derived_series,
     dihedral_group,
     direct_product,
+    generalized_fitting_height,
     group_from_spec,
     is_nilpotent,
     is_normal,
     is_simple,
     is_soluble,
+    kernel_series,
     lower_central_series,
     make_named,
     minimal_normal_subgroups,
@@ -30,7 +35,8 @@ from hallbound import (
 )
 from hallbound.errors import CapExceeded
 from hallbound.perm import Permutation
-from hallbound.primes import factorize
+from hallbound import structure
+from hallbound.primes import factorize, prime_divisors
 from hallbound.structure import _class_seeds
 
 
@@ -66,14 +72,14 @@ def test_structured_minimal_normals_match_exhaustive(monkeypatch, spec, cap, ord
     # Below the group order, HALLBOUND_CAP sends minimal_normal_subgroups down
     # the block-kernel route with its disjoint-support certificate.
     g = group_from_spec(spec)
-    minimal_normal_subgroups.cache_clear()
+    clear_caches()
     try:
         exhaustive = minimal_normal_subgroups(g)
-        minimal_normal_subgroups.cache_clear()
+        clear_caches()
         monkeypatch.setenv("HALLBOUND_CAP", str(cap))
         structured = minimal_normal_subgroups(g)
     finally:
-        minimal_normal_subgroups.cache_clear()
+        clear_caches()
     assert [n.order() for n in exhaustive] == orders
     assert len(structured) == len(exhaustive)
     assert all(a.same_group_as(b) for a, b in zip(structured, exhaustive))
@@ -120,6 +126,31 @@ def test_class_seeds_keep_the_enumeration_cap():
         _class_seeds(g, g, g.order() - 1)
     assert info.value.needed == g.order()
     assert info.value.cap == g.order() - 1
+
+
+def test_each_group_is_harvested_once(monkeypatch):
+    # Cores, radicals and minimal normal subgroups all read one memoized set
+    # of seed closures per group, so the kernel series with its lemma and the
+    # generalized Fitting height harvest each (ambient, k) pair at most once.
+    harvests = Counter()
+    harvest = structure._class_seeds
+
+    def counted(ambient, k, cap):
+        harvests[ambient, k] += 1
+        return harvest(ambient, k, cap)
+
+    monkeypatch.setattr(structure, "_class_seeds", counted)
+    clear_caches()
+    for spec in ("A5 x SL(2,3)", "PSL(2,7) x S3", "S5 x S3", "A5 x D12"):
+        g = group_from_spec(spec)
+        for p in prime_divisors(g.order()):
+            if p != 2:
+                kernel_series(g, p)
+                check_kernel_lemma(g, p)
+        generalized_fitting_height(g)
+    repeated = {(a.order(), k.order()): n for (a, k), n in harvests.items() if n > 1}
+    assert harvests
+    assert repeated == {}, f"{sum(harvests.values())} harvests of {len(harvests)} pairs"
 
 
 def test_socle_of_s4(s4):
