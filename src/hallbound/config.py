@@ -2,8 +2,8 @@
 
 The enumeration cap is read at call time so HALLBOUND_CAP takes effect
 without re-importing; it bounds element enumeration for the brute-force
-operations.  SEARCH_SEED fixes the randomized Hall-subgroup search and the
-sampled harvesting, so every answer is the same on every run.
+operations.  SEARCH_SEED fixes the randomized Hall-subgroup search, the
+one randomized step, so every answer is the same on every run.
 """
 
 import os

@@ -21,15 +21,9 @@ from .config import LATTICE_ORDER_CAP, NORMAL_LATTICE_BUDGET
 from .errors import PreconditionError, check_cap
 from .group import PermGroup, action_kernel, is_normal, normal_closure, span
 from .perm import Permutation
-from .primes import is_prime
 from .quotient import ascending_series, factor_group, quotient_or_self
-from .radicals import is_p_soluble, p_soluble_radical
+from .radicals import is_p_soluble, p_soluble_radical, require_prime
 from .structure import _factor_images, is_soluble, socle
-
-
-def _validate_prime(p: int) -> None:
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
 
 
 def _kernel_of_factor_action(g: PermGroup, factors) -> PermGroup:
@@ -74,7 +68,7 @@ def kernel_series(g: PermGroup, p: int) -> KernelSeries:
     The series is strictly ascending and the number of terms is the
     non-p-soluble length; a p-soluble group yields the empty series.
     """
-    _validate_prime(p)
+    require_prime(p)
     counts: list[int] = []
     socle_preimage: PermGroup | None = None
 
@@ -234,7 +228,7 @@ def lambda_oracle(g: PermGroup, p: int) -> int:
     """Definitional value: fewest non-p-soluble factors over all normal
     series whose factors are p-soluble or semisimple with p dividing each
     simple factor's order.  Exhaustive; requires order <= 2000."""
-    _validate_prime(p)
+    require_prime(p)
     if is_p_soluble(g, p):
         return 0
 
@@ -251,7 +245,7 @@ def lambda_oracle(g: PermGroup, p: int) -> int:
 def p_length_oracle(g: PermGroup, p: int) -> int:
     """Definitional p-length: fewest p-factors over all normal series with
     p-group or p'-group factors.  Exhaustive; requires order <= 1000."""
-    _validate_prime(p)
+    require_prime(p)
     if not is_p_soluble(g, p):
         raise PreconditionError("p-length oracle requires a p-soluble group")
     check_cap(g.order(), 1000, "p-length oracle: group order")

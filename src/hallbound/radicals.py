@@ -87,7 +87,12 @@ def _upper_p_step(q: PermGroup, p: int) -> PermGroup:
     return p_core(q, p) if core.is_trivial() else core
 
 
-@functools.lru_cache(maxsize=None)
+def require_prime(p: int) -> None:
+    """The one prime check of the p-parametrised invariants."""
+    if not is_prime(p):
+        raise PreconditionError(f"{p} is not prime")
+
+
 def p_soluble_radical(g: PermGroup, p: int) -> PermGroup:
     """Largest normal p-soluble subgroup.
 
@@ -97,6 +102,7 @@ def p_soluble_radical(g: PermGroup, p: int) -> PermGroup:
     inside one of them, so the limit is the whole radical.  Quotients are
     only ever taken by the accumulated radical, never by a small piece of it.
     """
+    require_prime(p)
     if is_soluble(g):
         return g
     return ascending_series(g, lambda q: _upper_p_step(q, p))[-1]
@@ -105,8 +111,6 @@ def p_soluble_radical(g: PermGroup, p: int) -> PermGroup:
 def is_p_soluble(g: PermGroup, p: int) -> bool:
     """Every composition factor is a p-group or a p'-group: the group equals
     its own p-soluble radical, which returns soluble groups outright."""
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
     return p_soluble_radical(g, p).order() == g.order()
 
 
@@ -203,8 +207,7 @@ def p_length(g: PermGroup, p: int) -> HeightCertificate:
     exactly when the group is not p-soluble; each factor of order divisible
     by p is counted.
     """
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
+    require_prime(p)
     kind = "two_length" if p == 2 else "p_length"
     series = _ascending_tower(g, lambda q: _upper_p_step(q, p), kind).series
     count = sum((b.order() // a.order()) % p == 0 for a, b in zip(series, series[1:]))

@@ -7,29 +7,36 @@ enumeration, and sorts each one into its cyclic subgroup with one power walk
 per cyclic subgroup it has not met.  seed_closures closes each seed of the
 whole group under conjugation, once per group.  The cores and radicals of
 normal_part are spans of those closures, and minimal normal subgroups,
-which drive everything else, take two routes:
+which drive everything else, take three routes:
 
+  * a giant, the symmetric or alternating group on the m >= 5 points it
+    moves, is recognised by its order alone (_giant_index), and its one
+    minimal normal subgroup is the alternating group, with no enumeration;
   * under the enumeration cap, they are the inclusion-minimal seed
     closures (any nontrivial normal subgroup contains one, and a minimal
     normal subgroup is the closure of each of its nontrivial elements);
-  * over the cap, candidates come from kernels of block actions (every
-    intransitive normal subgroup fixes an invariant partition) and each
-    returned subgroup carries a certificate: either it is small enough to
-    re-check exhaustively, or it factors into pairwise disjointly supported
-    simple groups permuted transitively by the ambient group, which forces
-    minimality.  A transitive minimal normal subgroup of an over-cap group
-    has no such certificate and the computation fails loudly instead.
+  * over the cap, candidates come from kernels of orbit and block actions
+    and each returned subgroup carries a certificate: either it is small
+    enough to re-check exhaustively, or it factors into pairwise disjointly
+    supported simple groups (each under the cap or a giant) permuted
+    transitively by the ambient group, which forces minimality.
+
+Soundness limit of the over-cap route: it finds only the minimal normal
+subgroups that lie inside some kernel, which is the pointwise stabilizer of
+an orbit or of its complement for an intransitive group and a block action
+kernel for a transitive one.  A minimal normal subgroup that meets every
+such kernel trivially is missed.  When that leaves no candidate the search
+raises CapExceeded; when other candidates exist the answer omits it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .config import SEARCH_SEED, enumeration_cap
+from .config import enumeration_cap
 from .errors import PreconditionError, check_cap
 from .group import (
     PermGroup,
@@ -140,25 +147,32 @@ def _class_seeds(ambient: PermGroup, k: PermGroup, cap: int) -> list[Permutation
     return seeds
 
 
-def _prime_parts(x: Permutation) -> list[Permutation]:
-    """The nontrivial prime-power parts of x (each of prime-power order)."""
-    n = x.order()
-    out = []
-    for p, e in factorize(n).items():
-        part = x ** (n // p**e)
-        # reduce to prime order for closure seeding
-        part = part ** (p ** (e - 1))
-        if not part.is_identity:
-            out.append(part)
-    return out
+def _giant_index(g: PermGroup) -> int | None:
+    """1 when g is the symmetric group on the m >= 5 points it moves, 2 when
+    it is the alternating group there, None otherwise.
+
+    g lies in Sym(Delta) for its set Delta of moved points, so |g| = m!
+    forces g = Sym(Delta), and |g| = m!/2 forces the one subgroup of index
+    2, Alt(Delta).  m! is formed only while it stays within 2|g|.
+    """
+    m = sum(len(orbit) for orbit in g.orbits() if len(orbit) > 1)
+    if m < 5:
+        return None
+    n = g.order()
+    factorial = 1
+    for i in range(2, m + 1):
+        factorial *= i
+        if factorial > 2 * n:
+            return None
+    return factorial // n if factorial in (n, 2 * n) else None
 
 
 def _support_factorization(k: PermGroup, cap: int) -> list[PermGroup] | None:
     """Split k into disjointly supported simple factors, or None.
 
     Valid only when the factors together have the full order of k, each is a
-    certified non-abelian simple group (checked exhaustively, so each factor
-    must be under the cap), and supports are the orbits of k.
+    certified non-abelian simple group (a giant by its order, any other
+    factor exhaustively, under the cap), and supports are the orbits of k.
     """
     factors = []
     total = 1
@@ -168,7 +182,7 @@ def _support_factorization(k: PermGroup, cap: int) -> list[PermGroup] | None:
         inside = set(orbit)
         rest = [pt for pt in range(k.degree) if pt not in inside]
         t = pointwise_stabilizer(k, rest)
-        if t.is_trivial() or t.order() > cap:
+        if t.is_trivial() or t.order() > cap and _giant_index(t) is None:
             return None
         factors.append(t)
         total *= t.order()
@@ -269,27 +283,11 @@ def _minimal_normals_structured(g: PermGroup, cap: int) -> list[PermGroup]:
     candidates: list[PermGroup] = []
     for k in _dedupe_subgroups(kernels):
         candidates.extend(_minimal_normals_inside(g, k, cap))
-    # Seeded sampling catches normal subgroups missed by the kernels; any
-    # candidate it adds is still certified below before being trusted.
-    rng = random.Random(SEARCH_SEED)
-    pool: list[Permutation] = []
-    for gen in g.generators:
-        pool.extend(_prime_parts(gen))
-    for _ in range(24):
-        pool.extend(_prime_parts(g.random_element(rng)))
-    for x in pool:
-        n = normal_closure(g, PermGroup(g.degree, [x]))
-        if n.order() < g.order():
-            candidates.append(n)
-    minimal = _inclusion_minimal(candidates)
-    if not minimal:
+    if not candidates:
         # only groups over the cap come here, so this raises
         what = "minimal normal search: no proper normal subgroup certified, order"
         check_cap(g.order(), cap, what)
-    certified: list[PermGroup] = []
-    for n in minimal:
-        certified.extend(_minimal_normals_inside(g, n, cap))
-    return _inclusion_minimal(certified)
+    return _inclusion_minimal(candidates)
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,7 +296,11 @@ def minimal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
     if g.is_trivial():
         raise PreconditionError("the trivial group has no minimal normal subgroups")
     cap = enumeration_cap()
-    if g.order() <= cap:
+    index = _giant_index(g)
+    if index is not None:
+        # Alt(Delta) is simple and is the one minimal normal subgroup
+        result = [g if index == 2 else derived_subgroup(g)]
+    elif g.order() <= cap:
         result = _inclusion_minimal(seed_closures(g))
     else:
         result = _minimal_normals_structured(g, cap)

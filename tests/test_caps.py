@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import clear_caches
 from hallbound import CapExceeded, group_from_spec, minimal_normal_subgroups
-from hallbound.config import enumeration_cap
 from hallbound.errors import check_cap
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hallbound"
@@ -62,10 +62,23 @@ def test_construction_degree_cap():
 
 
 @pytest.mark.parametrize("spec", ["S10", "A10"])
-def test_giants_over_the_cap_name_the_minimal_normal_search(spec):
-    # A10 (the minimal normal subgroup of S10, and A10 itself) neither
-    # splits on disjoint supports nor is under the cap, so both stop before
-    # enumerating
-    with pytest.raises(CapExceeded, match="minimal normal search") as info:
-        minimal_normal_subgroups(group_from_spec(spec))
-    assert (info.value.needed, info.value.cap) == (1_814_400, enumeration_cap())
+def test_giants_over_the_cap_have_the_alternating_group_as_minimal_normal(spec):
+    # Recognised by order, so neither giant needs a certificate under the cap
+    a10 = group_from_spec("A10")
+    minimals = minimal_normal_subgroups(group_from_spec(spec))
+    assert len(minimals) == 1
+    assert minimals[0].same_group_as(a10)
+
+
+def test_primitive_group_over_the_cap_names_the_minimal_normal_search(monkeypatch):
+    # PSL(2,13) on 14 points has no orbit or block kernel to search and is
+    # no giant, so over a lowered cap the search stops before enumerating
+    g = group_from_spec("PSL(2,13)")
+    clear_caches()
+    monkeypatch.setenv("HALLBOUND_CAP", "1000")
+    try:
+        with pytest.raises(CapExceeded, match="minimal normal search") as info:
+            minimal_normal_subgroups(g)
+    finally:
+        clear_caches()
+    assert (info.value.needed, info.value.cap) == (1092, 1000)

@@ -142,6 +142,14 @@ def test_p_soluble_radical_values():
     assert p_soluble_radical(symmetric_group(4), 2).order() == 24
 
 
+@pytest.mark.parametrize("spec", ["S4", "A5"])
+def test_p_soluble_radical_rejects_a_composite_p(spec):
+    # The prime check runs before the soluble shortcut (S4) and before
+    # PrimeSet's own ValueError (A5)
+    with pytest.raises(PreconditionError, match="4 is not prime"):
+        p_soluble_radical(make_named(spec), 4)
+
+
 def test_is_p_soluble():
     assert is_p_soluble(symmetric_group(4), 2)
     assert is_p_soluble(symmetric_group(4), 3)

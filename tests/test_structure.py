@@ -16,6 +16,7 @@ from hallbound import (
     conjugate_subgroup,
     cyclic_group,
     derived_series,
+    derived_subgroup,
     dihedral_group,
     direct_product,
     generalized_fitting_height,
@@ -37,7 +38,13 @@ from hallbound.errors import CapExceeded
 from hallbound.perm import Permutation
 from hallbound import structure
 from hallbound.primes import factorize, prime_divisors
-from hallbound.structure import _class_seeds
+from hallbound.structure import (
+    _class_seeds,
+    _giant_index,
+    _inclusion_minimal,
+    _support_factorization,
+    seed_closures,
+)
 
 
 def test_minimal_normal_of_s4_is_v4(s4):
@@ -151,6 +158,63 @@ def test_each_group_is_harvested_once(monkeypatch):
     repeated = {(a.order(), k.order()): n for (a, k), n in harvests.items() if n > 1}
     assert harvests
     assert repeated == {}, f"{sum(harvests.values())} harvests of {len(harvests)} pairs"
+
+
+@pytest.mark.parametrize(
+    "spec, index",
+    [(f"A{n}", 2) for n in range(5, 9)]
+    + [(f"S{n}", 1) for n in range(5, 9)]
+    + [("S3", None), ("A4", None), ("S4", None)],
+)
+def test_giants_match_the_seed_closures(spec, index):
+    # on at most four points S3, A4 and S4 are no giants
+    g = group_from_spec(spec)
+    assert _giant_index(g) == index
+    exhaustive = _inclusion_minimal(seed_closures(g))
+    minimals = minimal_normal_subgroups(g)
+    assert len(minimals) == len(exhaustive)
+    assert all(a.same_group_as(b) for a, b in zip(minimals, exhaustive))
+
+
+def test_a_giant_that_fixes_points_is_recognised(monkeypatch):
+    # The base A5^3 of A5 wr C3 splits on its orbits into three A5 factors,
+    # each moving 5 of the 15 points; over a cap of 50 each is certified
+    # simple only by its order.
+    base = derived_subgroup(group_from_spec("A5 wr C3"))
+    assert base.order() == 60**3
+    clear_caches()
+    monkeypatch.setenv("HALLBOUND_CAP", "50")
+    try:
+        factors = _support_factorization(base, 50)
+        assert [f.order() for f in factors] == [60, 60, 60]
+        for f in factors:
+            assert sum(len(o) for o in f.orbits() if len(o) > 1) == 5
+            assert _giant_index(f) == 2
+            assert minimal_normal_subgroups(f) == (f,)
+    finally:
+        clear_caches()
+
+
+@pytest.mark.parametrize("spec, order", [("A8", 20160), ("S7", 2520), ("S10", 1814400), ("A10", 1814400)])
+def test_socle_of_a_giant_enumerates_no_element(monkeypatch, spec, order):
+    g = group_from_spec(spec)
+    enumerated = Counter()
+    elements = PermGroup.elements
+
+    def counted(group):
+        for x in elements(group):
+            enumerated[group.order()] += 1
+            yield x
+
+    monkeypatch.setattr(PermGroup, "elements", counted)
+    clear_caches()
+    try:
+        dec = socle(g)
+    finally:
+        clear_caches()
+    assert [f.order() for f in dec.factors] == [order]
+    assert dec.socle.order() == order
+    assert enumerated == Counter()
 
 
 def test_socle_of_s4(s4):
