@@ -743,7 +743,7 @@ class _UnionFind:
 def minimal_block_system(g: PermGroup, alpha: int, beta: int) -> tuple[tuple[int, ...], ...]:
     """Finest G-invariant partition with alpha and beta in one block.
 
-    Classical union-find refinement; requires a transitive group.
+    Classical union-find refinement; alpha and beta must lie in one orbit.
     """
     classes = _UnionFind(g.degree)
     classes.union(alpha, beta)
@@ -768,19 +768,25 @@ def _join_partitions(
 
 
 def block_systems(g: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
-    """All non-trivial block systems of a transitive group.
+    """All non-trivial block systems of a group transitive on the points it
+    moves; every point it fixes is a block of its own in each system.
 
     Every invariant partition is a join of the minimal ones, so the join
     closure of the minimal systems is complete.  BLOCK_SYSTEM_BUDGET guards
     pathological lattices.
     """
-    if not g.is_transitive():
-        raise ValueError("block systems require a transitive group")
+    moved = [orbit for orbit in g.orbits() if len(orbit) > 1]
+    if len(moved) != 1:
+        raise ValueError("block systems require a group transitive on its support")
+    support = moved[0]
     n = g.degree
+    # a system is non-trivial when it splits the support into more than one
+    # block and fewer than all of its points
+    fewest = n - len(support) + 1
     systems: dict[tuple[tuple[int, ...], ...], None] = {}
-    for beta in range(1, n):
-        system = minimal_block_system(g, 0, beta)
-        if len(system) > 1 and len(system) < n:
+    for beta in support[1:]:
+        system = minimal_block_system(g, support[0], beta)
+        if fewest < len(system) < n:
             systems.setdefault(system, None)
     work = list(systems)
     while work:
@@ -788,7 +794,7 @@ def block_systems(g: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
         current = work.pop()
         for other in list(systems):
             joined = _join_partitions(current, other, n)
-            if 1 < len(joined) < n and joined not in systems:
+            if fewest < len(joined) < n and joined not in systems:
                 systems[joined] = None
                 work.append(joined)
     return sorted(systems, key=lambda s: (len(s), s))

@@ -6,21 +6,29 @@ answers each (group, pi) pair once under a given enumeration cap
 and their budget_used mapping is read-only) and tries, in order:
 
   1. the trivial cases, where the pi-part is 1 or the whole order;
-  2. a seeded randomized greedy growth (fast, may miss);
-  3. P. Hall's coset-action bound (Theorems like Sylow's, 1956): a Hall
+  2. a seeded randomized greedy growth (fast, may miss), for its first
+     GREEDY_RESTARTS[0] restarts;
+  3. P. Hall's coset-action bound (Theorems like Sylow's, 1956) on G: a Hall
      pi-subgroup of index m makes G act on its m cosets with a kernel inside
-     O_pi(G), so |G : O_pi(G)| divides m!.  A Hall pi-subgroup of G meets
-     every subnormal subgroup in a Hall pi-subgroup of it, so the bound must
-     also hold for each socle factor.  A failure proves absence;
-  4. for groups under the exhaustive cap, a complete scan over subgroups
+     O_pi(G), so |G : O_pi(G)| divides m!.  A failure proves absence;
+  4. the remaining GREEDY_RESTARTS[1] restarts of the same seeded stream;
+  5. the same bound on each socle factor: a Hall pi-subgroup of G meets
+     every subnormal subgroup in a Hall pi-subgroup of it;
+  6. for groups under the exhaustive cap, a complete scan over subgroups
      generated by Sylow systems; above the cap the verdict stays unknown.
 
-The bound runs after greedy growth because it needs pi_core, which costs far
-more than a greedy success; a CapExceeded inside it only means no
-certificate.  The scan is exact: a subgroup of full pi-part order contains a
-Sylow p-subgroup of the whole group for every p in pi and is generated by
-one such choice per prime, and all Sylow p-subgroups are conjugate, so
-fixing one reference factor and ranging over conjugates of the rest visits a
+The bound on G needs pi_core only when |G| does not divide m!, and pi_core
+reads the memoized seed closures of G, so it costs little next to the
+restarts it spares every group it decides.  The socle factors wait for the
+last restart because socle can enumerate a large group, which costs far
+more than a greedy success.  A CapExceeded inside either check only means no
+certificate.  Both parts of the greedy phase draw from one seeded stream,
+so every witness is the one all the restarts in a row would find.
+
+The scan is exact: a subgroup of full pi-part order contains a Sylow
+p-subgroup of the whole group for every p in pi and is generated by one
+such choice per prime, and all Sylow p-subgroups are conjugate, so fixing
+one reference factor and ranging over conjugates of the rest visits a
 conjugate of every Hall pi-subgroup.  Absence proofs and the
 no-nilpotent-Hall confirmation ride on the same scan.
 
@@ -82,8 +90,10 @@ class HallSearchResult:
 
     budget_used is read-only.  Its "route" names the step that decided:
     "trivial", "greedy", "certificate" (with "certificate_order", the order
-    of G or of the socle factor that fails the coset-action bound), "scan",
-    or "cap" when the group is above the exhaustive cap and stays unknown.
+    of G when the coset-action bound fails on G after the first restarts, or
+    of the socle factor that fails it after the last), "scan", or "cap" when
+    the group is above the exhaustive cap and stays unknown.
+    "random_growth_steps" counts the greedy steps of every restart run.
     """
 
     status: str
@@ -104,12 +114,20 @@ def _pi_part_of_element(x: Permutation, pi: PrimeSet) -> Permutation:
     return x ** pi.coprime_part_of(x.order())
 
 
+# Greedy restarts before and after the coset-action bound on G.  Every
+# greedy witness of the scale-3 suite comes within 3 restarts (S7 with
+# pi = {2,3} on the third), while relabellings of A7 with pi = {2,3} take
+# as many as 17.
+GREEDY_RESTARTS = (3, 17)
+
+
 def _greedy_phase(
-    g: PermGroup, pi: PrimeSet, target: int, rng
+    g: PermGroup, pi: PrimeSet, target: int, rng, restarts: int
 ) -> tuple[PermGroup | None, int]:
-    """Randomized growth by pi-parts of random elements; seeded."""
+    """Randomized growth by pi-parts of random elements, drawn from rng,
+    starting from the trivial group up to restarts times."""
     tried = 0
-    for _ in range(20):
+    for _ in range(restarts):
         current = PermGroup.trivial(g.degree)
         stale = 0
         while current.order() < target and stale < 40:
@@ -150,13 +168,23 @@ def _fails_coset_bound(k: PermGroup, pi: PrimeSet) -> bool:
     return any(e > _factorial_valuation(m, r) for r, e in factorize(index).items())
 
 
-def _coset_bound_witness(g: PermGroup, pi: PrimeSet) -> PermGroup | None:
-    """G or a socle factor of G that fails the coset-action bound, or None,
-    also when a cap stops the check."""
+def _bound_fails_on_group(g: PermGroup, pi: PrimeSet) -> bool:
+    """_fails_coset_bound(g, pi), False also when a cap stops the check."""
     try:
-        if _fails_coset_bound(g, pi):
-            return g
-        return next((f for f in socle(g).factors if _fails_coset_bound(f, pi)), None)
+        return _fails_coset_bound(g, pi)
+    except CapExceeded:
+        return False
+
+
+def _failing_socle_factor(g: PermGroup, pi: PrimeSet) -> PermGroup | None:
+    """A proper socle factor of g that fails the coset-action bound, or None,
+    also when a cap stops the check.  g itself is checked on its own."""
+    try:
+        factors = socle(g).factors
+        return next(
+            (f for f in factors if f.order() < g.order() and _fails_coset_bound(f, pi)),
+            None,
+        )
     except CapExceeded:
         return None
 
@@ -235,12 +263,13 @@ def find_hall_subgroup(g: PermGroup, pi: PrimeSet) -> HallSearchResult:
     enumeration cap in force (see hall_search).
 
     After the trivial cases, seeded randomized greedy growth looks for a
-    witness.  When it fails, the coset-action bound on g and its socle
-    factors may prove absence.  Otherwise groups under the exhaustive cap go
-    through the complete Sylow system scan, whose first subgroup of order
-    pi-part is a witness and whose failure proves absence; larger groups
-    stay unknown.  On soluble groups under the cap the result is therefore
-    always found.
+    witness.  When its first restarts fail, the coset-action bound on g may
+    prove absence; then the remaining restarts run, and when they fail too
+    the bound on g's socle factors may prove absence.  Otherwise groups
+    under the exhaustive cap go through the complete Sylow system scan,
+    whose first subgroup of order pi-part is a witness and whose failure
+    proves absence; larger groups stay unknown.  On soluble groups under the
+    cap the result is therefore always found.
     """
     return hall_search(g, pi, enumeration_cap())
 
@@ -258,11 +287,18 @@ def hall_search(g: PermGroup, pi: PrimeSet, cap: int) -> HallSearchResult:
     if target == g.order():
         return HallSearchResult("found", pi, g, {"route": "trivial"})
     rng = random.Random(SEARCH_SEED)
-    witness, tried = _greedy_phase(g, pi, target, rng)
+    first, rest = GREEDY_RESTARTS
+    witness, tried = _greedy_phase(g, pi, target, rng, first)
     budget = {"random_growth_steps": tried}
+    if witness is None:
+        if _bound_fails_on_group(g, pi):
+            budget.update(route="certificate", certificate_order=g.order())
+            return HallSearchResult("proven_absent", pi, None, budget)
+        witness, tried = _greedy_phase(g, pi, target, rng, rest)
+        budget["random_growth_steps"] += tried
     if witness is not None:
         return HallSearchResult("found", pi, witness, {**budget, "route": "greedy"})
-    failing = _coset_bound_witness(g, pi)
+    failing = _failing_socle_factor(g, pi)
     if failing is not None:
         budget.update(route="certificate", certificate_order=failing.order())
         return HallSearchResult("proven_absent", pi, None, budget)

@@ -22,11 +22,12 @@ which drive everything else, take three routes:
     transitively by the ambient group, which forces minimality.
 
 Soundness limit of the over-cap route: it finds only the minimal normal
-subgroups that lie inside some kernel, which is the pointwise stabilizer of
-an orbit or of its complement for an intransitive group and a block action
-kernel for a transitive one.  A minimal normal subgroup that meets every
-such kernel trivially is missed.  When that leaves no candidate the search
-raises CapExceeded; when other candidates exist the answer omits it.
+subgroups that lie inside some kernel, which is a block action kernel for a
+group transitive on the points it moves, and the pointwise stabilizer of an
+orbit or of its complement for one with several nontrivial orbits.  A
+minimal normal subgroup that meets every such kernel trivially is missed.
+When that leaves no candidate the search raises CapExceeded; when other
+candidates exist the answer omits it.
 """
 
 from __future__ import annotations
@@ -265,13 +266,15 @@ def _minimal_normals_inside(g: PermGroup, k: PermGroup, cap: int) -> list[PermGr
 
 def _minimal_normals_structured(g: PermGroup, cap: int) -> list[PermGroup]:
     kernels: list[PermGroup] = []
-    if g.is_transitive():
+    moved = [orbit for orbit in g.orbits() if len(orbit) > 1]
+    if len(moved) == 1:
+        # transitive on its support, where it acts faithfully
         for system in block_systems(g):
             k = block_action_kernel(g, system)
             if not k.is_trivial():
                 kernels.append(k)
     else:
-        for orbit in g.orbits():
+        for orbit in moved:
             points = set(orbit)
             inside = pointwise_stabilizer(
                 g, [pt for pt in range(g.degree) if pt not in points]

@@ -286,6 +286,20 @@ def test_block_systems_of_cyclic_group_include_joins():
     assert sorted(len(s) for s in systems) == [2, 3, 4, 6]
 
 
+def test_block_systems_keep_fixed_points_as_blocks():
+    # C12 on points 0..11 with 12 and 13 fixed: the same four systems, each
+    # with the two fixed points as blocks of their own
+    c12 = cyclic_group(12)
+    g = PermGroup(14, [Permutation(list(x.images) + [12, 13]) for x in c12.generators])
+    systems = block_systems(g)
+    assert sorted(len(s) for s in systems) == [4, 5, 6, 8]
+    assert all((12,) in s and (13,) in s for s in systems)
+    assert [s[:-2] for s in systems] == block_systems(c12)
+    two_orbits = PermGroup(6, [Permutation([1, 2, 0, 4, 5, 3])])
+    with pytest.raises(ValueError, match="transitive on its support"):
+        block_systems(two_orbits)
+
+
 def test_degree_mismatch_between_groups(s4):
     with pytest.raises(DegreeMismatch):
         s4.is_subgroup_of(symmetric_group(5))

@@ -31,7 +31,10 @@ from hallbound import group
 from hallbound.config import DEFAULT_EXHAUSTIVE_SEARCH_CAP, SEARCH_SEED
 from hallbound.errors import CapExceeded, PreconditionError
 from hallbound.hall import (
-    _coset_bound_witness,
+    GREEDY_RESTARTS,
+    _bound_fails_on_group,
+    _fails_coset_bound,
+    _failing_socle_factor,
     _greedy_phase,
     _pi_part_of_element,
     _subgroup_conjugates,
@@ -260,7 +263,7 @@ def test_greedy_decides_as_the_from_scratch_growth(spec, primes):
     # generators, never which candidates are kept
     g, pi = group_from_spec(spec), PrimeSet(primes)
     target = pi.part_of(g.order())
-    ours = _greedy_phase(g, pi, target, random.Random(SEARCH_SEED))
+    ours = _greedy_phase(g, pi, target, random.Random(SEARCH_SEED), sum(GREEDY_RESTARTS))
     theirs = _greedy_from_scratch(g, pi, target, random.Random(SEARCH_SEED))
     assert ours[1] == theirs[1]
     assert (ours[0] is None) == (theirs[0] is None)
@@ -291,7 +294,9 @@ def test_greedy_extends_chains_instead_of_rebuilding_them(monkeypatch):
 
     monkeypatch.setattr(group, "_mul", counting_mul)
     monkeypatch.setattr(group.StabChain, "__init__", recording_init)
-    witness, tried = _greedy_phase(g, pi, pi.part_of(g.order()), random.Random(SEARCH_SEED))
+    witness, tried = _greedy_phase(
+        g, pi, pi.part_of(g.order()), random.Random(SEARCH_SEED), sum(GREEDY_RESTARTS)
+    )
     assert witness is None
     assert tried == 1134
     assert count[0] < 25_000
@@ -338,34 +343,99 @@ def test_theorem_holds_at_non_p_soluble_length_two():
     assert elapsed < 15, f"reports took {elapsed:.1f}s, budget 15s"
 
 
+def _bound_fires(g, pi) -> bool:
+    """The coset-action bound fails on g or on one of its socle factors."""
+    return _bound_fails_on_group(g, pi) or _failing_socle_factor(g, pi) is not None
+
+
 def _scan_finds_hall(g, pi) -> bool:
     """The exact Sylow system scan on its own, without greedy or bound."""
     target = pi.part_of(g.order())
     return any(c.order() == target for c in _sylow_generated(g, pi, target, [0]))
 
 
-def test_coset_bound_agrees_with_the_scan_on_the_suite():
-    present = absent = decided = 0
+def _suite_pairs():
+    """Every distinct (name, group, pi) of the scale-3 suite."""
     seen = set()
     for name in suite_specs(3):
         g = group_from_spec(name)
         for pi, _ in valid_instances(g):
-            if (name, pi) in seen:
-                continue
-            seen.add((name, pi))
-            fires = _coset_bound_witness(g, pi) is not None
-            result = find_hall_subgroup(g, pi)
-            if result.found:
-                assert is_hall_subgroup(result.subgroup, g, pi)
-                assert not fires, (name, pi)
-                present += 1
-                continue
-            assert g.order() <= DEFAULT_EXHAUSTIVE_SEARCH_CAP, (name, pi)
-            assert not _scan_finds_hall(g, pi), (name, pi)
-            absent += 1
-            decided += fires
+            if (name, pi) not in seen:
+                seen.add((name, pi))
+                yield name, g, pi
+
+
+def test_coset_bound_agrees_with_the_scan_on_the_suite():
+    present = absent = decided = 0
+    for name, g, pi in _suite_pairs():
+        fires = _bound_fires(g, pi)
+        result = find_hall_subgroup(g, pi)
+        if result.found:
+            assert is_hall_subgroup(result.subgroup, g, pi)
+            assert not fires, (name, pi)
+            present += 1
+            continue
+        assert g.order() <= DEFAULT_EXHAUSTIVE_SEARCH_CAP, (name, pi)
+        assert not _scan_finds_hall(g, pi), (name, pi)
+        absent += 1
+        decided += fires
     assert (present, absent) == (36, 25)
     assert decided >= 15
+
+
+def _first_restarts(g, pi):
+    target = pi.part_of(g.order())
+    rng = random.Random(SEARCH_SEED)
+    return _greedy_phase(g, pi, target, rng, GREEDY_RESTARTS[0])
+
+
+def test_bound_on_g_decides_after_the_first_restarts():
+    # The bound on G itself costs little once G's seed closures are known,
+    # so it runs before the last seventeen greedy restarts.
+    decided = []
+    for name, g, pi in _suite_pairs():
+        if not _fails_coset_bound(g, pi):
+            continue
+        result = find_hall_subgroup(g, pi)
+        assert result.status == "proven_absent", (name, pi)
+        assert result.budget_used["route"] == "certificate"
+        assert result.budget_used["certificate_order"] == g.order()
+        witness, steps = _first_restarts(g, pi)
+        assert witness is None
+        assert result.budget_used["random_growth_steps"] == steps, (name, pi)
+        decided.append((name, pi))
+    assert len(decided) == 14
+
+
+def test_socle_factor_bound_runs_after_every_restart():
+    # |A5 x S4| divides 5! (m = 5), so only the socle factor A5, which would
+    # need a Hall {2,5}-subgroup of index 3, fails the bound.
+    g, pi = group_from_spec("A5 x S4"), PrimeSet([2, 5])
+    assert not _fails_coset_bound(g, pi)
+    result = find_hall_subgroup(g, pi)
+    assert result.status == "proven_absent"
+    assert result.budget_used["route"] == "certificate"
+    assert result.budget_used["certificate_order"] == 60
+    target = pi.part_of(g.order())
+    rng = random.Random(SEARCH_SEED)
+    _, steps = _greedy_phase(g, pi, target, rng, sum(GREEDY_RESTARTS))
+    assert result.budget_used["random_growth_steps"] == steps
+
+
+def test_a_late_greedy_witness_keeps_its_generators():
+    # This relabelled A7 finds its Hall {2,3}-subgroup on the 17th restart,
+    # after the bound on G has run between the two parts of the stream.
+    a7, pi = make_named("A7"), PrimeSet([2, 3])
+    sigma = list(range(a7.degree))
+    random.Random(8).shuffle(sigma)
+    g = conjugate_subgroup(a7, Permutation(sigma))
+    assert _first_restarts(g, pi)[0] is None
+    result = find_hall_subgroup(g, pi)
+    assert result.budget_used["route"] == "greedy"
+    target = pi.part_of(g.order())
+    witness, steps = _greedy_from_scratch(g, pi, target, random.Random(SEARCH_SEED))
+    assert result.subgroup.generators == witness.generators
+    assert result.budget_used["random_growth_steps"] == steps
 
 
 def _coset_bound_is_sound(g):
@@ -376,7 +446,7 @@ def _coset_bound_is_sound(g):
     for size in range(1, len(primes)):
         for chosen in itertools.combinations(primes, size):
             pi = PrimeSet(chosen)
-            if _coset_bound_witness(g, pi) is not None:
+            if _bound_fires(g, pi):
                 assert not _scan_finds_hall(g, pi), (g, pi)
 
 

@@ -92,6 +92,38 @@ def test_structured_minimal_normals_match_exhaustive(monkeypatch, spec, cap, ord
     assert all(a.same_group_as(b) for a, b in zip(structured, exhaustive))
 
 
+def _with_fixed_points(g, extra):
+    """g on extra more points, each fixed by every generator."""
+    padding = list(range(g.degree, g.degree + extra))
+    return PermGroup(
+        g.degree + extra, [Permutation(list(x.images) + padding) for x in g.generators]
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, cap, orders",
+    [("A5 wr C2", 1000, [3600]), ("PSL(2,7) wr C2", 10000, [28224])],
+)
+def test_structured_minimal_normals_of_a_group_with_fixed_points(
+    monkeypatch, spec, cap, orders
+):
+    # One nontrivial orbit plus fixed points: the group is transitive on its
+    # support, so the structured route takes its block kernels there.  The
+    # orbit kernels alone are the whole group and the trivial one.
+    g = _with_fixed_points(group_from_spec(spec), 2)
+    clear_caches()
+    try:
+        exhaustive = minimal_normal_subgroups(g)
+        clear_caches()
+        monkeypatch.setenv("HALLBOUND_CAP", str(cap))
+        structured = minimal_normal_subgroups(g)
+    finally:
+        clear_caches()
+    assert [n.order() for n in exhaustive] == orders
+    assert len(structured) == len(exhaustive)
+    assert all(a.same_group_as(b) for a, b in zip(structured, exhaustive))
+
+
 def _cyclic(x):
     return frozenset((x**e).images for e in range(x.order()))
 
