@@ -23,7 +23,7 @@ from .group import PermGroup, action_kernel, is_normal, normal_closure, span
 from .perm import Permutation
 from .quotient import ascending_series, factor_group, quotient_or_self
 from .radicals import is_p_soluble, p_soluble_radical, require_prime
-from .structure import _factor_images, is_soluble, socle
+from .structure import is_soluble, socle
 
 
 def _kernel_of_factor_action(g: PermGroup, factors) -> PermGroup:
@@ -34,8 +34,14 @@ def _kernel_of_factor_action(g: PermGroup, factors) -> PermGroup:
     """
 
     def on_factors(gen: Permutation) -> list[int]:
-        images = _factor_images(gen, factors)
-        if images is None:
+        images = []
+        for f in factors:
+            conj = [x.conjugate(gen) for x in f.generators]
+            images += [
+                j for j, h in enumerate(factors)
+                if h.order() == f.order() and all(h.contains(c) for c in conj)
+            ]
+        if sorted(images) != list(range(len(factors))):
             raise AssertionError("conjugation does not permute the socle factors")
         return images
 

@@ -41,15 +41,18 @@ class QuotientMap:
         index_of: dict[tuple[int, ...], int] = {reps[0]: 0}
         queue = deque([0])
         gen_images = [g.images for g in source.generators]
+        # cosets are walked in index order, so each target row fills in order
+        target_gens: list[list[int]] = [[] for _ in gen_images]
         while queue:
             i = queue.popleft()
             base = reps[i]
-            for g in gen_images:
+            for g, target in zip(gen_images, target_gens):
                 rep = nchain.min_coset_rep(_mul(base, g))
                 if rep not in index_of:
                     index_of[rep] = len(reps)
                     reps.append(rep)
                     queue.append(len(reps) - 1)
+                target.append(index_of[rep])
         if len(reps) != index:
             raise AssertionError(
                 f"coset walk found {len(reps)} cosets, index is {index}"
@@ -58,7 +61,6 @@ class QuotientMap:
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "coset_reps", tuple(Permutation(r) for r in reps))
         object.__setattr__(self, "_index_of", index_of)
-        target_gens = [self._image_images(g.images) for g in source.generators]
         object.__setattr__(
             self,
             "target",

@@ -6,28 +6,32 @@ order.  It reads the elements once, from the chain's shared-prefix
 enumeration, and sorts each one into its cyclic subgroup with one power walk
 per cyclic subgroup it has not met.  seed_closures closes each seed of the
 whole group under conjugation, once per group.  The cores and radicals of
-normal_part are spans of those closures, and minimal normal subgroups,
-which drive everything else, take three routes:
+normal_part are spans of those closures.  Minimal normal subgroups, which
+drive everything else and split the socle into simple factors, come from
+one call that tries in order:
 
-  * a giant, the symmetric or alternating group on the m >= 5 points it
-    moves, is recognised by its order alone (_giant_index), and its one
-    minimal normal subgroup is the alternating group, with no enumeration;
-  * under the enumeration cap, they are the inclusion-minimal seed
-    closures (any nontrivial normal subgroup contains one, and a minimal
-    normal subgroup is the closure of each of its nontrivial elements);
-  * over the cap, candidates come from kernels of orbit and block actions
-    and each returned subgroup carries a certificate: either it is small
-    enough to re-check exhaustively, or it factors into pairwise disjointly
-    supported simple groups (each under the cap or a giant) permuted
-    transitively by the ambient group, which forces minimality.
+  * a giant: a group acting faithfully as the symmetric or alternating
+    group on an orbit of m >= 5 points is recognised by its order
+    (_giant_index); its one minimal normal subgroup is the alternating one;
+  * a direct product: a group with two or more nontrivial orbits whose
+    orbit factors are non-abelian simple and multiply to its order
+    (_support_factorization) has those factors as its minimal normal
+    subgroups, at any order;
+  * under the enumeration cap, the inclusion-minimal seed closures (any
+    nontrivial normal subgroup contains one, and a minimal normal subgroup
+    is the closure of each of its nontrivial elements);
+  * over the cap, a search inside kernels k of orbit and block actions:
+    the inclusion-minimal normal closures of k's prime-order class seeds
+    (k under the cap) or of all of k's minimal normal subgroups (k over it
+    and a giant or a simple product; any other such k raises CapExceeded).
 
-Soundness limit of the over-cap route: it finds only the minimal normal
-subgroups that lie inside some kernel, which is a block action kernel for a
-group transitive on the points it moves, and the pointwise stabilizer of an
-orbit or of its complement for one with several nontrivial orbits.  A
-minimal normal subgroup that meets every such kernel trivially is missed.
-When that leaves no candidate the search raises CapExceeded; when other
-candidates exist the answer omits it.
+Soundness: the answer for each kernel is exact, since a minimal normal
+N <= k is the normal closure of any minimal normal subgroup of k inside it,
+so every subgroup returned is minimal normal.  The kernels are a block
+action kernel for a group transitive on the points it moves, the pointwise
+stabilizer of an orbit or of its complement otherwise, and a minimal normal
+subgroup that meets every one trivially is missed: with no other candidate
+the search raises CapExceeded, otherwise the answer omits it.
 """
 
 from __future__ import annotations
@@ -149,37 +153,43 @@ def _class_seeds(ambient: PermGroup, k: PermGroup, cap: int) -> list[Permutation
 
 
 def _giant_index(g: PermGroup) -> int | None:
-    """1 when g is the symmetric group on the m >= 5 points it moves, 2 when
-    it is the alternating group there, None otherwise.
+    """1 when g acts faithfully as the symmetric group on one of its orbits
+    Delta of m >= 5 points, 2 when it acts so as the alternating group there,
+    None otherwise.
 
-    g lies in Sym(Delta) for its set Delta of moved points, so |g| = m!
-    forces g = Sym(Delta), and |g| = m!/2 forces the one subgroup of index
+    The action on Delta is a homomorphism into Sym(Delta) whose kernel is
+    the pointwise stabilizer of Delta.  When that kernel is trivial, |g| =
+    m! forces the image Sym(Delta), and |g| = m!/2 the one subgroup of index
     2, Alt(Delta).  m! is formed only while it stays within 2|g|.
     """
-    m = sum(len(orbit) for orbit in g.orbits() if len(orbit) > 1)
-    if m < 5:
-        return None
     n = g.order()
-    factorial = 1
-    for i in range(2, m + 1):
-        factorial *= i
-        if factorial > 2 * n:
-            return None
-    return factorial // n if factorial in (n, 2 * n) else None
+    for orbit in g.orbits():
+        factorial = 1
+        for i in range(2, len(orbit) + 1):
+            factorial *= i
+            if factorial > 2 * n:
+                break
+        if len(orbit) >= 5 and factorial in (n, 2 * n):
+            if pointwise_stabilizer(g, orbit).is_trivial():
+                return factorial // n
+    return None
 
 
 def _support_factorization(k: PermGroup, cap: int) -> list[PermGroup] | None:
-    """Split k into disjointly supported simple factors, or None.
+    """Split k into at least two disjointly supported simple factors, or None.
 
-    Valid only when the factors together have the full order of k, each is a
-    certified non-abelian simple group (a giant by its order, any other
-    factor exhaustively, under the cap), and supports are the orbits of k.
+    The factor on an orbit is the pointwise stabilizer of the other points,
+    a normal subgroup of k.  The factors commute and meet trivially, so when
+    their orders multiply to |k|, k is their direct product.  Each must be a
+    certified non-abelian simple group: a giant by its order, any other
+    factor under the cap.
     """
+    moved = [orbit for orbit in k.orbits() if len(orbit) > 1]
+    if len(moved) < 2:
+        return None
     factors = []
     total = 1
-    for orbit in k.orbits():
-        if len(orbit) == 1:
-            continue
+    for orbit in moved:
         inside = set(orbit)
         rest = [pt for pt in range(k.degree) if pt not in inside]
         t = pointwise_stabilizer(k, rest)
@@ -187,47 +197,20 @@ def _support_factorization(k: PermGroup, cap: int) -> list[PermGroup] | None:
             return None
         factors.append(t)
         total *= t.order()
-    if total != k.order() or not factors:
+    if total != k.order() or any(_is_abelian(t) or not is_simple(t) for t in factors):
         return None
-    for t in factors:
-        if not is_simple(t) or _is_abelian(t):
-            return None
     return factors
 
 
-def _factor_images(gen: Permutation, factors) -> list[int] | None:
-    """Index of the factor each listed factor is conjugated onto by gen, or
-    None when conjugation by gen does not permute the factors."""
-    images = []
-    for f in factors:
-        conj = [x.conjugate(gen) for x in f.generators]
-        for j, other in enumerate(factors):
-            if other.order() == f.order() and all(other.contains(c) for c in conj):
-                images.append(j)
-                break
-        else:
-            return None
-    return images if sorted(images) == list(range(len(factors))) else None
-
-
-def _factor_orbit_products(
-    g: PermGroup, factors: list[PermGroup]
-) -> list[PermGroup] | None:
-    """Group the factors into orbits of g's conjugation action.
-
-    Returns the products over each orbit, or None if conjugation fails to
-    permute the factors (which voids the certificate).
-    """
-    perms = []
-    for gen in g.generators:
-        images = _factor_images(gen, factors)
-        if images is None:
-            return None
-        perms.append(Permutation(images))
-    return [
-        PermGroup(g.degree, [x for j in orbit for x in factors[j].generators])
-        for orbit in PermGroup(len(factors), perms).orbits()
-    ]
+def _settled_minimal_normals(g: PermGroup, cap: int) -> list[PermGroup] | None:
+    """All minimal normal subgroups of g, at any order, when g is a giant (the
+    alternating group) or a direct product of non-abelian simple groups (its
+    factors); else None."""
+    index = _giant_index(g)
+    if index is not None:
+        return [g if index == 2 else derived_subgroup(g)]
+    factors = _support_factorization(g, cap)
+    return None if factors is None else _inclusion_minimal(factors)
 
 
 @functools.lru_cache(maxsize=None)
@@ -242,26 +225,23 @@ def seed_closures(g: PermGroup) -> tuple[PermGroup, ...]:
 
 
 def _minimal_normals_inside(g: PermGroup, k: PermGroup, cap: int) -> list[PermGroup]:
-    """All minimal normal subgroups of g contained in the proper normal
-    subgroup k."""
+    """All minimal normal subgroups of g inside the proper normal subgroup k:
+    the inclusion-minimal closures in g of k's prime-order class seeds (under
+    the cap) or of all of k's minimal normal subgroups M (over it, when
+    settled).  A minimal normal N <= k of g is the closure of any M <= N; from
+    an incomplete list of M a closure may be normal but not minimal."""
     if k.order() <= cap:
-        return _inclusion_minimal(
-            normal_closure(g, PermGroup(g.degree, [x]))
+        parts = (
+            PermGroup(g.degree, [x])
             for x in _class_seeds(g, k, cap)
             if is_prime(x.order())
         )
-    # k is over the cap, so each failed certificate below raises
-    factors = _support_factorization(k, cap)
-    if factors is None:
-        what = "minimal normal search: no disjoint-support factorization of order"
-        check_cap(k.order(), cap, what)
-    products = _factor_orbit_products(g, factors)
-    if products is None:
-        what = "minimal normal search: factors not permuted by conjugation, order"
-        check_cap(k.order(), cap, what)
-    # Each orbit product is a direct product of non-abelian simple groups
-    # permuted transitively by g, hence a minimal normal subgroup.
-    return products
+    else:
+        parts = _settled_minimal_normals(k, cap)
+        if parts is None:
+            what = "minimal normal search: kernel neither a giant nor a simple product, order"
+            check_cap(k.order(), cap, what)
+    return _inclusion_minimal(normal_closure(g, m) for m in parts)
 
 
 def _minimal_normals_structured(g: PermGroup, cap: int) -> list[PermGroup]:
@@ -299,13 +279,10 @@ def minimal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
     if g.is_trivial():
         raise PreconditionError("the trivial group has no minimal normal subgroups")
     cap = enumeration_cap()
-    index = _giant_index(g)
-    if index is not None:
-        # Alt(Delta) is simple and is the one minimal normal subgroup
-        result = [g if index == 2 else derived_subgroup(g)]
-    elif g.order() <= cap:
+    result = _settled_minimal_normals(g, cap)
+    if result is None and g.order() <= cap:
         result = _inclusion_minimal(seed_closures(g))
-    else:
+    elif result is None:
         result = _minimal_normals_structured(g, cap)
     for n in result:
         if not is_normal(n, g):
@@ -328,29 +305,19 @@ def socle(g: PermGroup) -> SocleDecomposition:
     """Product of all minimal normal subgroups, refined into factors.
 
     Non-abelian minimal normal subgroups are split into their simple direct
-    factors (their own minimal normal subgroups); abelian ones are kept whole
-    and flagged.  A split reads the factors off the orbits first
-    (_support_factorization, exact whenever it succeeds) and enumerates N
-    for its minimal normal subgroups only when that fails under the cap.
+    factors, which are their own minimal normal subgroups, by
+    minimal_normal_subgroups; abelian ones are kept whole and flagged.
     """
     mins = minimal_normal_subgroups(g)
     gens: list[Permutation] = []
     factors: list[PermGroup] = []
     flags: list[bool] = []
-    cap = enumeration_cap()
     for n in mins:
         gens.extend(n.generators)
-        if _is_abelian(n):
-            factors.append(n)
-            flags.append(True)
-            continue
-        parts = _support_factorization(n, cap)
-        if parts is None:
-            what = "socle: no disjoint-support factorization of order"
-            check_cap(n.order(), cap, what)
-            parts = minimal_normal_subgroups(n)
+        abelian = _is_abelian(n)
+        parts = (n,) if abelian else minimal_normal_subgroups(n)
         factors.extend(parts)
-        flags.extend(False for _ in parts)
+        flags.extend(abelian for _ in parts)
     return SocleDecomposition(
         socle=PermGroup(g.degree, gens),
         minimal_normals=mins,

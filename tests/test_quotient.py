@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hallbound import (
     PermGroup,
+    StabChain,
     alternating_group,
     cyclic_group,
     derived_subgroup,
@@ -28,6 +29,27 @@ def test_quotient_s4_by_v4_is_s3(s4):
     assert q.index == 6
     assert q.target.order() == 6
     assert q.target.degree == 6
+
+
+@pytest.mark.parametrize("depth, index", [(1, 2), (2, 6)])
+def test_construction_reduces_each_coset_once_per_generator(monkeypatch, s4, depth, index):
+    # the coset walk reads every target generator's images, so building the
+    # map reduces the identity and each coset times each generator once
+    kernel = s4
+    for _ in range(depth):
+        kernel = derived_subgroup(kernel)
+    kernel.order()
+    calls = []
+    reduce = StabChain.min_coset_rep
+
+    def counted(chain, c):
+        calls.append(c)
+        return reduce(chain, c)
+
+    monkeypatch.setattr(StabChain, "min_coset_rep", counted)
+    q = quotient_by(s4, kernel)
+    assert q.index == index
+    assert len(calls) == 1 + index * len(s4.generators)
 
 
 def test_quotient_kernel_maps_to_identity(s4):

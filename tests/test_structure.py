@@ -1,8 +1,10 @@
 """Normal structure: minimal normal subgroups, socle, solubility, radicals."""
 
+import ast
 import math
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,8 @@ from hallbound.structure import (
     seed_closures,
 )
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "hallbound"
+
 
 def test_minimal_normal_of_s4_is_v4(s4):
     minimals = minimal_normal_subgroups(s4)
@@ -73,23 +77,77 @@ def test_minimal_normals_of_cyclic_group():
 
 @pytest.mark.parametrize(
     "spec, cap, orders",
-    [("A5 wr C2", 1000, [3600]), ("PSL(2,7) wr C2", 10000, [28224])],
+    [
+        ("A5 wr C2", 1000, [3600]),
+        ("PSL(2,7) wr C2", 10000, [28224]),
+        ("A6 x A5", 1000, [60, 360]),
+        ("A5 x A5 x C7", 1000, [7, 60, 60]),
+    ],
 )
 def test_structured_minimal_normals_match_exhaustive(monkeypatch, spec, cap, orders):
     # Below the group order, HALLBOUND_CAP sends minimal_normal_subgroups down
-    # the block-kernel route with its disjoint-support certificate.
+    # the orbit factors of a direct product (A6 x A5) or the kernel search:
+    # the block kernels of a wreath product, the orbit kernels of A5 x A5 x C7,
+    # whose kernel A5 x A5 is itself over the cap and split into its factors.
+    # The seed closures of the whole group are the exhaustive answer.
     g = group_from_spec(spec)
     clear_caches()
     try:
-        exhaustive = minimal_normal_subgroups(g)
+        exhaustive = _inclusion_minimal(seed_closures(g))
         clear_caches()
         monkeypatch.setenv("HALLBOUND_CAP", str(cap))
+        assert g.order() > cap
         structured = minimal_normal_subgroups(g)
     finally:
         clear_caches()
     assert [n.order() for n in exhaustive] == orders
-    assert len(structured) == len(exhaustive)
-    assert all(a.same_group_as(b) for a, b in zip(structured, exhaustive))
+    assert [n.order() for n in structured] == orders
+    assert all(any(a.same_group_as(b) for b in exhaustive) for a in structured)
+
+
+def _callers(name: str) -> list[tuple[str, str | None]]:
+    """(file, top-level definition) of every call to name under src/hallbound."""
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if called == name:
+                    callers.append((path.name, getattr(top, "name", None)))
+    return callers
+
+
+def test_support_factorization_is_called_only_from_settled_minimal_normals():
+    # A direct product is split into its simple factors in one place; socle
+    # reaches the split through minimal_normal_subgroups, and the kernel
+    # search through the same settled routes.
+    assert _callers("_support_factorization") == [("structure.py", "_settled_minimal_normals")]
+    assert _callers("_settled_minimal_normals") == [
+        ("structure.py", "_minimal_normals_inside"),
+        ("structure.py", "minimal_normal_subgroups"),
+    ]
+
+
+def test_an_unsettled_kernel_over_the_cap_raises(monkeypatch):
+    # C2 wr C4 has one minimal normal subgroup, the diagonal of its base
+    # C2^4, of order 2.  Under a cap of 10 its block kernels (orders 16 and
+    # 32) are abelian, so neither a giant nor a simple product settles their
+    # minimal normal subgroups; an incomplete list would close to a normal
+    # subgroup of order 4 that is not minimal, so the search raises instead.
+    g = group_from_spec("C2 wr C4")
+    clear_caches()
+    try:
+        assert [n.order() for n in _inclusion_minimal(seed_closures(g))] == [2]
+        monkeypatch.setenv("HALLBOUND_CAP", "10")
+        with pytest.raises(CapExceeded, match="neither a giant nor a simple product") as info:
+            minimal_normal_subgroups(g)
+    finally:
+        clear_caches()
+    assert info.value.cap == 10
 
 
 def _with_fixed_points(g, extra):
@@ -227,9 +285,36 @@ def test_a_giant_that_fixes_points_is_recognised(monkeypatch):
         clear_caches()
 
 
-@pytest.mark.parametrize("spec, order", [("A8", 20160), ("S7", 2520), ("S10", 1814400), ("A10", 1814400)])
-def test_socle_of_a_giant_enumerates_no_element(monkeypatch, spec, order):
-    g = group_from_spec(spec)
+def _diagonal(g: PermGroup) -> PermGroup:
+    """g acting the same way on two copies of its points."""
+    n = g.degree
+    return PermGroup(
+        2 * n, [Permutation(list(x.images) + [n + i for i in x.images]) for x in g.generators]
+    )
+
+
+@pytest.mark.parametrize("spec, index", [("A5", 2), ("S5", 1)])
+def test_a_diagonal_giant_is_recognised(monkeypatch, spec, index):
+    # Each 5-point orbit is faithful, so the order names the giant.  Over a
+    # cap of 50 every orbit and orbit-complement kernel is trivial, so the
+    # kernel search has no candidate to offer.
+    g = _diagonal(group_from_spec(spec))
+    assert len(g.orbits()) == 2
+    clear_caches()
+    monkeypatch.setenv("HALLBOUND_CAP", "50")
+    try:
+        assert _giant_index(g) == index
+        minimals = minimal_normal_subgroups(g)
+    finally:
+        clear_caches()
+    assert [n.order() for n in minimals] == [60]
+    if index == 2:
+        assert minimals == (g,)
+    assert minimals[0].same_group_as(derived_subgroup(g))
+
+
+def _count_enumerations(monkeypatch) -> Counter:
+    """Count the elements each PermGroup.elements call yields, by group order."""
     enumerated = Counter()
     elements = PermGroup.elements
 
@@ -239,6 +324,30 @@ def test_socle_of_a_giant_enumerates_no_element(monkeypatch, spec, order):
             yield x
 
     monkeypatch.setattr(PermGroup, "elements", counted)
+    return enumerated
+
+
+def test_a_direct_product_splits_without_enumeration(monkeypatch):
+    # A6 x A5 is under the cap, but its factors are read off its two orbits
+    # and certified simple as giants, so no element is enumerated.
+    g = group_from_spec("A6 x A5")
+    enumerated = _count_enumerations(monkeypatch)
+    clear_caches()
+    try:
+        minimals = minimal_normal_subgroups(g)
+        dec = socle(g)
+    finally:
+        clear_caches()
+    assert [n.order() for n in minimals] == [60, 360]
+    assert [f.order() for f in dec.factors] == [60, 360]
+    assert dec.socle.order() == g.order()
+    assert enumerated == Counter()
+
+
+@pytest.mark.parametrize("spec, order", [("A8", 20160), ("S7", 2520), ("S10", 1814400), ("A10", 1814400)])
+def test_socle_of_a_giant_enumerates_no_element(monkeypatch, spec, order):
+    g = group_from_spec(spec)
+    enumerated = _count_enumerations(monkeypatch)
     clear_caches()
     try:
         dec = socle(g)
