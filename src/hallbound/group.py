@@ -123,6 +123,9 @@ class StabChain:
         self._trans: dict[int, dict[int, tuple[int, ...]]] = {}
         self._transversal_inv: dict[int, dict[int, tuple[int, ...]]] = {}
         self._levels: list[tuple] = []
+        # each non-trivial level's transversal in sorted point order, deepest
+        # first, kept by random_element once the chain is finished
+        self._draws: list[list[tuple[int, ...]]] | None = None
         self._extend(generators, None)
 
     def extended(self, generators: Sequence[tuple[int, ...]], divisor: int | None = None):
@@ -133,6 +136,7 @@ class StabChain:
         chain._strong = list(self._strong)
         chain._trans = dict(self._trans)
         chain._transversal_inv = dict(self._transversal_inv)
+        chain._draws = None
         chain._extend(generators, divisor)
         return chain
 
@@ -292,16 +296,26 @@ class StabChain:
         it: an element costs one product, plus a share of its prefixes.
         """
         products: Iterator[tuple[int, ...]] = iter([self._identity])
-        for trans in reversed(self._level_transversals()):
-            level = [trans[pt] for pt in sorted(trans)]
+        for level in self._sorted_levels():
             products = _extend_products(products, level)
         return products
 
+    def _sorted_levels(self) -> list[list[tuple[int, ...]]]:
+        """Each non-trivial level's transversal in sorted point order,
+        deepest level first."""
+        return [
+            [trans[pt] for pt in sorted(trans)]
+            for trans in reversed(self._level_transversals())
+        ]
+
     def random_element(self, rng) -> tuple[int, ...]:
-        """Uniformly random element via one transversal pick per level."""
+        """Uniformly random element via one transversal pick per level, in
+        sorted point order; the sorted levels are kept for later draws."""
+        if self._draws is None:
+            self._draws = self._sorted_levels()
         p = self._identity
-        for trans in reversed(self._level_transversals()):
-            p = _mul(p, trans[rng.choice(sorted(trans))])
+        for level in self._draws:
+            p = _mul(p, rng.choice(level))
         return p
 
     def min_coset_rep(self, c: tuple[int, ...]) -> tuple[int, ...]:

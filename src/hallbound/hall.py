@@ -11,19 +11,25 @@ and their budget_used mapping is read-only) and tries, in order:
   3. P. Hall's coset-action bound (Theorems like Sylow's, 1956) on G: a Hall
      pi-subgroup of index m makes G act on its m cosets with a kernel inside
      O_pi(G), so |G : O_pi(G)| divides m!.  A failure proves absence;
-  4. the remaining GREEDY_RESTARTS[1] restarts of the same seeded stream;
-  5. the same bound on each socle factor: a Hall pi-subgroup of G meets
-     every subnormal subgroup in a Hall pi-subgroup of it;
-  6. for groups under the exhaustive cap, a complete scan over subgroups
-     generated by Sylow systems; above the cap the verdict stays unknown.
+  4. for groups of order up to DEFAULT_EXHAUSTIVE_SEARCH_CAP (the scan
+     gate), a complete scan over subgroups generated by Sylow systems,
+     which decides;
+  5. above the gate, the remaining GREEDY_RESTARTS[1] restarts of the same
+     seeded stream;
+  6. then the same bound on each socle factor: a Hall pi-subgroup of G
+     meets every subnormal subgroup in a Hall pi-subgroup of it.  Otherwise
+     the verdict stays unknown.
 
 The bound on G needs pi_core only when |G| does not divide m!, and pi_core
 reads the memoized seed closures of G, so it costs little next to the
-restarts it spares every group it decides.  The socle factors wait for the
-last restart because socle can enumerate a large group, which costs far
-more than a greedy success.  A CapExceeded inside either check only means no
+restarts it spares every group it decides.  Below the gate the scan costs
+less than the last restarts; it stops at its first witness, and its
+conjugate lists are found as it goes.  The socle factors wait for the last
+restart because socle can enumerate a large group, which costs far more
+than a greedy success.  A CapExceeded inside either bound only means no
 certificate.  Both parts of the greedy phase draw from one seeded stream,
-so every witness is the one all the restarts in a row would find.
+so above the gate every witness is the one all the restarts in a row would
+find.
 
 The scan is exact: a subgroup of full pi-part order contains a Sylow
 p-subgroup of the whole group for every p in pi and is generated by one
@@ -44,13 +50,15 @@ the generators are those of PermGroup(degree, current.generators + new).
 
 from __future__ import annotations
 
+import copy
 import functools
+import itertools
 import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .config import (
     DEFAULT_EXHAUSTIVE_SEARCH_CAP,
@@ -66,7 +74,7 @@ from .errors import (
     check_cap,
 )
 from .group import PermGroup, conjugate_subgroup, intersection, is_normal
-from .perm import Permutation
+from .perm import Permutation, _conj, _inv
 from .primes import PrimeSet, factorize
 from .quotient import quotient_by
 from .radicals import pi_core, sylow_subgroup
@@ -114,10 +122,10 @@ def _pi_part_of_element(x: Permutation, pi: PrimeSet) -> Permutation:
     return x ** pi.coprime_part_of(x.order())
 
 
-# Greedy restarts before and after the coset-action bound on G.  Every
-# greedy witness of the scale-3 suite comes within 3 restarts (S7 with
-# pi = {2,3} on the third), while relabellings of A7 with pi = {2,3} take
-# as many as 17.
+# Greedy restarts before the coset-action bound on G, and after it above the
+# scan gate.  Every greedy witness of the scale-3 suite comes within 3
+# restarts (S7 with pi = {2,3} on the third), while some relabellings of A8
+# with pi = {2,3}, above the gate, need later ones.
 GREEDY_RESTARTS = (3, 17)
 
 
@@ -189,28 +197,29 @@ def _failing_socle_factor(g: PermGroup, pi: PrimeSet) -> PermGroup | None:
         return None
 
 
-def _subgroup_conjugates(g: PermGroup, sub: PermGroup) -> list[PermGroup]:
-    """Every conjugate of sub under g, via closure under generator conjugation.
+def _conjugates(g: PermGroup, sub: PermGroup) -> Iterator[PermGroup]:
+    """Every conjugate of sub under g, each yielded as it is found.
 
     Conjugating by generators reaches conjugation by arbitrary elements, so
     the closure is the full conjugacy orbit.  Deterministic order: breadth
-    first from sub with g's generators applied in order.
+    first from sub with g's generators applied in order.  A conjugate is
+    keyed by its element set, conjugated from its parent's, so only sub is
+    enumerated and no conjugate builds a chain.
     """
-
-    def key_of(s: PermGroup) -> frozenset:
-        return frozenset(x.images for x in s.elements())
-
-    found: dict[frozenset, PermGroup] = {key_of(sub): sub}
-    queue = deque([sub])
+    conjugators = [(s, s.images, _inv(s.images)) for s in g.generators]
+    key = frozenset(x.images for x in sub.elements())
+    seen = {key}
+    queue = deque([(sub, key)])
+    yield sub
     while queue:
-        current = queue.popleft()
-        for gen in g.generators:
-            conj = conjugate_subgroup(current, gen)
-            key = key_of(conj)
-            if key not in found:
-                found[key] = conj
-                queue.append(conj)
-    return list(found.values())
+        current, elements = queue.popleft()
+        for s, images, inverse in conjugators:
+            key = frozenset(_conj(x, images, inverse) for x in elements)
+            if key not in seen:
+                seen.add(key)
+                conj = conjugate_subgroup(current, s)
+                queue.append((conj, key))
+                yield conj
 
 
 def _sylow_generated(g: PermGroup, pi: PrimeSet, target: int, built: list[int]):
@@ -229,15 +238,27 @@ def _sylow_generated(g: PermGroup, pi: PrimeSet, target: int, built: list[int]):
     Along the path realizing an actual order-target subgroup every partial
     join passes the filter, so pruning never loses a witness.
 
+    The conjugates are found as the walk first needs them and kept for
+    every later pass, so a caller that stops at a witness stops their
+    search too.  The number n_p of Sylow p-subgroups divides |G : P|, so
+    when the product of those indices is within SYLOW_COMBINATION_BUDGET
+    the combinations are too; otherwise every list is finished first and
+    their exact product checked against the budget before any join.
+
     built[0] counts every subgroup the scan builds, pruned joins included.
     """
     primes = [p for p in pi if g.order() % p == 0]
     sylows = {p: sylow_subgroup(g, p) for p in primes}
     fixed = max(primes, key=lambda p: (sylows[p].order(), p))
     rest = [p for p in primes if p != fixed]
-    conjugate_lists = [_subgroup_conjugates(g, sylows[p]) for p in rest]
-    total = math.prod(len(lst) for lst in conjugate_lists)
-    check_cap(total, SYLOW_COMBINATION_BUDGET, "Sylow system scan: combinations")
+    walks = [_conjugates(g, sylows[p]) for p in rest]
+    if math.prod(g.order() // sylows[p].order() for p in rest) > SYLOW_COMBINATION_BUDGET:
+        walks = [list(w) for w in walks]
+        total = math.prod(len(lst) for lst in walks)
+        check_cap(total, SYLOW_COMBINATION_BUDGET, "Sylow system scan: combinations")
+    # every pass over a level reads a fresh copy of one tee, whose shared
+    # buffer keeps the conjugates found so far
+    conjugates = [itertools.tee(w, 1)[0] for w in walks]
     base = sylows[fixed]
     if not rest:
         built[0] += 1
@@ -245,12 +266,12 @@ def _sylow_generated(g: PermGroup, pi: PrimeSet, target: int, built: list[int]):
         return
 
     def walk(joined: PermGroup, level: int):
-        for factor in conjugate_lists[level]:
+        for factor in copy.copy(conjugates[level]):
             candidate = joined.adjoin(factor.generators, target)
             built[0] += 1
             if candidate is None:
                 continue
-            if level + 1 == len(conjugate_lists):
+            if level + 1 == len(conjugates):
                 yield candidate
             else:
                 yield from walk(candidate, level + 1)
@@ -264,12 +285,12 @@ def find_hall_subgroup(g: PermGroup, pi: PrimeSet) -> HallSearchResult:
 
     After the trivial cases, seeded randomized greedy growth looks for a
     witness.  When its first restarts fail, the coset-action bound on g may
-    prove absence; then the remaining restarts run, and when they fail too
-    the bound on g's socle factors may prove absence.  Otherwise groups
-    under the exhaustive cap go through the complete Sylow system scan,
-    whose first subgroup of order pi-part is a witness and whose failure
-    proves absence; larger groups stay unknown.  On soluble groups under the
-    cap the result is therefore always found.
+    prove absence.  Otherwise groups up to the scan gate go through the
+    complete Sylow system scan, whose first subgroup of order pi-part is a
+    witness and whose failure proves absence; on soluble groups under the
+    gate the result is therefore always found.  Above the gate the remaining
+    restarts run, and when they fail too the bound on g's socle factors may
+    prove absence; otherwise the result is unknown.
     """
     return hall_search(g, pi, enumeration_cap())
 
@@ -294,6 +315,13 @@ def hall_search(g: PermGroup, pi: PrimeSet, cap: int) -> HallSearchResult:
         if _bound_fails_on_group(g, pi):
             budget.update(route="certificate", certificate_order=g.order())
             return HallSearchResult("proven_absent", pi, None, budget)
+        if g.order() <= DEFAULT_EXHAUSTIVE_SEARCH_CAP:
+            built = [0]
+            scan = _sylow_generated(g, pi, target, built)
+            witness = next((c for c in scan if c.order() == target), None)
+            budget.update(route="scan", sylow_combinations=built[0])
+            status = "found" if witness is not None else "proven_absent"
+            return HallSearchResult(status, pi, witness, budget)
         witness, tried = _greedy_phase(g, pi, target, rng, rest)
         budget["random_growth_steps"] += tried
     if witness is not None:
@@ -302,14 +330,7 @@ def hall_search(g: PermGroup, pi: PrimeSet, cap: int) -> HallSearchResult:
     if failing is not None:
         budget.update(route="certificate", certificate_order=failing.order())
         return HallSearchResult("proven_absent", pi, None, budget)
-    if g.order() > DEFAULT_EXHAUSTIVE_SEARCH_CAP:
-        return HallSearchResult("unknown", pi, None, {**budget, "route": "cap"})
-    built = [0]
-    scan = _sylow_generated(g, pi, target, built)
-    witness = next((c for c in scan if c.order() == target), None)
-    budget.update(route="scan", sylow_combinations=built[0])
-    status = "found" if witness is not None else "proven_absent"
-    return HallSearchResult(status, pi, witness, budget)
+    return HallSearchResult("unknown", pi, None, {**budget, "route": "cap"})
 
 
 @dataclass(frozen=True)

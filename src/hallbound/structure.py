@@ -182,7 +182,9 @@ def _support_factorization(k: PermGroup, cap: int) -> list[PermGroup] | None:
     a normal subgroup of k.  The factors commute and meet trivially, so when
     their orders multiply to |k|, k is their direct product.  Each must be a
     certified non-abelian simple group: a giant by its order, any other
-    factor under the cap.
+    factor under the cap.  A non-abelian simple group is perfect, so a
+    factor that is not (an abelian one included) rejects the product before
+    any factor is certified.
     """
     moved = [orbit for orbit in k.orbits() if len(orbit) > 1]
     if len(moved) < 2:
@@ -197,9 +199,9 @@ def _support_factorization(k: PermGroup, cap: int) -> list[PermGroup] | None:
             return None
         factors.append(t)
         total *= t.order()
-    if total != k.order() or any(_is_abelian(t) or not is_simple(t) for t in factors):
+    if total != k.order() or any(derived_subgroup(t).order() < t.order() for t in factors):
         return None
-    return factors
+    return factors if all(is_simple(t) for t in factors) else None
 
 
 def _settled_minimal_normals(g: PermGroup, cap: int) -> list[PermGroup] | None:

@@ -528,6 +528,36 @@ def test_random_elements_are_members(seed):
     assert x.order() in {1, 2, 3, 5}
 
 
+def _draws_from_the_levels(chain, rng, count):
+    """Random elements drawn as random_element draws them, with every
+    level's points sorted again for each draw."""
+    out = []
+    for _ in range(count):
+        p = tuple(range(chain.degree))
+        for trans in reversed(chain._level_transversals()):
+            p = group._mul(p, trans[rng.choice(sorted(trans))])
+        out.append(p)
+    return out
+
+
+def test_an_extended_chain_draws_from_its_own_levels():
+    # random_element keeps a finished chain's sorted levels; a copy made
+    # by extended has other levels, so it must not read the ones kept.
+    chain = StabChain(6, [(1, 0, 2, 3, 4, 5), (0, 2, 1, 3, 4, 5)])
+    ours, theirs = random.Random(4), random.Random(4)
+    assert [chain.random_element(ours) for _ in range(3)] == (
+        _draws_from_the_levels(chain, theirs, 3)
+    )
+    wider = chain.extended([(1, 2, 3, 4, 5, 0)])
+    assert wider.order() == 720
+    assert [wider.random_element(ours) for _ in range(20)] == (
+        _draws_from_the_levels(wider, theirs, 20)
+    )
+    assert [chain.random_element(ours) for _ in range(20)] == (
+        _draws_from_the_levels(chain, theirs, 20)
+    )
+
+
 @pytest.mark.property_based
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)

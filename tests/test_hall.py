@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -27,17 +28,17 @@ from hallbound import (
     valid_instances,
     wreath_product,
 )
-from hallbound import group
+from hallbound import group, hall
 from hallbound.config import DEFAULT_EXHAUSTIVE_SEARCH_CAP, SEARCH_SEED
 from hallbound.errors import CapExceeded, PreconditionError
 from hallbound.hall import (
     GREEDY_RESTARTS,
     _bound_fails_on_group,
+    _conjugates,
     _fails_coset_bound,
     _failing_socle_factor,
     _greedy_phase,
     _pi_part_of_element,
-    _subgroup_conjugates,
     _sylow_generated,
 )
 from hallbound.perm import _mul
@@ -208,6 +209,137 @@ def _greedy_from_scratch(g, pi, target, rng):
         if current.order() == target:
             return current, tried
     return None, tried
+
+
+def _subgroup_conjugates(g, sub):
+    """Oracle for hall._conjugates: every conjugate of sub under g, breadth
+    first from sub with g's generators applied in order, each keyed by the
+    element set read off its own chain."""
+
+    def key_of(s):
+        return frozenset(x.images for x in s.elements())
+
+    found = {key_of(sub): sub}
+    queue = deque([sub])
+    while queue:
+        current = queue.popleft()
+        for gen in g.generators:
+            conj = conjugate_subgroup(current, gen)
+            key = key_of(conj)
+            if key not in found:
+                found[key] = conj
+                queue.append(conj)
+    return list(found.values())
+
+
+def _assert_conjugates_match_the_oracle(g):
+    for p in prime_divisors(g.order()):
+        sylow = sylow_subgroup(g, p)
+        ours = [c.generators for c in _conjugates(g, sylow)]
+        assert ours == [c.generators for c in _subgroup_conjugates(g, sylow)], (g, p)
+
+
+def _scan_pairs():
+    """The scale-3 pairs that the Sylow system scan decides."""
+    for name, g, pi in _suite_pairs():
+        if find_hall_subgroup(g, pi).budget_used["route"] == "scan":
+            yield name, g, pi
+
+
+def test_conjugate_walk_matches_the_element_keyed_oracle():
+    scanned = 0
+    for _, g, _ in _scan_pairs():
+        _assert_conjugates_match_the_oracle(g)
+        scanned += 1
+    assert scanned == 11
+
+
+@pytest.mark.property_based
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_conjugate_walk_matches_the_oracle_on_random_groups(seed):
+    rng = random.Random(seed)
+    degree = rng.randint(5, 7)
+    gens = [random_permutation(rng, degree) for _ in range(rng.randint(1, 2))]
+    _assert_conjugates_match_the_oracle(PermGroup(degree, gens))
+
+
+def test_conjugate_walk_builds_no_chain(monkeypatch):
+    # the 126 Sylow 5-subgroups of S7 are keyed by conjugating element sets
+    g = make_named("S7")
+    sylow = sylow_subgroup(g, 5)
+    sylow.order()
+    built = []
+    init = group.StabChain.__init__
+
+    def recording_init(chain, degree, generators, base=None):
+        built.append(len(generators))
+        init(chain, degree, generators, base)
+
+    monkeypatch.setattr(group.StabChain, "__init__", recording_init)
+    assert len(list(_conjugates(g, sylow))) == 126
+    assert built == []
+
+
+def _count_joins(monkeypatch, g, pi):
+    """Count the scan's PermGroup.adjoin calls, and the conjugates it has
+    found at the first of them.  sylow_subgroup also grows by adjoin, so
+    the memoized Sylow subgroups are built before counting starts."""
+    for p in pi:
+        sylow_subgroup(g, p)
+    joins = [0]
+    found = [0]
+    at_first_join = []
+    adjoin = PermGroup.adjoin
+    walk = hall._conjugates
+
+    def counting_adjoin(self, new, divisor=None):
+        if not joins[0]:
+            at_first_join.append(found[0])
+        joins[0] += 1
+        return adjoin(self, new, divisor)
+
+    def counting_walk(g, sub):
+        for conj in walk(g, sub):
+            found[0] += 1
+            yield conj
+
+    monkeypatch.setattr(PermGroup, "adjoin", counting_adjoin)
+    monkeypatch.setattr(hall, "_conjugates", counting_walk)
+    return joins, at_first_join
+
+
+def test_a_scan_over_the_budget_is_refused_before_any_join(monkeypatch):
+    # S7 with pi = {2,5,7}: |G : P_5| * |G : P_7| = 1008 * 720 = 725,760 is
+    # above the budget, so both lists are finished first; they hold
+    # 126 * 120 = 15,120 combinations, one more than the budget allows.
+    g, pi = make_named("S7"), PrimeSet([2, 5, 7])
+    target = pi.part_of(g.order())
+    monkeypatch.setattr(hall, "SYLOW_COMBINATION_BUDGET", 15_119)
+    joins, _ = _count_joins(monkeypatch, g, pi)
+    built = [0]
+    with pytest.raises(CapExceeded, match="Sylow system scan: combinations") as info:
+        next(_sylow_generated(g, pi, target, built))
+    assert (info.value.needed, info.value.cap) == (15_120, 15_119)
+    assert joins == [0] and built == [0]
+    # at the exact count the scan runs: no join of the reference Sylow
+    # 2-subgroup with a Sylow 5-subgroup has order dividing 560
+    monkeypatch.setattr(hall, "SYLOW_COMBINATION_BUDGET", 15_120)
+    assert next(_sylow_generated(g, pi, target, built), None) is None
+    assert joins == built == [126]
+
+
+def test_a_scan_within_the_budget_walks_lazily(monkeypatch):
+    # PSL(2,13) with pi = {2,3,7}: the reference factor is a Sylow
+    # 7-subgroup and |G : P_2| * |G : P_3| = 273 * 364 = 99,372 is within
+    # the budget, so the first join reads one conjugate, not all 182.
+    g, pi = make_named("PSL(2,13)"), PrimeSet([2, 3, 7])
+    target = pi.part_of(g.order())
+    joins, at_first_join = _count_joins(monkeypatch, g, pi)
+    built = [0]
+    assert not any(c.order() == target for c in _sylow_generated(g, pi, target, built))
+    assert at_first_join == [1]
+    assert joins[0] == built[0] > 0
 
 
 def _scan_from_scratch(g, pi, target):
@@ -407,10 +539,24 @@ def test_bound_on_g_decides_after_the_first_restarts():
     assert len(decided) == 14
 
 
-def test_socle_factor_bound_runs_after_every_restart():
-    # |A5 x S4| divides 5! (m = 5), so only the socle factor A5, which would
-    # need a Hall {2,5}-subgroup of index 3, fails the bound.
+def test_below_the_gate_the_scan_follows_the_first_restarts():
+    # |A5 x S4| divides 5! (m = 5), so the bound on G cannot decide, and the
+    # group (order 1,440) is below the scan gate: the scan proves absence
+    # after the first restarts, before any socle is computed.
     g, pi = group_from_spec("A5 x S4"), PrimeSet([2, 5])
+    assert not _fails_coset_bound(g, pi)
+    result = find_hall_subgroup(g, pi)
+    assert result.status == "proven_absent"
+    assert result.budget_used["route"] == "scan"
+    assert result.budget_used["random_growth_steps"] == _first_restarts(g, pi)[1]
+
+
+def test_socle_factor_bound_runs_after_every_restart_above_the_gate():
+    # Order 25,200 is above the scan gate, so all the restarts run before
+    # the socle factor A5, which would need a Hall {2,5}-subgroup of index
+    # 3, fails the bound.
+    g, pi = group_from_spec("A5 x A5 x C7"), PrimeSet([2, 5])
+    assert g.order() > DEFAULT_EXHAUSTIVE_SEARCH_CAP
     assert not _fails_coset_bound(g, pi)
     result = find_hall_subgroup(g, pi)
     assert result.status == "proven_absent"
@@ -422,13 +568,30 @@ def test_socle_factor_bound_runs_after_every_restart():
     assert result.budget_used["random_growth_steps"] == steps
 
 
-def test_a_late_greedy_witness_keeps_its_generators():
-    # This relabelled A7 finds its Hall {2,3}-subgroup on the 17th restart,
-    # after the bound on G has run between the two parts of the stream.
-    a7, pi = make_named("A7"), PrimeSet([2, 3])
-    sigma = list(range(a7.degree))
-    random.Random(8).shuffle(sigma)
-    g = conjugate_subgroup(a7, Permutation(sigma))
+def _relabelled(spec, seed):
+    g = make_named(spec)
+    sigma = list(range(g.degree))
+    random.Random(seed).shuffle(sigma)
+    return conjugate_subgroup(g, Permutation(sigma))
+
+
+def test_below_the_gate_a_late_greedy_witness_comes_from_the_scan():
+    # This relabelled A7 would find its Hall {2,3}-subgroup on the 17th
+    # restart; below the gate the scan finds one after the first restarts.
+    g, pi = _relabelled("A7", 8), PrimeSet([2, 3])
+    assert _first_restarts(g, pi)[0] is None
+    result = find_hall_subgroup(g, pi)
+    assert result.budget_used["route"] == "scan"
+    assert result.budget_used["random_growth_steps"] == _first_restarts(g, pi)[1]
+    assert is_hall_subgroup(result.subgroup, g, pi)
+
+
+def test_above_the_gate_a_late_greedy_witness_keeps_its_generators():
+    # This relabelled A8 (order 20,160, above the scan gate) finds its Hall
+    # {2,3}-subgroup after the first restarts, once the bound on G has run
+    # between the two parts of the stream.
+    g, pi = _relabelled("A8", 26), PrimeSet([2, 3])
+    assert g.order() > DEFAULT_EXHAUSTIVE_SEARCH_CAP
     assert _first_restarts(g, pi)[0] is None
     result = find_hall_subgroup(g, pi)
     assert result.budget_used["route"] == "greedy"

@@ -344,6 +344,22 @@ def test_a_direct_product_splits_without_enumeration(monkeypatch):
     assert enumerated == Counter()
 
 
+@pytest.mark.parametrize("spec, orders", [("PSL(2,7) x S3", [3, 168]), ("A5 x D12", [2, 3, 60])])
+def test_a_soluble_orbit_factor_rejects_the_product_first(monkeypatch, spec, orders):
+    # The orbit factor S3 (or D12) is not perfect, so the orbit factors are
+    # no simple product and the simple factor is never enumerated to certify
+    # it; only G's own elements are read, for its seed closures.
+    g = group_from_spec(spec)
+    enumerated = _count_enumerations(monkeypatch)
+    clear_caches()
+    try:
+        minimals = minimal_normal_subgroups(g)
+    finally:
+        clear_caches()
+    assert sorted(n.order() for n in minimals) == orders
+    assert set(enumerated) == {g.order()}
+
+
 @pytest.mark.parametrize("spec, order", [("A8", 20160), ("S7", 2520), ("S10", 1814400), ("A10", 1814400)])
 def test_socle_of_a_giant_enumerates_no_element(monkeypatch, spec, order):
     g = group_from_spec(spec)
