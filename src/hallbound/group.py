@@ -79,14 +79,23 @@ class StabChain:
     by a few more.  The new strong generators are appended and the build
     resumes at the deepest level among them: the levels deeper than that
     keep their generators, so they are still complete (resuming at a
-    shallower new level would leave a deeper one unbuilt).  A level is rebuilt only when a
-    strong generator at that level or deeper has arrived since its last
-    build, and the scan then descends from the level of the last residue.
+    shallower new level would leave a deeper one unbuilt).  A level is
+    rebuilt only when a strong generator at that level or deeper has arrived
+    since its last build, and the scan then descends from the level of the
+    last residue.  A Schreier generator once proved is not sifted again: the
+    scan of a rebuilt level skips a pair (beta, x) that its last scan (in
+    this build, or the parent chain's complete one) reached, with x one of
+    that scan's generators and u_beta and u_x(beta) unchanged.  That pair's
+    Schreier generator is the one proved then, and it lies in K_(i+1), which
+    only grows and whose levels are complete whenever level i is scanned, so
+    it would sift to the identity: the residues, and so the chain, are those
+    of the scan that sifts every pair.
     A rebuild restarts its BFS from scratch into a fresh dict (extending an
-    orbit in place would pick other coset representatives), so the levels a
-    copy does not rebuild share their transversal dicts, and the inverse
-    caches that both fill with the same values, with the chain it came
-    from.  Inverse transversal elements are computed when first needed.
+    orbit in place would pick other coset representatives, so the skipped
+    pairs are only those whose representatives came out unchanged), so the
+    levels a copy does not rebuild share their transversal dicts, and the
+    inverse caches that both fill with the same values, with the chain it
+    came from.  Inverse transversal elements are computed when first needed.
 
     With a divisor n the build stops (``_OrbitDoesNotDivide``) at the first
     rebuilt level whose orbit length does not divide n.  That level's orbit
@@ -143,6 +152,7 @@ class StabChain:
     def _extend(self, generators: Sequence[tuple[int, ...]], divisor: int | None) -> None:
         """Append the new strong generators and resume the build at the
         deepest level among them."""
+        parent = len(self._strong)
         fresh = []
         for g in generators:
             if g != self._identity and all(s[0] != g for s in self._strong):
@@ -153,7 +163,7 @@ class StabChain:
             return
         levels = sorted({entry[0] for entry in self._levels}.union(fresh))
         self._set_levels(levels)
-        self._build(levels.index(max(fresh)), divisor)
+        self._build(levels.index(max(fresh)), divisor, parent)
 
     @property
     def transversal(self) -> list[dict[int, tuple[int, ...]]]:
@@ -228,35 +238,71 @@ class StabChain:
         return None if p == self._identity else p
 
     def _first_residue(
-        self, k: int, gens: Sequence[tuple[int, ...]]
-    ) -> tuple[int, ...] | None:
+        self,
+        k: int,
+        gens: list[tuple[int, ...]],
+        old: dict[int, tuple[int, ...]],
+        count: int,
+        stop: tuple[int, int] | None,
+    ) -> tuple[tuple[int, ...] | None, tuple[int, int] | None]:
         """First Schreier generator of the k-th non-trivial level that does
-        not sift through the deeper levels, as its sift residue."""
+        not sift through the deeper levels, as its sift residue, with its
+        pair (beta, index of x in gens); (None, None) when there is none.
+
+        old, count and stop describe the level's last scan: its transversal,
+        its number of generators (a prefix of gens) and the pair whose
+        residue it returned (None: it completed).  A pair that scan reached,
+        with x among its generators and u_beta and u_x(beta) unchanged, has
+        the same Schreier generator as then, which lies in K_(i+1) and so
+        sifts to the identity: it is skipped.
+        """
         i, b, _, _ = self._levels[k]
         trans = self._trans[i]
+        kept = {pt for pt, u in trans.items() if old.get(pt) == u} if count else ()
         for beta in sorted(trans):
             u = trans[beta]
-            for x in gens:
+            proved = 0
+            if beta in kept:
+                if stop is None or beta < stop[0]:
+                    proved = count
+                elif beta == stop[0]:
+                    proved = stop[1] + 1
+            todo = gens
+            if proved:  # u * x maps b to x[beta]
+                todo = [x for x in gens[:proved] if x[beta] not in kept] + gens[proved:]
+            for x in todo:
                 v = _mul(u, x)
                 img = v[b]
                 if v == trans[img]:
                     continue  # the Schreier generator is the identity
                 residue = self._sift(_mul(v, self._u_inv(i, img)), k + 1)
                 if residue is not None:
-                    return residue
-        return None
+                    return residue, (beta, gens.index(x))
+        return None, None
 
-    def _build(self, k: int, divisor: int | None) -> None:
+    def _build(self, k: int, divisor: int | None, parent: int) -> None:
         """Rebuild the k-th non-trivial level and every shallower one, and
-        descend again from the level of each new residue."""
+        descend again from the level of each new residue.
+
+        scans keeps each level's last scan in this build as (generator
+        count, stop pair).  A level not yet scanned was complete in the
+        chain being extended, with the first `parent` strong generators
+        (those at its level or deeper), and its transversal is still in
+        place; a trivial one had {base point: identity}.
+        """
         levels = [entry[0] for entry in self._levels]
+        scans: dict[int, tuple[int, tuple[int, int] | None]] = {}
         while k >= 0:
             i = levels[k]
             gens = [g for g, lv in self._strong if lv >= i]
+            old = self._trans.get(i) or {self.base[i]: self._identity}
+            if i not in scans:
+                scans[i] = (sum(lv >= i for _, lv in self._strong[:parent]), None)
             trans = self._rebuild_level(i, gens)
             if divisor is not None and divisor % len(trans):
                 raise _OrbitDoesNotDivide
-            residue = self._first_residue(k, gens)
+            residue, stop = self._first_residue(k, gens, old, *scans[i])
+            scans[i] = (len(gens), stop)
             if residue is None:
                 k -= 1
                 continue
@@ -392,9 +438,11 @@ class PermGroup:
         """<self, new>, its chain extended from self's (which stays as it
         was); with a divisor n, None unless its order divides n.
 
-        Before any chain work, the order of y * x for each new y and each
-        generator x of self must divide n (Lagrange); then the extension
-        stops at the first rebuilt orbit whose length does not divide n (see
+        The checks run cheapest first, each a divisor of the order that
+        must divide n: the order of y * x for each new y and each generator
+        x of self (Lagrange), then the length of each orbit of <self, new>
+        (an index), and only then the chain levels: the extension stops at
+        the first rebuilt orbit whose length does not divide n (see
         StabChain).  The generators are self.generators + new, as
         PermGroup(degree, self.generators + new) has them.
         """
@@ -404,6 +452,8 @@ class PermGroup:
                 for x in self.generators:
                     if divisor % Permutation._trusted(_mul(y.images, x.images)).order():
                         return None
+            if any(divisor % len(orbit) for orbit in joined.orbits()):
+                return None
         try:
             chain = self.chain.extended([y.images for y in new], divisor)
         except _OrbitDoesNotDivide:
@@ -447,17 +497,15 @@ class PermGroup:
         """Orbit of a point, BFS order starting at the point."""
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range")
+        gens = [g.images for g in self.generators]
+        out = [point]
         seen = {point}
-        queue = deque([point])
-        out = []
-        while queue:
-            pt = queue.popleft()
-            out.append(pt)
-            for g in self.generators:
-                img = g(pt)
+        for pt in out:
+            for g in gens:
+                img = g[pt]
                 if img not in seen:
                     seen.add(img)
-                    queue.append(img)
+                    out.append(img)
         return out
 
     def orbits(self) -> list[list[int]]:

@@ -42,8 +42,9 @@ Greedy growth and the scan build each candidate <current, new> with
 PermGroup.adjoin, which extends current's complete chain instead of building
 the join's from scratch.  It rejects a candidate whose order cannot divide
 the pi-part of |G| first by Lagrange (the order of new * old must divide
-it), then during the extension, at the first rebuilt orbit whose length does
-not; a candidate that cannot be a pi-group never pays for a full
+it), then by the orbits of the join (each length must divide it), and only
+then during the extension, at the first rebuilt level whose orbit length
+does not; a candidate that cannot be a pi-group never pays for a full
 Schreier-Sims run.  The decisions are the same as with the full order, and
 the generators are those of PermGroup(degree, current.generators + new).
 """

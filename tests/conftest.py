@@ -58,6 +58,17 @@ def random_permutation(rng: random.Random, degree: int) -> Permutation:
     return Permutation(images)
 
 
+def random_subgroup_gens(rng: random.Random) -> tuple[int, list[Permutation]]:
+    """One or two random elements of S6..S8, raised to small powers so that
+    small subgroups turn up as well as the giants."""
+    degree = rng.randint(6, 8)
+    gens = [
+        random_permutation(rng, degree) ** rng.choice([1, 1, 2, 3, 4, 6])
+        for _ in range(rng.randint(1, 2))
+    ]
+    return degree, gens
+
+
 @pytest.fixture(scope="session")
 def s4():
     return make_named("S4")

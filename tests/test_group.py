@@ -1,5 +1,6 @@
 """Stabilizer-chain engine: orders, membership, orbits, subgroup operations."""
 
+import collections
 import contextlib
 import itertools
 import math
@@ -41,7 +42,7 @@ from hallbound import group
 from hallbound.errors import CapExceeded, DegreeMismatch
 from hallbound.perm import _inv, _mul
 
-from conftest import permutations_of_degree, random_permutation
+from conftest import permutations_of_degree, random_permutation, random_subgroup_gens
 
 
 def test_symmetric_group_order_and_membership():
@@ -319,17 +320,6 @@ def test_degree_one_group():
     assert list(g.elements()) == [Permutation.identity(1)]
 
 
-def _random_subgroup_gens(rng: random.Random) -> tuple[int, list[Permutation]]:
-    """One or two random elements of S6..S8, raised to small powers so that
-    small subgroups turn up as well as the giants."""
-    degree = rng.randint(6, 8)
-    gens = [
-        random_permutation(rng, degree) ** rng.choice([1, 1, 2, 3, 4, 6])
-        for _ in range(rng.randint(1, 2))
-    ]
-    return degree, gens
-
-
 def _product_order_elements(chain: StabChain) -> list[tuple[int, ...]]:
     """The elements as first enumerated: itertools.product over the sorted
     transversals of the non-trivial levels, deepest first, each element
@@ -361,7 +351,7 @@ def test_elements_keep_product_order_on_small_groups():
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_elements_keep_product_order(seed):
-    degree, gens = _random_subgroup_gens(random.Random(seed))
+    degree, gens = random_subgroup_gens(random.Random(seed))
     _assert_product_order(PermGroup(degree, gens))
 
 
@@ -404,7 +394,7 @@ def test_adjoin_agrees_with_the_plain_chain(seed, n):
     the plain chain's order does not divide n, and is otherwise the group of
     the plain chain; old's chain is left as it was."""
     rng = random.Random(seed)
-    degree, gens = _random_subgroup_gens(rng)
+    degree, gens = random_subgroup_gens(rng)
     gens += [random_permutation(rng, degree) ** 2 for _ in range(rng.randint(0, 1))]
     split = rng.randint(0, len(gens))
     old = PermGroup(degree, gens[:split])
@@ -433,7 +423,7 @@ def test_trivial_chain_extended_by_all_generators_is_the_plain_chain(seed):
     """The constructor is this extension, so the reference Schreier-Sims
     comparison below guards every extension of the trivial chain."""
     rng = random.Random(seed)
-    degree, gens = _random_subgroup_gens(rng)
+    degree, gens = random_subgroup_gens(rng)
     images = [x.images for x in gens]
     plain = StabChain(degree, images)
     trivial = StabChain(degree, [])
@@ -488,15 +478,47 @@ def test_rejected_join_caches_no_chain():
         g = PermGroup(5, [x])
         assert g.adjoin([y], n) is None
         assert g._chain is None
-    # from the trivial group there is no product to check: 7 is stopped at
-    # the first orbit (length 5), 40 only at a deeper level of length 3,
-    # after Schreier generators have been added
+    # from the trivial group there is no product to check: 7 is refused by
+    # the orbit check (the joined orbit has length 5) before any chain work,
+    # 40 only at a deeper level of length 3, after Schreier generators have
+    # been added
     for n in (7, 40):
         g = PermGroup.trivial(5)
         assert g.adjoin(s5.generators, n) is None
         assert _chain_state(g.chain) == _chain_state(StabChain(5, []))
         assert g.adjoin(s5.generators).order() == 120
         assert g.adjoin(s5.generators, 240).order() == 120
+
+
+@contextlib.contextmanager
+def _counted_extensions():
+    """Record the arguments of each StabChain.extended call."""
+    calls = []
+    extended = StabChain.extended
+
+    def counted(chain, *args):
+        calls.append(args)
+        return extended(chain, *args)
+
+    with mock.patch.object(StabChain, "extended", counted):
+        yield calls
+
+
+def test_an_orbit_that_does_not_divide_refuses_the_join_before_any_chain_work():
+    s5 = make_named("S5")
+    # a greedy step toward a Hall {2,3}-subgroup of S6, of order 144: y * x
+    # has order 4, which divides 144, but <x, y> has an orbit of length 5
+    x = Permutation.from_cycles(6, [(0, 1), (2, 3)])
+    y = Permutation.from_cycles(6, [(1, 2, 3, 4)])
+    assert 144 % (y * x).order() == 0
+    assert [0, 1, 2, 3, 4] in PermGroup(6, [x, y]).orbits()
+    with _counted_extensions() as calls:
+        assert PermGroup.trivial(5).adjoin(s5.generators, 7) is None
+        assert PermGroup(6, [x]).adjoin([y], 144) is None
+    assert calls == []
+    with _counted_extensions() as calls:
+        assert PermGroup(6, [x]).adjoin([y], 720).order() == 20
+    assert len(calls) == 1
 
 
 @pytest.mark.property_based
@@ -506,7 +528,7 @@ def test_chain_derived_elements_are_bijections(seed):
     """Elements, random elements and stabilizer generators are read off the
     chain without validation; each must still be a bijection of the degree."""
     rng = random.Random(seed)
-    degree, gens = _random_subgroup_gens(rng)
+    degree, gens = random_subgroup_gens(rng)
     g = PermGroup(degree, gens)
     derived = list(g.elements())
     derived += [g.random_element(rng) for _ in range(20)]
@@ -718,7 +740,7 @@ def _assert_same_chain(degree, images, base, rng: random.Random):
 @settings(max_examples=60, deadline=None)
 def test_chain_matches_reference_schreier_sims(seed):
     rng = random.Random(seed)
-    degree, gens = _random_subgroup_gens(rng)
+    degree, gens = random_subgroup_gens(rng)
     images = [g.images for g in gens]
     chain, ref = _assert_same_chain(degree, images, None, rng)
     cosets = [random_permutation(rng, degree).images for _ in range(10)]
@@ -726,6 +748,112 @@ def test_chain_matches_reference_schreier_sims(seed):
     # a prescribed base prefix, as pointwise_stabilizer and action_kernel use
     prefix = rng.sample(range(degree), rng.randint(1, degree))
     _assert_same_chain(degree, images, prefix, rng)
+
+
+class _FullScanChain(StabChain):
+    """The engine with the scan it had before proved pairs were skipped:
+    every Schreier generator of a rebuilt level is sifted, whatever the
+    level's last scan proved.  Kept as the oracle that every extension
+    must match chain for chain."""
+
+    def _first_residue(self, k, gens, old, count, stop):
+        i, b, _, _ = self._levels[k]
+        trans = self._trans[i]
+        for beta in sorted(trans):
+            u = trans[beta]
+            for j, x in enumerate(gens):
+                v = _mul(u, x)
+                img = v[b]
+                if v == trans[img]:
+                    continue
+                residue = self._sift(_mul(v, self._u_inv(i, img)), k + 1)
+                if residue is not None:
+                    return residue, (beta, j)
+        return None, None
+
+
+def _level_table(chain: StabChain):
+    """The non-trivial levels as (level, base point, gap points)."""
+    return [(i, b, gap) for i, b, _, gap in chain._levels]
+
+
+def _extend_or_stop(chain: StabChain, images, divisor):
+    try:
+        return chain.extended(images, divisor)
+    except group._OrbitDoesNotDivide:
+        return None
+
+
+@pytest.mark.property_based
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_extensions_match_the_full_scan(seed):
+    """A chain grown by one extension or more, each with or without a
+    divisor, is the chain the full scan grows: the same stops, strong
+    generators, transversals and levels."""
+    rng = random.Random(seed)
+    degree, gens = random_subgroup_gens(rng)
+    gens += [
+        random_permutation(rng, degree) ** rng.choice([1, 2, 2, 3, 4, 6])
+        for _ in range(rng.randint(1, 4))
+    ]
+    images = [x.images for x in gens]
+    cuts = sorted(rng.sample(range(1, len(images) + 1), rng.randint(1, len(images))))
+    base = rng.sample(range(degree), rng.randint(1, degree)) if rng.random() < 0.3 else None
+    engine = StabChain(degree, images[: cuts[0]], base=base)
+    oracle = _FullScanChain(degree, images[: cuts[0]], base=base)
+    for start, end in zip(cuts, cuts[1:] + [len(images)]):
+        step = images[start:end]
+        if rng.random() < 0.3:
+            step.append(engine.random_element(rng))  # an element it has
+            images.append(step[-1])
+        divisor = rng.choice([None, None, rng.randint(1, 5_000), 40_320 * rng.randint(1, 6)])
+        grown = _extend_or_stop(engine, step, divisor)
+        expected = _extend_or_stop(oracle, step, divisor)
+        assert (grown is None) == (expected is None)
+        if grown is None:
+            grown, expected = engine.extended(step), oracle.extended(step)
+        assert _chain_state(grown) == _chain_state(expected)
+        assert _level_table(grown) == _level_table(expected)
+        engine, oracle = grown, expected
+    assert engine.order() == StabChain(degree, images).order()
+
+
+@pytest.mark.parametrize("spec", ["S5", "PSL(2,7)", "A5 wr C2"])
+def test_extending_by_an_own_element_sifts_no_pair_already_proved(spec, monkeypatch):
+    """Only pairs (beta, x) with x the new generator, or with u_beta or
+    u_x(beta) rebuilt differently, are sifted; every other pair of a rebuilt
+    level was proved by the complete parent chain."""
+    parent = group_from_spec(spec).chain
+    rng = random.Random(2)
+    x = parent.random_element(rng)
+    while x in parent.strong_generators():
+        x = parent.random_element(rng)
+    sifted = []
+    sift = StabChain._sift
+
+    def recording_sift(chain, p, k=0):
+        sifted.append((k, p))
+        return sift(chain, p, k)
+
+    monkeypatch.setattr(StabChain, "_sift", recording_sift)
+    child = parent.extended([x])
+    monkeypatch.undo()
+    assert child.order() == parent.order()
+    unproved = []
+    for k, (i, _, _, _) in enumerate(child._levels):
+        old, trans = parent._trans[i], child._trans[i]
+        if trans is old:
+            continue  # not rebuilt
+        for beta, u in trans.items():
+            for y in child.level_generators(i):
+                img = y[beta]
+                if y == x or old.get(beta) != u or old.get(img) != trans[img]:
+                    v = _mul(u, y)
+                    if v != trans[img]:
+                        unproved.append((k + 1, _mul(v, _inv(trans[img]))))
+    assert sifted
+    assert not collections.Counter(sifted) - collections.Counter(unproved)
 
 
 def _spread(x: Permutation, degree: int) -> Permutation:
