@@ -50,6 +50,32 @@ def _extend_products(
         yield from map(_mul, itertools.repeat(p, len(level)), level)
 
 
+def _orbit(gens: Sequence[tuple[int, ...]], point: int) -> list[int]:
+    """Orbit of a point under image tuples, in BFS order from the point."""
+    out = [point]
+    seen = {point}
+    for pt in out:
+        for g in gens:
+            img = g[pt]
+            if img not in seen:
+                seen.add(img)
+                out.append(img)
+    return out
+
+
+def _orbits(gens: Sequence[tuple[int, ...]], degree: int) -> list[list[int]]:
+    """All orbits under image tuples, ordered by least point, each in BFS
+    order from it."""
+    seen: set[int] = set()
+    out = []
+    for pt in range(degree):
+        if pt not in seen:
+            orb = _orbit(gens, pt)
+            seen.update(orb)
+            out.append(orb)
+    return out
+
+
 class StabChain:
     """Stabilizer chain with the full ordered base.
 
@@ -95,7 +121,9 @@ class StabChain:
     pairs are only those whose representatives came out unchanged), so the
     levels a copy does not rebuild share their transversal dicts, and the
     inverse caches that both fill with the same values, with the chain it
-    came from.  Inverse transversal elements are computed when first needed.
+    came from.  Inverse transversal elements are computed when first needed;
+    a rebuilt level starts a fresh inverse cache that keeps the entries of
+    the representatives that came out unchanged.
 
     With a divisor n the build stops (``_OrbitDoesNotDivide``) at the first
     rebuilt level whose orbit length does not divide n.  That level's orbit
@@ -196,8 +224,12 @@ class StabChain:
 
     def _rebuild_level(
         self, i: int, gens: Sequence[tuple[int, ...]]
-    ) -> dict[int, tuple[int, ...]]:
+    ) -> tuple[dict[int, tuple[int, ...]], set[int]]:
+        """Rebuild level i's transversal from gens; returns it with the
+        points whose representative came out unchanged, which keep their
+        cached inverses."""
         b = self.base[i]
+        old = self._trans.get(i) or {b: self._identity}
         trans = {b: self._identity}
         queue = deque([b])
         while queue:
@@ -208,9 +240,11 @@ class StabChain:
                 if img not in trans:
                     trans[img] = _mul(u, g)
                     queue.append(img)
+        kept = {pt for pt, u in trans.items() if old.get(pt) == u}
+        inv = self._transversal_inv.get(i, {})
         self._trans[i] = trans
-        self._transversal_inv[i] = {}
-        return trans
+        self._transversal_inv[i] = {pt: v for pt, v in inv.items() if pt in kept}
+        return trans, kept
 
     def _u_inv(self, i: int, pt: int) -> tuple[int, ...]:
         """Inverse of the level-i transversal element for pt, cached."""
@@ -241,7 +275,7 @@ class StabChain:
         self,
         k: int,
         gens: list[tuple[int, ...]],
-        old: dict[int, tuple[int, ...]],
+        kept: set[int],
         count: int,
         stop: tuple[int, int] | None,
     ) -> tuple[tuple[int, ...] | None, tuple[int, int] | None]:
@@ -249,16 +283,16 @@ class StabChain:
         not sift through the deeper levels, as its sift residue, with its
         pair (beta, index of x in gens); (None, None) when there is none.
 
-        old, count and stop describe the level's last scan: its transversal,
-        its number of generators (a prefix of gens) and the pair whose
-        residue it returned (None: it completed).  A pair that scan reached,
-        with x among its generators and u_beta and u_x(beta) unchanged, has
-        the same Schreier generator as then, which lies in K_(i+1) and so
-        sifts to the identity: it is skipped.
+        kept holds the points whose representative the rebuild left
+        unchanged; count and stop describe the level's last scan: its
+        number of generators (a prefix of gens) and the pair whose residue
+        it returned (None: it completed).  A pair that scan reached, with x
+        among its generators and u_beta and u_x(beta) unchanged, has the
+        same Schreier generator as then, which lies in K_(i+1) and so sifts
+        to the identity: it is skipped.
         """
         i, b, _, _ = self._levels[k]
         trans = self._trans[i]
-        kept = {pt for pt, u in trans.items() if old.get(pt) == u} if count else ()
         for beta in sorted(trans):
             u = trans[beta]
             proved = 0
@@ -295,13 +329,12 @@ class StabChain:
         while k >= 0:
             i = levels[k]
             gens = [g for g, lv in self._strong if lv >= i]
-            old = self._trans.get(i) or {self.base[i]: self._identity}
             if i not in scans:
                 scans[i] = (sum(lv >= i for _, lv in self._strong[:parent]), None)
-            trans = self._rebuild_level(i, gens)
+            trans, kept = self._rebuild_level(i, gens)
             if divisor is not None and divisor % len(trans):
                 raise _OrbitDoesNotDivide
-            residue, stop = self._first_residue(k, gens, old, *scans[i])
+            residue, stop = self._first_residue(k, gens, kept, *scans[i])
             scans[i] = (len(gens), stop)
             if residue is None:
                 k -= 1
@@ -446,20 +479,22 @@ class PermGroup:
         StabChain).  The generators are self.generators + new, as
         PermGroup(degree, self.generators + new) has them.
         """
-        joined = PermGroup(self.degree, self.generators + tuple(new))
+        images = [y.images for y in new]
         if divisor is not None:
             for y in new:
                 for x in self.generators:
                     if divisor % Permutation._trusted(_mul(y.images, x.images)).order():
                         return None
-            if any(divisor % len(orbit) for orbit in joined.orbits()):
+            gens = [x.images for x in self.generators] + images
+            if any(divisor % len(orbit) for orbit in _orbits(gens, self.degree)):
                 return None
         try:
-            chain = self.chain.extended([y.images for y in new], divisor)
+            chain = self.chain.extended(images, divisor)
         except _OrbitDoesNotDivide:
             return None
         if divisor is not None and divisor % chain.order():
             return None
+        joined = PermGroup(self.degree, self.generators + tuple(new))
         object.__setattr__(joined, "_chain", chain)
         return joined
 
@@ -497,27 +532,11 @@ class PermGroup:
         """Orbit of a point, BFS order starting at the point."""
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range")
-        gens = [g.images for g in self.generators]
-        out = [point]
-        seen = {point}
-        for pt in out:
-            for g in gens:
-                img = g[pt]
-                if img not in seen:
-                    seen.add(img)
-                    out.append(img)
-        return out
+        return _orbit([g.images for g in self.generators], point)
 
     def orbits(self) -> list[list[int]]:
         """All orbits, each sorted, ordered by least point."""
-        seen: set[int] = set()
-        out = []
-        for pt in range(self.degree):
-            if pt not in seen:
-                orb = self.orbit(pt)
-                seen.update(orb)
-                out.append(sorted(orb))
-        return out
+        return [sorted(orb) for orb in _orbits([g.images for g in self.generators], self.degree)]
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
@@ -670,13 +689,18 @@ def _is_abelian(g: PermGroup) -> bool:
 def _commuting_map(
     gens: Sequence[tuple[int, ...]], alpha: int, beta: int, degree: int
 ) -> Permutation | None:
-    """The permutation z with z(alpha) = beta that fixes every point off
-    alpha's orbit and commutes there with every generator, or None.
+    """A permutation commuting with every generator, built from the map z
+    with z(alpha) = beta along alpha's orbit, or None when there is no such
+    map.  With beta in alpha's orbit it is z there and fixes every other
+    point.  With beta in another orbit of the same length it is the
+    involution that swaps the two orbits, z one way and its inverse back,
+    and fixes every other point.
 
     z is forced along the orbit: z(gamma^s) = z(gamma)^s for each generator
     s, so one BFS from alpha defines it and checks every such equation,
-    stopping at the first that fails.  A map that satisfies them all is a
-    bijection of the orbit, for its image is a non-empty invariant subset.
+    stopping at the first that fails.  A map that satisfies them all maps
+    the orbit onto beta's orbit, for its image is a non-empty invariant
+    subset of it, and so bijectively when the orbits have the same length.
     """
     z = list(range(degree))
     z[alpha] = beta
@@ -691,6 +715,9 @@ def _commuting_map(
                 reached.append(img)
             elif z[img] != want:
                 return None
+    if beta not in seen:
+        for gamma in reached:
+            z[z[gamma]] = gamma
     return Permutation._trusted(tuple(z))
 
 
@@ -829,6 +856,36 @@ def _join_partitions(
     return classes.blocks()
 
 
+def minimal_block_systems(g: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
+    """The distinct non-trivial systems minimal_block_system(g, alpha, beta)
+    of a group transitive on the points it moves, alpha its least moved
+    point; every point it fixes is a block of its own in each system.
+
+    Every non-trivial system holds a block with alpha and some beta, and so
+    is coarser than one of these; the minimal systems are among them.  The system
+    for beta is the one for beta^h, h in the stabilizer G_alpha (an
+    invariant partition is fixed by h), so one beta per G_alpha-orbit is
+    tried.  Every point before alpha is fixed, so G_alpha is a level of the
+    natural-base chain.
+    """
+    moved = [orbit for orbit in g.orbits() if len(orbit) > 1]
+    if len(moved) != 1:
+        raise ValueError("block systems require a group transitive on its support")
+    support = set(moved[0])
+    alpha = moved[0][0]
+    n = g.degree
+    # a system is non-trivial when it splits the support into more than one
+    # block and fewer than all of its points
+    fewest = n - len(support) + 1
+    systems: dict[tuple[tuple[int, ...], ...], None] = {}
+    for orbit in _orbits(g.chain.level_generators(alpha + 1), n):
+        if orbit[0] != alpha and orbit[0] in support:
+            system = minimal_block_system(g, alpha, orbit[0])
+            if fewest < len(system) < n:
+                systems.setdefault(system, None)
+    return list(systems)
+
+
 def block_systems(g: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
     """All non-trivial block systems of a group transitive on the points it
     moves; every point it fixes is a block of its own in each system.
@@ -837,19 +894,9 @@ def block_systems(g: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
     closure of the minimal systems is complete.  BLOCK_SYSTEM_BUDGET guards
     pathological lattices.
     """
-    moved = [orbit for orbit in g.orbits() if len(orbit) > 1]
-    if len(moved) != 1:
-        raise ValueError("block systems require a group transitive on its support")
-    support = moved[0]
+    systems = dict.fromkeys(minimal_block_systems(g))
     n = g.degree
-    # a system is non-trivial when it splits the support into more than one
-    # block and fewer than all of its points
-    fewest = n - len(support) + 1
-    systems: dict[tuple[tuple[int, ...], ...], None] = {}
-    for beta in support[1:]:
-        system = minimal_block_system(g, support[0], beta)
-        if fewest < len(system) < n:
-            systems.setdefault(system, None)
+    fewest = n - sum(len(orbit) for orbit in g.orbits() if len(orbit) > 1) + 1
     work = list(systems)
     while work:
         check_cap(len(systems), BLOCK_SYSTEM_BUDGET, "block systems: lattice size")

@@ -1,14 +1,7 @@
 """Normal structure: minimal normal subgroups, socle, solubility tests.
 
-Every normal-subgroup search here starts from one harvest, _class_seeds:
-one generator per conjugacy class of the cyclic subgroups of prime-power
-order.  It reads the elements once, from the chain's shared-prefix
-enumeration, and sorts each one into its cyclic subgroup with one power walk
-per cyclic subgroup it has not met.  seed_closures closes each seed of the
-whole group under conjugation, once per group.  The cores and radicals of
-normal_part are spans of those closures.  Minimal normal subgroups, which
-drive everything else and split the socle into simple factors, come from
-one call that tries in order:
+Minimal normal subgroups drive everything else here, and split the socle
+into simple factors.  They come from one call that tries in order:
 
   * a giant: a group acting faithfully as the symmetric or alternating
     group on an orbit of m >= 5 points is recognised by its order
@@ -17,21 +10,35 @@ one call that tries in order:
     orbit factors are non-abelian simple and multiply to its order
     (_support_factorization) has those factors as its minimal normal
     subgroups, at any order;
-  * under the enumeration cap, the inclusion-minimal seed closures (any
-    nontrivial normal subgroup contains one, and a minimal normal subgroup
-    is the closure of each of its nontrivial elements);
-  * over the cap, a search inside kernels k of orbit and block actions:
-    the inclusion-minimal normal closures of k's prime-order class seeds
-    (k under the cap) or of all of k's minimal normal subgroups (k over it
-    and a giant or a simple product; any other such k raises CapExceeded).
+  * a certified kernel search, at any order: the kernels of the actions on
+    the nontrivial orbits (two or more of them) or on the minimal block
+    systems (one; none for a regular action) are searched, and so is C =
+    C_G(P), P their product, read off the action (_kernel_centralizer).
+    Inside a kernel k the search closes k's own minimal normal subgroups
+    (k settled, or over the cap: a recursive call) or k's prime-order class
+    seeds (otherwise);
+  * only when the search has no certificate, and only under the enumeration
+    cap, the harvest: the inclusion-minimal seed closures (any nontrivial
+    normal subgroup contains one, and a minimal normal subgroup is the
+    closure of each of its nontrivial elements).  Over the cap the search
+    raises CapExceeded instead.
 
-Soundness: the answer for each kernel is exact, since a minimal normal
-N <= k is the normal closure of any minimal normal subgroup of k inside it,
-so every subgroup returned is minimal normal.  The kernels are a block
-action kernel for a group transitive on the points it moves, the pointwise
-stabilizer of an orbit or of its complement otherwise, and a minimal normal
-subgroup that meets every one trivially is missed: with no other candidate
-the search raises CapExceeded, otherwise the answer omits it.
+Exactness: the answer inside each searched subgroup k is exact, since a
+minimal normal N <= k is the normal closure of any minimal normal subgroup
+of k inside it.  A minimal normal N meets each kernel K in a normal
+subgroup, so either N <= K and the search of K finds it, or N n K = 1 and
+[N, K] <= N n K = 1.  A minimal normal subgroup that no kernel holds thus
+lies in C, which is normal: when C is trivial the kernels hold them all,
+when C is proper its search finds the rest, and when C = G (P central, as in
+an abelian group) there is no certificate.
+
+The harvest starts from _class_seeds: one generator per conjugacy class of
+the cyclic subgroups of prime-power order.  It reads the elements once,
+from the chain's shared-prefix enumeration, and sorts each one into its
+cyclic subgroup with one power walk per cyclic subgroup it has not met.
+seed_closures closes each seed of the whole group under conjugation, once
+per group; the cores and radicals of normal_part are spans of those
+closures.
 """
 
 from __future__ import annotations
@@ -45,17 +52,20 @@ from .config import enumeration_cap
 from .errors import PreconditionError, check_cap
 from .group import (
     PermGroup,
+    _commuting_map,
     _is_abelian,
     block_action_kernel,
-    block_systems,
+    centralizer,
     commutator_subgroup,
     derived_subgroup,
+    intersection,
     is_normal,
+    minimal_block_systems,
     normal_closure,
     pointwise_stabilizer,
     span,
 )
-from .perm import Permutation, _conj, _inv
+from .perm import Permutation, _conj, _inv, _mul
 from .primes import factorize, is_prime
 
 
@@ -182,12 +192,13 @@ def _support_factorization(k: PermGroup, cap: int) -> list[PermGroup] | None:
     a normal subgroup of k.  The factors commute and meet trivially, so when
     their orders multiply to |k|, k is their direct product.  Each must be a
     certified non-abelian simple group: a giant by its order, any other
-    factor under the cap.  A non-abelian simple group is perfect, so a
-    factor that is not (an abelian one included) rejects the product before
-    any factor is certified.
+    factor under the cap.  A non-abelian simple group moves at least 5
+    points and is perfect, so an orbit of fewer points, or a factor that is
+    not perfect (an abelian one included), rejects the product before any
+    factor is certified.
     """
     moved = [orbit for orbit in k.orbits() if len(orbit) > 1]
-    if len(moved) < 2:
+    if len(moved) < 2 or min(map(len, moved)) < 5:
         return None
     factors = []
     total = 1
@@ -228,51 +239,105 @@ def seed_closures(g: PermGroup) -> tuple[PermGroup, ...]:
 
 def _minimal_normals_inside(g: PermGroup, k: PermGroup, cap: int) -> list[PermGroup]:
     """All minimal normal subgroups of g inside the proper normal subgroup k:
-    the inclusion-minimal closures in g of k's prime-order class seeds (under
-    the cap) or of all of k's minimal normal subgroups M (over it, when
-    settled).  A minimal normal N <= k of g is the closure of any M <= N; from
-    an incomplete list of M a closure may be normal but not minimal."""
-    if k.order() <= cap:
+    the inclusion-minimal closures in g of all of k's minimal normal
+    subgroups M (k settled or over the cap, where minimal_normal_subgroups
+    finds them at any order or raises) or of k's prime-order class seeds
+    (otherwise).  A minimal normal N <= k of g is the closure of any M <= N;
+    from an incomplete list of M a closure may be normal but not minimal."""
+    parts = _settled_minimal_normals(k, cap)
+    if parts is None and k.order() > cap:
+        parts = minimal_normal_subgroups(k)
+    elif parts is None:
         parts = (
             PermGroup(g.degree, [x])
             for x in _class_seeds(g, k, cap)
             if is_prime(x.order())
         )
-    else:
-        parts = _settled_minimal_normals(k, cap)
-        if parts is None:
-            what = "minimal normal search: kernel neither a giant nor a simple product, order"
-            check_cap(k.order(), cap, what)
     return _inclusion_minimal(normal_closure(g, m) for m in parts)
 
 
-def _minimal_normals_structured(g: PermGroup, cap: int) -> list[PermGroup]:
-    kernels: list[PermGroup] = []
+def _action_kernels(g: PermGroup) -> list[PermGroup]:
+    """The distinct proper nontrivial kernels of g's actions on its
+    nontrivial orbits (two or more of them) or on its minimal block systems
+    (one); none for a regular action, whose block systems are one per
+    subgroup and would cost a search each."""
+    n = g.order()
     moved = [orbit for orbit in g.orbits() if len(orbit) > 1]
     if len(moved) == 1:
-        # transitive on its support, where it acts faithfully
-        for system in block_systems(g):
-            k = block_action_kernel(g, system)
-            if not k.is_trivial():
-                kernels.append(k)
+        if len(moved[0]) == n:
+            return []
+        kernels = [block_action_kernel(g, system) for system in minimal_block_systems(g)]
     else:
-        for orbit in moved:
-            points = set(orbit)
-            inside = pointwise_stabilizer(
-                g, [pt for pt in range(g.degree) if pt not in points]
-            )
-            outside = pointwise_stabilizer(g, orbit)
-            for k in (inside, outside):
-                if not k.is_trivial() and k.order() < g.order():
-                    kernels.append(k)
-    candidates: list[PermGroup] = []
-    for k in _dedupe_subgroups(kernels):
-        candidates.extend(_minimal_normals_inside(g, k, cap))
-    if not candidates:
-        # only groups over the cap come here, so this raises
-        what = "minimal normal search: no proper normal subgroup certified, order"
-        check_cap(g.order(), cap, what)
-    return _inclusion_minimal(candidates)
+        kernels = [pointwise_stabilizer(g, orbit) for orbit in moved]
+    return _dedupe_subgroups([k for k in kernels if not k.is_trivial() and k.order() < n])
+
+
+def _kernel_centralizer(g: PermGroup, kernels: list[PermGroup], cap: int) -> PermGroup | None:
+    """C = C_G(P) for P the product of the kernels; None when C = G, or when
+    both G and the Sym-centralizer D below are over the cap.
+
+    C is G's intersection with D, the centralizer of P in the product of
+    Sym(Delta) over the G-orbits Delta (which contains G).  P is normal, so
+    its orbits in Delta have one length.  D permutes P's orbits, and an
+    element taking orbit O to O' restricts to a map that commutes with P:
+    D is the product, over the classes of P-orbits in one Delta with
+    equivalent actions, of C_Sym(O)(P) wr S_m, of order c^m * m!, where c
+    is the number of maps from O's first point that commute with P
+    (_commuting_map), which generate C_Sym(O)(P), and the swaps of O with
+    each other orbit of its class generate the S_m.  |D| is known before D
+    is built, so only the smaller of G and D is enumerated.
+    """
+    p = PermGroup(g.degree, [x for k in kernels for x in k.generators])
+    gens = [x.images for x in p.generators]
+    if all(_mul(s.images, x) == _mul(x, s.images) for s in g.generators for x in gens):
+        return None  # P is central
+    delta_of = {pt: i for i, delta in enumerate(g.orbits()) for pt in delta}
+    by_delta: dict[int, list[list[int]]] = {}
+    for orbit in p.orbits():
+        by_delta.setdefault(delta_of[orbit[0]], []).append(orbit)
+    maps: list[Permutation] = []
+    order = 1
+    for orbits in by_delta.values():
+        classes: list[list[int]] = []  # [first point of the class's first orbit, c, m]
+        for orbit in orbits:
+            for cls in classes:
+                swaps = (_commuting_map(gens, cls[0], beta, g.degree) for beta in orbit)
+                swap = next((z for z in swaps if z is not None), None)
+                if swap is not None:
+                    maps.append(swap)
+                    cls[2] += 1
+                    break
+            else:
+                own = [_commuting_map(gens, orbit[0], beta, g.degree) for beta in orbit[1:]]
+                maps.extend(z for z in own if z is not None)
+                classes.append([orbit[0], 1 + sum(z is not None for z in own), 1])
+        order *= math.prod(c**m * math.factorial(m) for _, c, m in classes)
+    if order == 1:
+        return PermGroup.trivial(g.degree)
+    if min(order, g.order()) > cap:
+        return None
+    c = intersection(g, span(g.degree, maps)) if order <= g.order() else centralizer(g, p)
+    return None if c.order() == g.order() else c
+
+
+def _certified_minimal_normals(g: PermGroup, cap: int) -> list[PermGroup] | None:
+    """All minimal normal subgroups of g from its action kernels, or None
+    when the search cannot be certified complete.
+
+    A minimal normal N meets each kernel K in a normal subgroup, so either N
+    <= K, and the search of K finds it, or N and K meet trivially, and then
+    [N, K] <= N n K = 1.  A minimal normal subgroup no kernel holds thus
+    lies in C = C_G(P), P the kernels' product: C is normal in G, and
+    searching it too (unless it is trivial or inside a kernel) makes the
+    answer exact.
+    """
+    kernels = _action_kernels(g)
+    c = _kernel_centralizer(g, kernels, cap) if kernels else None
+    if c is None:
+        return None
+    if not c.is_trivial() and not any(c.is_subgroup_of(k) for k in kernels):
+        kernels.append(c)
+    return _inclusion_minimal(m for k in kernels for m in _minimal_normals_inside(g, k, cap))
 
 
 @functools.lru_cache(maxsize=None)
@@ -282,10 +347,12 @@ def minimal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
         raise PreconditionError("the trivial group has no minimal normal subgroups")
     cap = enumeration_cap()
     result = _settled_minimal_normals(g, cap)
-    if result is None and g.order() <= cap:
+    if result is None:
+        result = _certified_minimal_normals(g, cap)
+    if result is None:
+        what = "minimal normal search: no certified kernel search, group order"
+        check_cap(g.order(), cap, what)
         result = _inclusion_minimal(seed_closures(g))
-    elif result is None:
-        result = _minimal_normals_structured(g, cap)
     for n in result:
         if not is_normal(n, g):
             raise AssertionError("computed minimal normal subgroup is not normal")

@@ -2,13 +2,16 @@
 
 import ast
 import math
+import random
 import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import clear_caches
+from conftest import clear_caches, random_subgroup_gens
 from hallbound import (
     PermGroup,
     PrimeSet,
@@ -36,14 +39,18 @@ from hallbound import (
     suite_specs,
     symmetric_group,
 )
+from hallbound.config import enumeration_cap
 from hallbound.errors import CapExceeded
 from hallbound.perm import Permutation
 from hallbound import structure
 from hallbound.primes import factorize, prime_divisors
 from hallbound.structure import (
+    _action_kernels,
+    _certified_minimal_normals,
     _class_seeds,
     _giant_index,
     _inclusion_minimal,
+    _kernel_centralizer,
     _support_factorization,
     seed_closures,
 )
@@ -136,14 +143,17 @@ def test_an_unsettled_kernel_over_the_cap_raises(monkeypatch):
     # C2 wr C4 has one minimal normal subgroup, the diagonal of its base
     # C2^4, of order 2.  Under a cap of 10 its block kernels (orders 16 and
     # 32) are abelian, so neither a giant nor a simple product settles their
-    # minimal normal subgroups; an incomplete list would close to a normal
-    # subgroup of order 4 that is not minimal, so the search raises instead.
+    # minimal normal subgroups, and the search recurses into them.  An
+    # abelian kernel centralizes all of its own kernels, so its search has
+    # no certificate, and over the cap it raises instead of answering from
+    # an incomplete list (which would close to a normal subgroup of order 4
+    # that is not minimal).
     g = group_from_spec("C2 wr C4")
     clear_caches()
     try:
         assert [n.order() for n in _inclusion_minimal(seed_closures(g))] == [2]
         monkeypatch.setenv("HALLBOUND_CAP", "10")
-        with pytest.raises(CapExceeded, match="neither a giant nor a simple product") as info:
+        with pytest.raises(CapExceeded, match="minimal normal search") as info:
             minimal_normal_subgroups(g)
     finally:
         clear_caches()
@@ -180,6 +190,124 @@ def test_structured_minimal_normals_of_a_group_with_fixed_points(
     assert [n.order() for n in exhaustive] == orders
     assert len(structured) == len(exhaustive)
     assert all(a.same_group_as(b) for a, b in zip(structured, exhaustive))
+
+
+def _same_subgroups(a, b) -> bool:
+    return len(a) == len(b) and all(any(x.same_group_as(y) for y in b) for x in a)
+
+
+def _certified_matches_the_harvest(g: PermGroup) -> bool:
+    """Whether the certified kernel search answers for g; when it does, its
+    answer must be exactly the inclusion-minimal seed closures."""
+    certified = _certified_minimal_normals(g, enumeration_cap())
+    if certified is not None:
+        assert _same_subgroups(certified, _inclusion_minimal(seed_closures(g)))
+    return certified is not None
+
+
+def _hexagon_with_coset_orbit() -> PermGroup:
+    """D12 on its hexagon 0..5 and on the two cosets 6, 7 of the S3
+    <r^2, s>: r = (0 1 2 3 4 5)(6 7) and the reflection s = (1 5)(2 4).
+    Its one action kernel is that S3, the kernel of the action on the
+    cosets; the center <r^3> moves the cosets, so it meets the S3
+    trivially, and only the search of C_G(S3) = <r^3> finds it."""
+    r = Permutation([1, 2, 3, 4, 5, 0, 7, 6])
+    s = Permutation([0, 5, 4, 3, 2, 1, 6, 7])
+    return PermGroup(8, [r, s])
+
+
+def test_only_the_centralizer_search_finds_a_minimal_normal_subgroup(monkeypatch):
+    g = _hexagon_with_coset_orbit()
+    kernels = _action_kernels(g)
+    assert [k.order() for k in kernels] == [6]
+    # the S3 has two equivalent orbits on the hexagon and fixes 6 and 7, so
+    # C_Sym(S3) on the two G-orbits is generated by two swaps, of order 4
+    c = _kernel_centralizer(g, kernels, enumeration_cap())
+    assert c.order() == 2 and not c.is_subgroup_of(kernels[0])
+    enumerated = _count_enumerations(monkeypatch)
+    clear_caches()
+    try:
+        minimals = minimal_normal_subgroups(g)
+    finally:
+        clear_caches()
+    assert [n.order() for n in minimals] == [2, 3]
+    assert minimals[0].same_group_as(c)
+    assert g.order() not in enumerated
+    assert _same_subgroups(minimals, _inclusion_minimal(seed_closures(g)))
+
+
+def _diagonal_on(g: PermGroup, copies: int) -> PermGroup:
+    """g acting the same way on `copies` copies of its points."""
+    n = g.degree
+    return PermGroup(
+        n * copies,
+        [Permutation([c * n + i for c in range(copies) for i in x.images]) for x in g.generators],
+    )
+
+
+def _swapped_copies(g: PermGroup) -> PermGroup:
+    """g x C2 on two copies of g's points: g acts the same way on both, C2
+    swaps them.  One block kernel is the diagonal g, whose two orbits carry
+    equivalent actions; the central C2 meets it trivially."""
+    n = g.degree
+    swap = Permutation(list(range(n, 2 * n)) + list(range(n)))
+    return PermGroup(2 * n, list(_diagonal_on(g, 2).generators) + [swap])
+
+
+def _sweep_groups():
+    yield from ((spec, lambda spec=spec: group_from_spec(spec)) for spec in suite_specs(3))
+    for spec in (
+        "A5 x D12", "PSL(2,7) x S3", "S5 x S3", "A5 x SL(2,3)", "PSL(2,7) wr C2",
+        "C2 x C2", "S3 x S3", "D8 x C2", "C2 wr C4", "S3 wr C2", "C3 wr S3", "A4 wr C2",
+    ):
+        yield spec, lambda spec=spec: group_from_spec(spec)
+    # products whose orbits carry equivalent actions, and fixed points
+    for spec in ("S3", "D8", "A4", "C4", "A5"):
+        yield f"{spec} on two swapped copies", lambda spec=spec: _swapped_copies(
+            group_from_spec(spec)
+        )
+        yield f"{spec} x its diagonal", lambda spec=spec: direct_product(
+            group_from_spec(spec), _diagonal_on(group_from_spec(spec), 2)
+        )
+    yield "diagonal A4 on 3 copies + 2 fixed", lambda: _with_fixed_points(
+        _diagonal_on(group_from_spec("A4"), 3), 2
+    )
+    yield "A4 wr C2 + 3 fixed", lambda: _with_fixed_points(group_from_spec("A4 wr C2"), 3)
+    yield "hexagon with coset orbit", _hexagon_with_coset_orbit
+    yield "(A5 x A5):2 on 60 points", lambda: _a5_squared_with_swap()
+
+
+# groups the certified search leaves to the harvest: primitive or faithful
+# on every orbit (no kernel), regular (skipped), abelian or with a central
+# product of kernels (C = G)
+_UNCERTIFIED = {
+    "A4", "C12", "C6", "PSL(2,11)", "PSL(2,13)", "PSL(2,7)", "S3", "S4", "SL(2,3)",
+    "SL(2,5)", "A5", "A6", "S5", "S6", "S7", "C2 x C2", "C4 on two swapped copies",
+    "C4 x its diagonal", "diagonal A4 on 3 copies + 2 fixed", "(A5 x A5):2 on 60 points",
+}
+
+
+@pytest.mark.parametrize("name, build", list(_sweep_groups()), ids=lambda v: v if isinstance(v, str) else "")
+def test_certified_kernel_search_matches_the_harvest_on_the_corpus(name, build):
+    assert _certified_matches_the_harvest(build()) == (name not in _UNCERTIFIED)
+
+
+@pytest.mark.property_based
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["plain", "fixed", "swapped", "product"]))
+@settings(max_examples=100, deadline=None)
+def test_certified_kernel_search_matches_the_harvest_on_random_groups(seed, shape):
+    rng = random.Random(seed)
+    degree, gens = random_subgroup_gens(rng)
+    g = PermGroup(degree, gens)
+    if shape == "fixed":
+        g = _with_fixed_points(g, 2)
+    elif shape == "swapped":
+        g = _with_fixed_points(_swapped_copies(g), 1)
+    elif shape == "product":
+        h = PermGroup(*random_subgroup_gens(rng))
+        g = direct_product(g, h) if g.order() * h.order() <= 20_000 else g
+    if not g.is_trivial():
+        _certified_matches_the_harvest(g)
 
 
 def _cyclic(x):
@@ -285,20 +413,12 @@ def test_a_giant_that_fixes_points_is_recognised(monkeypatch):
         clear_caches()
 
 
-def _diagonal(g: PermGroup) -> PermGroup:
-    """g acting the same way on two copies of its points."""
-    n = g.degree
-    return PermGroup(
-        2 * n, [Permutation(list(x.images) + [n + i for i in x.images]) for x in g.generators]
-    )
-
-
 @pytest.mark.parametrize("spec, index", [("A5", 2), ("S5", 1)])
 def test_a_diagonal_giant_is_recognised(monkeypatch, spec, index):
     # Each 5-point orbit is faithful, so the order names the giant.  Over a
-    # cap of 50 every orbit and orbit-complement kernel is trivial, so the
-    # kernel search has no candidate to offer.
-    g = _diagonal(group_from_spec(spec))
+    # cap of 50 every orbit kernel is trivial, so the kernel search has no
+    # candidate to offer.
+    g = _diagonal_on(group_from_spec(spec), 2)
     assert len(g.orbits()) == 2
     clear_caches()
     monkeypatch.setenv("HALLBOUND_CAP", "50")
@@ -348,7 +468,9 @@ def test_a_direct_product_splits_without_enumeration(monkeypatch):
 def test_a_soluble_orbit_factor_rejects_the_product_first(monkeypatch, spec, orders):
     # The orbit factor S3 (or D12) is not perfect, so the orbit factors are
     # no simple product and the simple factor is never enumerated to certify
-    # it; only G's own elements are read, for its seed closures.
+    # it.  The orbit kernels are searched instead, and the centralizer that
+    # certifies the search is read off the action, so G's own elements are
+    # never read.
     g = group_from_spec(spec)
     enumerated = _count_enumerations(monkeypatch)
     clear_caches()
@@ -357,7 +479,8 @@ def test_a_soluble_orbit_factor_rejects_the_product_first(monkeypatch, spec, ord
     finally:
         clear_caches()
     assert sorted(n.order() for n in minimals) == orders
-    assert set(enumerated) == {g.order()}
+    assert enumerated
+    assert g.order() not in enumerated
 
 
 @pytest.mark.parametrize("spec, order", [("A8", 20160), ("S7", 2520), ("S10", 1814400), ("A10", 1814400)])
@@ -372,6 +495,67 @@ def test_socle_of_a_giant_enumerates_no_element(monkeypatch, spec, order):
     assert [f.order() for f in dec.factors] == [order]
     assert dec.socle.order() == order
     assert enumerated == Counter()
+
+
+def test_a_wreath_product_is_searched_through_its_base(monkeypatch):
+    # The block kernel PSL(2,7)^2 is split on its orbits, its centralizer in
+    # the symmetric group is trivial, and only each simple factor (168) is
+    # enumerated to certify it simple: neither G nor its base is harvested.
+    g = group_from_spec("PSL(2,7) wr C2")
+    enumerated = _count_enumerations(monkeypatch)
+    clear_caches()
+    try:
+        minimals = minimal_normal_subgroups(g)
+    finally:
+        clear_caches()
+    assert [n.order() for n in minimals] == [28224]
+    assert not {56448, 28224} & set(enumerated)
+
+
+def test_socle_of_a5_wr_c3_enumerates_no_element_of_g(monkeypatch):
+    g = group_from_spec("A5 wr C3")
+    enumerated = _count_enumerations(monkeypatch)
+    clear_caches()
+    try:
+        dec = socle(g)
+    finally:
+        clear_caches()
+    assert [f.order() for f in dec.factors] == [60, 60, 60]
+    assert dec.socle.order() == 216000
+    assert g.order() == 648000 and g.order() not in enumerated
+
+
+def test_an_unsettled_kernel_over_the_cap_is_searched_in_turn():
+    # A5 wr A5 x C7 (order 326,592,000,000) is over the cap.  Its orbit
+    # kernels are C7 and A5 wr A5 x 1, which is neither a giant nor a simple
+    # product; its own search goes through its block kernel A5^5 and
+    # certifies it with a trivial centralizer (about 0.3 s on a 2-CPU VM).
+    g = group_from_spec("A5 wr A5 x C7")
+    clear_caches()
+    start = time.perf_counter()
+    try:
+        minimals = minimal_normal_subgroups(g)
+    finally:
+        clear_caches()
+    elapsed = time.perf_counter() - start
+    assert [n.order() for n in minimals] == [7, 777_600_000]
+    assert elapsed < 5, f"search took {elapsed:.1f}s, budget 5s"
+
+
+def test_a5_wr_a5_x_c7_gets_past_the_minimal_normal_search():
+    # The report now stops where the 3'-core harvests all of G, not in the
+    # minimal normal search (about 0.6 s on a 2-CPU VM).
+    g = group_from_spec("A5 wr A5 x C7")
+    clear_caches()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(CapExceeded, match="class-seed harvest") as info:
+            compute_invariant_report("A5 wr A5 x C7", g, PrimeSet([2, 3, 5]), 3)
+    finally:
+        clear_caches()
+    elapsed = time.perf_counter() - start
+    assert info.value.needed == g.order() == 326_592_000_000
+    assert elapsed < 10, f"report took {elapsed:.1f}s, budget 10s"
 
 
 def test_socle_of_s4(s4):
