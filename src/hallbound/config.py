@@ -10,12 +10,10 @@ import os
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 DEFAULT_QUOTIENT_DEGREE_CAP = 20_000
-DEFAULT_EXHAUSTIVE_SEARCH_CAP = 20_000
 LATTICE_ORDER_CAP = 2_000
 SEARCH_SEED = 0
 
 # Budgets for bounded searches that are not element enumerations.
-BLOCK_SYSTEM_BUDGET = 500
 NORMAL_LATTICE_BUDGET = 5_000
 SYLOW_COMBINATION_BUDGET = 200_000
 

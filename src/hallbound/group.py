@@ -33,7 +33,7 @@ from collections import deque
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .config import BLOCK_SYSTEM_BUDGET, enumeration_cap
+from .config import enumeration_cap
 from .errors import DegreeMismatch, SubgroupError, check_cap
 from .perm import Permutation, _inv, _mul
 
@@ -845,17 +845,6 @@ def minimal_block_system(g: PermGroup, alpha: int, beta: int) -> tuple[tuple[int
     return classes.blocks()
 
 
-def _join_partitions(
-    p1: tuple[tuple[int, ...], ...], p2: tuple[tuple[int, ...], ...], n: int
-) -> tuple[tuple[int, ...], ...]:
-    classes = _UnionFind(n)
-    for part in (p1, p2):
-        for block in part:
-            for pt in block[1:]:
-                classes.union(block[0], pt)
-    return classes.blocks()
-
-
 def minimal_block_systems(g: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
     """The distinct non-trivial systems minimal_block_system(g, alpha, beta)
     of a group transitive on the points it moves, alpha its least moved
@@ -884,29 +873,6 @@ def minimal_block_systems(g: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
             if fewest < len(system) < n:
                 systems.setdefault(system, None)
     return list(systems)
-
-
-def block_systems(g: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
-    """All non-trivial block systems of a group transitive on the points it
-    moves; every point it fixes is a block of its own in each system.
-
-    Every invariant partition is a join of the minimal ones, so the join
-    closure of the minimal systems is complete.  BLOCK_SYSTEM_BUDGET guards
-    pathological lattices.
-    """
-    systems = dict.fromkeys(minimal_block_systems(g))
-    n = g.degree
-    fewest = n - sum(len(orbit) for orbit in g.orbits() if len(orbit) > 1) + 1
-    work = list(systems)
-    while work:
-        check_cap(len(systems), BLOCK_SYSTEM_BUDGET, "block systems: lattice size")
-        current = work.pop()
-        for other in list(systems):
-            joined = _join_partitions(current, other, n)
-            if fewest < len(joined) < n and joined not in systems:
-                systems[joined] = None
-                work.append(joined)
-    return sorted(systems, key=lambda s: (len(s), s))
 
 
 def block_action_kernel(

@@ -11,25 +11,24 @@ and their budget_used mapping is read-only) and tries, in order:
   3. P. Hall's coset-action bound (Theorems like Sylow's, 1956) on G: a Hall
      pi-subgroup of index m makes G act on its m cosets with a kernel inside
      O_pi(G), so |G : O_pi(G)| divides m!.  A failure proves absence;
-  4. for groups of order up to DEFAULT_EXHAUSTIVE_SEARCH_CAP (the scan
-     gate), a complete scan over subgroups generated by Sylow systems,
-     which decides;
-  5. above the gate, the remaining GREEDY_RESTARTS[1] restarts of the same
-     seeded stream;
+  4. a complete scan over subgroups generated by Sylow systems, which
+     decides unless its own budgets refuse it: SYLOW_COMBINATION_BUDGET, or
+     the enumeration cap under which sylow_subgroup enumerates G;
+  5. after a refused scan, the remaining GREEDY_RESTARTS[1] restarts of
+     the same seeded stream;
   6. then the same bound on each socle factor: a Hall pi-subgroup of G
      meets every subnormal subgroup in a Hall pi-subgroup of it.  Otherwise
      the verdict stays unknown.
 
-The bound on G needs pi_core only when |G| does not divide m!, and pi_core
-reads the memoized seed closures of G, so it costs little next to the
-restarts it spares every group it decides.  Below the gate the scan costs
-less than the last restarts; it stops at its first witness, and its
-conjugate lists are found as it goes.  The socle factors wait for the last
-restart because socle can enumerate a large group, which costs far more
-than a greedy success.  A CapExceeded inside either bound only means no
-certificate.  Both parts of the greedy phase draw from one seeded stream,
-so above the gate every witness is the one all the restarts in a row would
-find.
+The order is the same at every size of G.  The bound on G needs pi_core
+only when |G| does not divide m!, and pi_core reads the memoized seed
+closures of G, so it costs little next to the scan it spares every group it
+decides.  The scan stops at its first witness, and its conjugate lists are
+found as it goes; the last restarts stay for the groups it cannot scan.
+The socle factors come last because socle can enumerate a large group.  A
+CapExceeded inside either bound only means no certificate.  Both parts of
+the greedy phase draw from one seeded stream, so after a refused scan every
+witness is the one all the restarts in a row would find.
 
 The scan is exact: a subgroup of full pi-part order contains a Sylow
 p-subgroup of the whole group for every p in pi and is generated by one
@@ -61,12 +60,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .config import (
-    DEFAULT_EXHAUSTIVE_SEARCH_CAP,
-    SEARCH_SEED,
-    SYLOW_COMBINATION_BUDGET,
-    enumeration_cap,
-)
+from .config import SEARCH_SEED, SYLOW_COMBINATION_BUDGET, enumeration_cap
 from .errors import (
     CapExceeded,
     DegreeMismatch,
@@ -99,10 +93,12 @@ class HallSearchResult:
 
     budget_used is read-only.  Its "route" names the step that decided:
     "trivial", "greedy", "certificate" (with "certificate_order", the order
-    of G when the coset-action bound fails on G after the first restarts, or
-    of the socle factor that fails it after the last), "scan", or "cap" when
-    the group is above the exhaustive cap and stays unknown.
-    "random_growth_steps" counts the greedy steps of every restart run.
+    of G when the coset-action bound fails on G after the first restarts,
+    or of the socle factor that fails it after the last), "scan" (with
+    "sylow_combinations", the joins it built), or "cap" when the verdict
+    stays unknown.
+    "random_growth_steps" counts the greedy steps of every restart run, and
+    "scan_refused" is the CapExceeded message of a refused scan.
     """
 
     status: str
@@ -123,10 +119,11 @@ def _pi_part_of_element(x: Permutation, pi: PrimeSet) -> Permutation:
     return x ** pi.coprime_part_of(x.order())
 
 
-# Greedy restarts before the coset-action bound on G, and after it above the
-# scan gate.  Every greedy witness of the scale-3 suite comes within 3
-# restarts (S7 with pi = {2,3} on the third), while some relabellings of A8
-# with pi = {2,3}, above the gate, need later ones.
+# Greedy restarts before the coset-action bound on G, and after a refused
+# scan.  Every greedy witness of the scale-3 suite comes within 3 restarts
+# (S7 with pi = {2,3} on the third); groups above the enumeration cap, whose
+# Sylow subgroups the scan cannot find, need later ones (S10 with pi = {2}
+# on the twelfth).
 GREEDY_RESTARTS = (3, 17)
 
 
@@ -286,12 +283,12 @@ def find_hall_subgroup(g: PermGroup, pi: PrimeSet) -> HallSearchResult:
 
     After the trivial cases, seeded randomized greedy growth looks for a
     witness.  When its first restarts fail, the coset-action bound on g may
-    prove absence.  Otherwise groups up to the scan gate go through the
-    complete Sylow system scan, whose first subgroup of order pi-part is a
-    witness and whose failure proves absence; on soluble groups under the
-    gate the result is therefore always found.  Above the gate the remaining
-    restarts run, and when they fail too the bound on g's socle factors may
-    prove absence; otherwise the result is unknown.
+    prove absence.  Otherwise the complete Sylow system scan runs, whose first
+    subgroup of order pi-part is a witness and whose failure proves absence;
+    on a soluble group the result is therefore found unless a budget refuses
+    the scan.  After a refused scan the remaining restarts run, and when
+    they fail too the bound on g's socle factors may prove absence;
+    otherwise the result is unknown.
     """
     return hall_search(g, pi, enumeration_cap())
 
@@ -316,15 +313,18 @@ def hall_search(g: PermGroup, pi: PrimeSet, cap: int) -> HallSearchResult:
         if _bound_fails_on_group(g, pi):
             budget.update(route="certificate", certificate_order=g.order())
             return HallSearchResult("proven_absent", pi, None, budget)
-        if g.order() <= DEFAULT_EXHAUSTIVE_SEARCH_CAP:
-            built = [0]
-            scan = _sylow_generated(g, pi, target, built)
+        built = [0]
+        scan = _sylow_generated(g, pi, target, built)
+        try:
             witness = next((c for c in scan if c.order() == target), None)
+        except CapExceeded as exc:
+            budget["scan_refused"] = str(exc)
+            witness, tried = _greedy_phase(g, pi, target, rng, rest)
+            budget["random_growth_steps"] += tried
+        else:
             budget.update(route="scan", sylow_combinations=built[0])
             status = "found" if witness is not None else "proven_absent"
             return HallSearchResult(status, pi, witness, budget)
-        witness, tried = _greedy_phase(g, pi, target, rng, rest)
-        budget["random_growth_steps"] += tried
     if witness is not None:
         return HallSearchResult("found", pi, witness, {**budget, "route": "greedy"})
     failing = _failing_socle_factor(g, pi)

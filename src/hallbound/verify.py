@@ -79,8 +79,9 @@ class CorollaryCheck:
     """lambda_p(G) against 2*l2(H)+1, with the internal proof route.
 
     The route fields are None when no Hall {2,p}-subgroup of H was found
-    (only possible above the exhaustive search cap; for soluble H under the
-    cap one always exists and is found).
+    (only possible when a budget refuses the Sylow system scan and the
+    later restarts miss; for soluble H one always exists, and the scan
+    finds it).
     """
 
     lambda_p: int

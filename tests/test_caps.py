@@ -82,3 +82,25 @@ def test_primitive_group_over_the_cap_names_the_minimal_normal_search(monkeypatc
     finally:
         clear_caches()
     assert (info.value.needed, info.value.cap) == (1092, 1000)
+
+
+def test_every_config_constant_is_read():
+    # A cap or budget that no code reads is a dead knob: setting it changes
+    # nothing.  Every module-level name that config.py assigns is loaded
+    # somewhere in the package, config.py included.
+    config = ast.parse((SRC / "config.py").read_text())
+    assigned = {
+        target.id
+        for node in config.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    read = {
+        node.id
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert assigned
+    assert sorted(assigned - read) == []

@@ -19,7 +19,6 @@ from hallbound import (
     Permutation,
     StabChain,
     alternating_group,
-    block_systems,
     center,
     centralizer,
     commutator_subgroup,
@@ -276,14 +275,14 @@ def test_is_normal(s4, a4):
 
 def test_block_systems_of_dihedral_group():
     g = dihedral_group(8)  # acts on a square
-    systems = block_systems(g)
-    sizes = sorted(len(blocks) for blocks in systems)
-    assert sizes == [2]  # only the diagonal pairing survives
+    systems = group.minimal_block_systems(g)
+    assert systems == [((0, 2), (1, 3))]  # only the diagonal pairing survives
 
 
 def test_block_systems_of_cyclic_group_include_joins():
-    # every divisor of 12 strictly between 1 and 12 gives one block system
-    systems = block_systems(cyclic_group(12))
+    # every divisor of 12 strictly between 1 and 12 gives one block system,
+    # the cosets of <beta> for some beta, so the joins come out too
+    systems = group.minimal_block_systems(cyclic_group(12))
     assert sorted(len(s) for s in systems) == [2, 3, 4, 6]
 
 
@@ -292,13 +291,13 @@ def test_block_systems_keep_fixed_points_as_blocks():
     # with the two fixed points as blocks of their own
     c12 = cyclic_group(12)
     g = PermGroup(14, [Permutation(list(x.images) + [12, 13]) for x in c12.generators])
-    systems = block_systems(g)
+    systems = group.minimal_block_systems(g)
     assert sorted(len(s) for s in systems) == [4, 5, 6, 8]
     assert all((12,) in s and (13,) in s for s in systems)
-    assert [s[:-2] for s in systems] == block_systems(c12)
+    assert [s[:-2] for s in systems] == group.minimal_block_systems(c12)
     two_orbits = PermGroup(6, [Permutation([1, 2, 0, 4, 5, 3])])
     with pytest.raises(ValueError, match="transitive on its support"):
-        block_systems(two_orbits)
+        group.minimal_block_systems(two_orbits)
 
 
 def test_degree_mismatch_between_groups(s4):

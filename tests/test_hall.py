@@ -29,7 +29,7 @@ from hallbound import (
     wreath_product,
 )
 from hallbound import group, hall
-from hallbound.config import DEFAULT_EXHAUSTIVE_SEARCH_CAP, SEARCH_SEED
+from hallbound.config import SEARCH_SEED
 from hallbound.errors import CapExceeded, PreconditionError
 from hallbound.hall import (
     GREEDY_RESTARTS,
@@ -114,27 +114,58 @@ def test_budget_is_reported():
     assert result.budget_used["sylow_combinations"] > 0
 
 
-def test_coset_bound_proves_absence_above_the_exhaustive_cap():
-    # Order 25,200 is above the 20,000 cap of the Sylow scan.  The socle
-    # factor A5 would need a Hall {2,5}-subgroup of index 3, and |A5| = 60
-    # does not divide 3!.
-    g = group_from_spec("A5 x A5 x C7")
-    assert g.order() == 25200
-    result = find_hall_subgroup(g, PrimeSet([2, 5]))
+@pytest.mark.parametrize(
+    "spec, primes",
+    [
+        ("A9", [2, 3]),
+        ("S9", [2, 3]),
+        ("A8", [2, 5]),
+        ("S8", [2, 5]),
+        ("A8", [2, 7]),
+        ("S8", [2, 7]),
+        ("C2 wr S6", [2, 5]),
+        ("PSL(2,13) x A5", [2, 7]),
+    ],
+    ids=lambda value: ",".join(map(str, value)) if isinstance(value, list) else value,
+)
+def test_the_scan_decides_at_every_order(spec, primes):
+    # Each group is of order above 20,000 and within the coset bound (a Hall
+    # {2,3}-subgroup of A9 would have index m = 35, and |A9| divides 35!),
+    # so the scan decides what would otherwise stay unknown.  Measured at
+    # 0.01-0.9 s each.
+    g, pi = group_from_spec(spec), PrimeSet(primes)
+    assert g.order() > 20_000
+    assert not _fails_coset_bound(g, pi)
+    start = time.perf_counter()
+    result = find_hall_subgroup(g, pi)
+    elapsed = time.perf_counter() - start
     assert result.status == "proven_absent"
     assert result.subgroup is None
-    assert result.budget_used["route"] == "certificate"
-    assert result.budget_used["certificate_order"] == 60
+    assert result.budget_used["route"] == "scan"
+    assert elapsed < 10, f"search took {elapsed:.1f}s, budget 10s"
 
 
-def test_unknown_above_the_exhaustive_cap_within_the_coset_bound():
-    # A Hall {2,3}-subgroup of A9 would have index m = 35, and |A9| divides
-    # 35!, so the bound proves nothing; the order is above the scan cap.
-    g = make_named("A9")
-    result = find_hall_subgroup(g, PrimeSet([2, 3]))
-    assert result.status == "unknown"
-    assert result.subgroup is None
-    assert result.budget_used["route"] == "cap"
+@pytest.mark.parametrize(
+    "spec, primes, refusal",
+    [
+        (
+            "A5 wr A5",
+            [2, 3],
+            "Sylow subgroup: enumerating group order 46656000000 exceeds cap 1000000",
+        ),
+        ("A9", [2, 5, 7], "Sylow system scan: combinations 3265920 exceeds cap 200000"),
+    ],
+    ids=["A5 wr A5", "A9"],
+)
+def test_a_refused_scan_says_why(spec, primes, refusal):
+    # The first refusal comes from the enumeration cap on the Sylow search,
+    # the second from the combination budget.  Measured at 0.2 s each.
+    start = time.perf_counter()
+    result = find_hall_subgroup(group_from_spec(spec), PrimeSet(primes))
+    elapsed = time.perf_counter() - start
+    assert (result.status, result.budget_used["route"]) == ("unknown", "cap")
+    assert result.budget_used["scan_refused"] == refusal
+    assert elapsed < 10, f"search took {elapsed:.1f}s, budget 10s"
 
 
 def test_results_are_shared_and_read_only(a5):
@@ -158,8 +189,8 @@ def test_route_names_the_deciding_step(a5, s4):
 
 def test_capped_certificate_keeps_the_verdict(monkeypatch):
     # A relabelled copy shares no cached results.  With a cap below its
-    # order pi_core cannot enumerate, so there is no certificate and the
-    # group, above the scan cap, stays unknown as without the bound.
+    # order pi_core cannot enumerate, so there is no certificate, and the
+    # same cap refuses the scan's Sylow search, so the group stays unknown.
     g = group_from_spec("C2 wr S6")
     g = conjugate_subgroup(g, Permutation(list(range(1, g.degree)) + [0]))
     pi = PrimeSet([2, 3])
@@ -169,6 +200,7 @@ def test_capped_certificate_keeps_the_verdict(monkeypatch):
     result = find_hall_subgroup(g, pi)
     assert result.status == "unknown"
     assert result.budget_used["route"] == "cap"
+    assert result.budget_used["scan_refused"].startswith("Sylow subgroup")
 
 
 def test_memo_follows_the_enumeration_cap(monkeypatch):
@@ -395,7 +427,7 @@ def test_greedy_decides_as_the_from_scratch_growth(spec, primes):
     # generators, never which candidates are kept
     g, pi = group_from_spec(spec), PrimeSet(primes)
     target = pi.part_of(g.order())
-    ours = _greedy_phase(g, pi, target, random.Random(SEARCH_SEED), sum(GREEDY_RESTARTS))
+    ours = _greedy_phase(g, pi, target, random.Random(SEARCH_SEED), 20)
     theirs = _greedy_from_scratch(g, pi, target, random.Random(SEARCH_SEED))
     assert ours[1] == theirs[1]
     assert (ours[0] is None) == (theirs[0] is None)
@@ -426,9 +458,7 @@ def test_greedy_extends_chains_instead_of_rebuilding_them(monkeypatch):
 
     monkeypatch.setattr(group, "_mul", counting_mul)
     monkeypatch.setattr(group.StabChain, "__init__", recording_init)
-    witness, tried = _greedy_phase(
-        g, pi, pi.part_of(g.order()), random.Random(SEARCH_SEED), sum(GREEDY_RESTARTS)
-    )
+    witness, tried = _greedy_phase(g, pi, pi.part_of(g.order()), random.Random(SEARCH_SEED), 20)
     assert witness is None
     assert tried == 1134
     assert count[0] < 25_000
@@ -437,9 +467,9 @@ def test_greedy_extends_chains_instead_of_rebuilding_them(monkeypatch):
 
 
 def test_coset_bound_settles_reports_above_the_scan_cap():
-    # Without the bound both searches end unknown: the orders
-    # (46,656,000,000 and 46,080) are above the scan cap.  Measured at about
-    # 6 s together.
+    # The bound decides both searches before any scan; without it the first
+    # would end unknown, as the enumeration cap refuses the Sylow search in
+    # A5 wr A5 (order 46,656,000,000).  Measured at about 6 s together.
     start = time.perf_counter()
     report = compute_invariant_report(
         "A5 wr A5", group_from_spec("A5 wr A5"), PrimeSet([2, 5]), 5
@@ -507,7 +537,7 @@ def test_coset_bound_agrees_with_the_scan_on_the_suite():
             assert not fires, (name, pi)
             present += 1
             continue
-        assert g.order() <= DEFAULT_EXHAUSTIVE_SEARCH_CAP, (name, pi)
+        assert result.budget_used["route"] in {"scan", "certificate"}, (name, pi)
         assert not _scan_finds_hall(g, pi), (name, pi)
         absent += 1
         decided += fires
@@ -523,7 +553,7 @@ def _first_restarts(g, pi):
 
 def test_bound_on_g_decides_after_the_first_restarts():
     # The bound on G itself costs little once G's seed closures are known,
-    # so it runs before the last seventeen greedy restarts.
+    # so it runs right after the first restarts, before the scan.
     decided = []
     for name, g, pi in _suite_pairs():
         if not _fails_coset_bound(g, pi):
@@ -540,9 +570,9 @@ def test_bound_on_g_decides_after_the_first_restarts():
 
 
 def test_below_the_gate_the_scan_follows_the_first_restarts():
-    # |A5 x S4| divides 5! (m = 5), so the bound on G cannot decide, and the
-    # group (order 1,440) is below the scan gate: the scan proves absence
-    # after the first restarts, before any socle is computed.
+    # |A5 x S4| divides 5! (m = 5), so the bound on G cannot decide: the
+    # scan proves absence after the first restarts, before any socle is
+    # computed.
     g, pi = group_from_spec("A5 x S4"), PrimeSet([2, 5])
     assert not _fails_coset_bound(g, pi)
     result = find_hall_subgroup(g, pi)
@@ -551,14 +581,48 @@ def test_below_the_gate_the_scan_follows_the_first_restarts():
     assert result.budget_used["random_growth_steps"] == _first_restarts(g, pi)[1]
 
 
-def test_socle_factor_bound_runs_after_every_restart_above_the_gate():
-    # Order 25,200 is above the scan gate, so all the restarts run before
-    # the socle factor A5, which would need a Hall {2,5}-subgroup of index
-    # 3, fails the bound.
+def test_the_scan_decides_before_the_socle_factors():
+    # |A5 x A5 x C7| = 25,200 divides 63! (m = 63), so the bound on G cannot
+    # decide, and the scan proves absence in 25 joins after the first
+    # restarts, before any socle is computed.
     g, pi = group_from_spec("A5 x A5 x C7"), PrimeSet([2, 5])
-    assert g.order() > DEFAULT_EXHAUSTIVE_SEARCH_CAP
     assert not _fails_coset_bound(g, pi)
     result = find_hall_subgroup(g, pi)
+    assert result.status == "proven_absent"
+    assert result.budget_used["route"] == "scan"
+    assert result.budget_used["sylow_combinations"] == 25
+    assert result.budget_used["random_growth_steps"] == _first_restarts(g, pi)[1]
+
+
+def _refused_scan(monkeypatch, g, pi):
+    # A combination budget below the 25 joins of A5 x A5 x C7 refuses the
+    # scan.  The memo is bypassed, so the refused result is not served later.
+    monkeypatch.setattr(hall, "SYLOW_COMBINATION_BUDGET", 24)
+    return hall.hall_search.__wrapped__(g, pi, hall.enumeration_cap())
+
+
+def test_coset_bound_proves_absence_above_the_exhaustive_cap(monkeypatch):
+    # With the scan over its cap, the socle factor A5 proves absence: it
+    # would need a Hall {2,5}-subgroup of index 3, and |A5| = 60 does not
+    # divide 3!.
+    g = group_from_spec("A5 x A5 x C7")
+    assert g.order() == 25200
+    result = _refused_scan(monkeypatch, g, PrimeSet([2, 5]))
+    assert result.status == "proven_absent"
+    assert result.subgroup is None
+    assert result.budget_used["route"] == "certificate"
+    assert result.budget_used["certificate_order"] == 60
+    assert result.budget_used["scan_refused"] == (
+        "Sylow system scan: combinations 25 exceeds cap 24"
+    )
+
+
+def test_socle_factor_bound_runs_after_every_restart_above_the_gate(monkeypatch):
+    # Once the scan is refused, all the restarts run before the socle factor
+    # A5 fails the bound.
+    g, pi = group_from_spec("A5 x A5 x C7"), PrimeSet([2, 5])
+    assert not _fails_coset_bound(g, pi)
+    result = _refused_scan(monkeypatch, g, pi)
     assert result.status == "proven_absent"
     assert result.budget_used["route"] == "certificate"
     assert result.budget_used["certificate_order"] == 60
@@ -575,10 +639,12 @@ def _relabelled(spec, seed):
     return conjugate_subgroup(g, Permutation(sigma))
 
 
-def test_below_the_gate_a_late_greedy_witness_comes_from_the_scan():
-    # This relabelled A7 would find its Hall {2,3}-subgroup on the 17th
-    # restart; below the gate the scan finds one after the first restarts.
-    g, pi = _relabelled("A7", 8), PrimeSet([2, 3])
+@pytest.mark.parametrize("spec, seed", [("A7", 8), ("A8", 26)])
+def test_a_late_greedy_witness_comes_from_the_scan(spec, seed):
+    # These relabelled copies would find their Hall {2,3}-subgroups on a
+    # later greedy restart (A7 on the 17th); the scan finds one after the
+    # first restarts instead.
+    g, pi = _relabelled(spec, seed), PrimeSet([2, 3])
     assert _first_restarts(g, pi)[0] is None
     result = find_hall_subgroup(g, pi)
     assert result.budget_used["route"] == "scan"
@@ -586,24 +652,37 @@ def test_below_the_gate_a_late_greedy_witness_comes_from_the_scan():
     assert is_hall_subgroup(result.subgroup, g, pi)
 
 
-def test_above_the_gate_a_late_greedy_witness_keeps_its_generators():
-    # This relabelled A8 (order 20,160, above the scan gate) finds its Hall
-    # {2,3}-subgroup after the first restarts, once the bound on G has run
-    # between the two parts of the stream.
-    g, pi = _relabelled("A8", 26), PrimeSet([2, 3])
-    assert g.order() > DEFAULT_EXHAUSTIVE_SEARCH_CAP
+@pytest.mark.parametrize(
+    "spec, primes, refusal",
+    [
+        ("S10", [2], "Sylow subgroup: enumerating group order 3628800 exceeds cap 1000000"),
+        ("A5 wr A5", [3], "Sylow subgroup: enumerating group order 46656000000"),
+        ("PSL(2,13) x A5", [2, 3, 7, 13], "Sylow system scan: combinations 993720"),
+    ],
+    ids=["S10", "A5 wr A5", "PSL(2,13) x A5"],
+)
+def test_a_refused_scan_falls_back_to_the_last_restarts(spec, primes, refusal):
+    # The first restarts miss each Hall subgroup and the scan is refused, so
+    # the remaining restarts of the same stream find the witness that all
+    # twenty in a row would find (S10 on the twelfth).  Measured at under
+    # 0.1 s each.
+    g, pi = group_from_spec(spec), PrimeSet(primes)
     assert _first_restarts(g, pi)[0] is None
+    start = time.perf_counter()
     result = find_hall_subgroup(g, pi)
+    elapsed = time.perf_counter() - start
     assert result.budget_used["route"] == "greedy"
+    assert result.budget_used["scan_refused"].startswith(refusal)
     target = pi.part_of(g.order())
     witness, steps = _greedy_from_scratch(g, pi, target, random.Random(SEARCH_SEED))
     assert result.subgroup.generators == witness.generators
     assert result.budget_used["random_growth_steps"] == steps
+    assert elapsed < 10, f"search took {elapsed:.1f}s, budget 10s"
 
 
 def _coset_bound_is_sound(g):
     order = g.order()
-    if order > DEFAULT_EXHAUSTIVE_SEARCH_CAP:
+    if order > 20_000:
         return
     primes = prime_divisors(order) if order > 1 else ()
     for size in range(1, len(primes)):
