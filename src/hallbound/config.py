@@ -10,11 +10,9 @@ import os
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 DEFAULT_QUOTIENT_DEGREE_CAP = 20_000
-LATTICE_ORDER_CAP = 2_000
 SEARCH_SEED = 0
 
-# Budgets for bounded searches that are not element enumerations.
-NORMAL_LATTICE_BUDGET = 5_000
+# Budget for the one bounded search that is not an element enumeration.
 SYLOW_COMBINATION_BUDGET = 200_000
 
 

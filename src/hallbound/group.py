@@ -721,31 +721,61 @@ def _commuting_map(
     return Permutation._trusted(tuple(z))
 
 
-def center(g: PermGroup) -> PermGroup:
-    """Z(G), read off the action: G's intersection with the product C of
-    the centralizers C_Sym(D)(G^D) over the orbits D of G.
+def _normal_centralizer(g: PermGroup, n: PermGroup) -> PermGroup:
+    """C_G(N) for N normal in G, read off the action: G's intersection with
+    D, the centralizer of N in the product of Sym(Delta) over the G-orbits
+    Delta (which contains G).
 
-    An element of G preserves every orbit, so it is central exactly when
-    its restriction to each orbit D centralizes G^D, that is, when it lies
-    in C.  The centralizer of a transitive group is semiregular, so each of
-    its elements is determined by the image beta of one point alpha, and
-    such an element exists exactly when the stabilizer of alpha fixes beta
-    (Dixon & Mortimer, *Permutation Groups*, 1996, Thm 4.2A; Wielandt,
-    *Finite Permutation Groups*, 1964, §4); _commuting_map tries each beta
-    of the orbit.  ``intersection`` enumerates only the smaller of G and C,
-    and a group with commuting generators is its own center, so G itself
-    is never enumerated unless |G| <= |C|.
+    N is normal, so its orbits in Delta have one length.  D permutes N's
+    orbits, and an element taking orbit O to O' restricts to a map that
+    commutes with N: D is the product, over the classes of N-orbits in one
+    Delta with equivalent actions, of C_Sym(O)(N^O) wr S_m, of order
+    c^m * m!.  C_Sym(O)(N^O) is semiregular, so each of its elements is
+    determined by the image beta of O's first point alpha, and one exists
+    exactly when the stabilizer of alpha fixes beta (Dixon & Mortimer,
+    *Permutation Groups*, 1996, Thm 4.2A; Wielandt, *Finite Permutation
+    Groups*, 1964, §4): c counts the betas for which _commuting_map finds
+    one, and those maps generate it; the swaps of O with each other orbit
+    of its class generate the S_m.  |D| is known before D is built, so C is
+    G outright when N's generators commute with G's, trivial when |D| = 1,
+    and otherwise only the smaller of G and D is enumerated, under the cap.
     """
-    if _is_abelian(g):
+    gens = [x.images for x in n.generators]
+    if all(_mul(s.images, x) == _mul(x, s.images) for s in g.generators for x in gens):
         return g
-    gens = [s.images for s in g.generators]
-    commuting = []
-    for orbit in g.orbits():
-        for beta in orbit[1:]:
-            z = _commuting_map(gens, orbit[0], beta, g.degree)
-            if z is not None:
-                commuting.append(z)
-    return intersection(g, span(g.degree, commuting))
+    delta_of = {pt: i for i, delta in enumerate(g.orbits()) for pt in delta}
+    by_delta: dict[int, list[list[int]]] = {}
+    for orbit in n.orbits():
+        by_delta.setdefault(delta_of[orbit[0]], []).append(orbit)
+    maps: list[Permutation] = []
+    order = 1
+    for orbits in by_delta.values():
+        classes: list[list[int]] = []  # [first point of the class's first orbit, c, m]
+        for orbit in orbits:
+            for cls in classes:
+                swaps = (_commuting_map(gens, cls[0], beta, g.degree) for beta in orbit)
+                swap = next((z for z in swaps if z is not None), None)
+                if swap is not None:
+                    maps.append(swap)
+                    cls[2] += 1
+                    break
+            else:
+                own = [_commuting_map(gens, orbit[0], beta, g.degree) for beta in orbit[1:]]
+                maps.extend(z for z in own if z is not None)
+                classes.append([orbit[0], 1 + sum(z is not None for z in own), 1])
+        order *= math.prod(c**m * math.factorial(m) for _, c, m in classes)
+    if order == 1:
+        return PermGroup.trivial(g.degree)
+    if order < g.order():
+        return _filtered_subgroup(span(g.degree, maps), g.contains, "centralizer")
+    return centralizer(g, n)
+
+
+def center(g: PermGroup) -> PermGroup:
+    """Z(G) = C_G(G), read off the action by _normal_centralizer: the
+    G-orbits are G's own, so D is the product of the centralizers
+    C_Sym(Delta)(G^Delta), and only the smaller of G and D is enumerated."""
+    return _normal_centralizer(g, g)
 
 
 def intersection(a: PermGroup, b: PermGroup) -> PermGroup:

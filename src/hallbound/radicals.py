@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 from .config import enumeration_cap
 from .errors import PreconditionError, check_cap
-from .group import (
-    PermGroup,
-    center,
-    centralizer,
-    is_normal,
-)
+from .group import PermGroup, _normal_centralizer, center, is_normal
 from .perm import Permutation
 from .primes import PrimeSet, is_prime, prime_divisors
 from .quotient import ascending_series, quotient_or_self
@@ -136,10 +131,12 @@ def layer(g: PermGroup) -> PermGroup:
 
     Computed inside the centralizer C of the Fitting subgroup: the layer is
     the perfect core of the preimage of the socle of C/Z(C).  When C equals
-    its center there are no components and the layer is trivial.
+    its center there are no components and the layer is trivial.  C, like
+    Z(C), is read off the action, so only the smaller of G and the
+    centralizer of F in the symmetric groups of G's orbits is enumerated.
     """
     f = fitting_subgroup(g)
-    c = centralizer(g, f)
+    c = _normal_centralizer(g, f)
     z = center(c)
     if z.order() == c.order():
         return PermGroup.trivial(g.degree)

@@ -13,7 +13,7 @@ into simple factors.  They come from one call that tries in order:
   * a certified kernel search, at any order: the kernels of the actions on
     the nontrivial orbits (two or more of them) or on the minimal block
     systems (one; none for a regular action) are searched, and so is C =
-    C_G(P), P their product, read off the action (_kernel_centralizer).
+    C_G(P), P their product, read off the action (group._normal_centralizer).
     Inside a kernel k the search closes k's own minimal normal subgroups
     (k settled, or over the cap: a recursive call) or k's prime-order class
     seeds (otherwise);
@@ -49,23 +49,21 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .config import enumeration_cap
-from .errors import PreconditionError, check_cap
+from .errors import CapExceeded, PreconditionError, check_cap
 from .group import (
     PermGroup,
-    _commuting_map,
     _is_abelian,
+    _normal_centralizer,
     block_action_kernel,
-    centralizer,
     commutator_subgroup,
     derived_subgroup,
-    intersection,
     is_normal,
     minimal_block_systems,
     normal_closure,
     pointwise_stabilizer,
     span,
 )
-from .perm import Permutation, _conj, _inv, _mul
+from .perm import Permutation, _conj, _inv
 from .primes import factorize, is_prime
 
 
@@ -272,54 +270,6 @@ def _action_kernels(g: PermGroup) -> list[PermGroup]:
     return _dedupe_subgroups([k for k in kernels if not k.is_trivial() and k.order() < n])
 
 
-def _kernel_centralizer(g: PermGroup, kernels: list[PermGroup], cap: int) -> PermGroup | None:
-    """C = C_G(P) for P the product of the kernels; None when C = G, or when
-    both G and the Sym-centralizer D below are over the cap.
-
-    C is G's intersection with D, the centralizer of P in the product of
-    Sym(Delta) over the G-orbits Delta (which contains G).  P is normal, so
-    its orbits in Delta have one length.  D permutes P's orbits, and an
-    element taking orbit O to O' restricts to a map that commutes with P:
-    D is the product, over the classes of P-orbits in one Delta with
-    equivalent actions, of C_Sym(O)(P) wr S_m, of order c^m * m!, where c
-    is the number of maps from O's first point that commute with P
-    (_commuting_map), which generate C_Sym(O)(P), and the swaps of O with
-    each other orbit of its class generate the S_m.  |D| is known before D
-    is built, so only the smaller of G and D is enumerated.
-    """
-    p = PermGroup(g.degree, [x for k in kernels for x in k.generators])
-    gens = [x.images for x in p.generators]
-    if all(_mul(s.images, x) == _mul(x, s.images) for s in g.generators for x in gens):
-        return None  # P is central
-    delta_of = {pt: i for i, delta in enumerate(g.orbits()) for pt in delta}
-    by_delta: dict[int, list[list[int]]] = {}
-    for orbit in p.orbits():
-        by_delta.setdefault(delta_of[orbit[0]], []).append(orbit)
-    maps: list[Permutation] = []
-    order = 1
-    for orbits in by_delta.values():
-        classes: list[list[int]] = []  # [first point of the class's first orbit, c, m]
-        for orbit in orbits:
-            for cls in classes:
-                swaps = (_commuting_map(gens, cls[0], beta, g.degree) for beta in orbit)
-                swap = next((z for z in swaps if z is not None), None)
-                if swap is not None:
-                    maps.append(swap)
-                    cls[2] += 1
-                    break
-            else:
-                own = [_commuting_map(gens, orbit[0], beta, g.degree) for beta in orbit[1:]]
-                maps.extend(z for z in own if z is not None)
-                classes.append([orbit[0], 1 + sum(z is not None for z in own), 1])
-        order *= math.prod(c**m * math.factorial(m) for _, c, m in classes)
-    if order == 1:
-        return PermGroup.trivial(g.degree)
-    if min(order, g.order()) > cap:
-        return None
-    c = intersection(g, span(g.degree, maps)) if order <= g.order() else centralizer(g, p)
-    return None if c.order() == g.order() else c
-
-
 def _certified_minimal_normals(g: PermGroup, cap: int) -> list[PermGroup] | None:
     """All minimal normal subgroups of g from its action kernels, or None
     when the search cannot be certified complete.
@@ -329,11 +279,16 @@ def _certified_minimal_normals(g: PermGroup, cap: int) -> list[PermGroup] | None
     [N, K] <= N n K = 1.  A minimal normal subgroup no kernel holds thus
     lies in C = C_G(P), P the kernels' product: C is normal in G, and
     searching it too (unless it is trivial or inside a kernel) makes the
-    answer exact.
+    answer exact.  C = G (P central), or C over the cap, is no certificate.
     """
     kernels = _action_kernels(g)
-    c = _kernel_centralizer(g, kernels, cap) if kernels else None
-    if c is None:
+    if not kernels:
+        return None
+    try:
+        c = _normal_centralizer(g, PermGroup(g.degree, [x for k in kernels for x in k.generators]))
+    except CapExceeded:
+        return None
+    if c.order() == g.order():
         return None
     if not c.is_trivial() and not any(c.is_subgroup_of(k) for k in kernels):
         kernels.append(c)

@@ -35,13 +35,10 @@ from hallbound import (
     is_p_soluble,
     is_simple,
     is_soluble,
-    lambda_oracle,
     layer,
     make_named,
     non_p_soluble_length,
-    normal_subgroup_lattice,
     p_core,
-    p_length_oracle,
     p_length_value,
     pi_core,
     pointwise_stabilizer,
@@ -58,6 +55,7 @@ from hallbound.primes import prime_divisors
 from hallbound.verify import SCHEMA_VERSION
 
 from conftest import random_permutation
+from oracles import lambda_oracle, normal_subgroup_lattice, p_length_oracle
 
 SOLUBLE_CORPUS = {
     "C6", "C12", "S3", "A4", "D12", "S4", "SL(2,3)", "C2 x A4", "S3 x C4",

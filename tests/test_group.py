@@ -27,10 +27,12 @@ from hallbound import (
     derived_subgroup,
     dihedral_group,
     direct_product,
+    fitting_subgroup,
     group_from_spec,
     intersection,
     is_normal,
     make_named,
+    minimal_normal_subgroups,
     normal_closure,
     pointwise_stabilizer,
     span,
@@ -81,8 +83,8 @@ def test_enumerating_operations_respect_the_cap(monkeypatch, s4, a4):
     with pytest.raises(CapExceeded, match="centralizer") as info:
         centralizer(s4, transposition)
     assert (info.value.needed, info.value.cap) == (24, 20)
-    # the center is read off the action and enumerates only the trivial
-    # centralizer of S4 in Sym(4)
+    # the center is read off the action: the centralizer of S4 in Sym(4)
+    # is trivial, so nothing is enumerated
     assert center(s4).is_trivial()
     with pytest.raises(CapExceeded, match="intersection") as info:
         intersection(s4, s4)
@@ -192,32 +194,55 @@ def _counted_enumerations():
         yield calls
 
 
-def _orbit_centralizer_order(g: PermGroup) -> int:
-    """|C|, the product over the orbits D of |C_Sym(D)(G^D)|: the number of
-    points of D that the stabilizer of D's least point fixes."""
+def _sym_centralizer_order(g: PermGroup, n: PermGroup) -> int:
+    """|D|, D the centralizer of N in the product of Sym(Delta) over the
+    G-orbits Delta.  Two N-orbits in one Delta carry equivalent actions
+    exactly when the stabilizer of a point of one fixes a point of the
+    other; each class of m such orbits O contributes c^m * m!, c the number
+    of points of O that the stabilizer of O's least point fixes."""
     order = 1
-    for orbit in g.orbits():
-        stabilizer = pointwise_stabilizer(g, [orbit[0]])
-        order *= sum(all(s(pt) == pt for s in stabilizer.generators) for pt in orbit)
+    for delta in g.orbits():
+        inside = set(delta)
+        classes = []  # [points the stabilizer of the first point fixes, c, m]
+        for orbit in (o for o in n.orbits() if o[0] in inside):
+            points = set(orbit)
+            cls = next((cls for cls in classes if cls[0] & points), None)
+            if cls is None:
+                stabilizer = pointwise_stabilizer(n, [orbit[0]])
+                fixed = {pt for pt in delta if all(s(pt) == pt for s in stabilizer.generators)}
+                classes.append([fixed, len(fixed & points), 1])
+            else:
+                cls[2] += 1
+        order *= math.prod(c**m * math.factorial(m) for _, c, m in classes)
     return order
 
 
-def _assert_center_matches_centralizer(g: PermGroup) -> None:
-    """center(g) is the enumeration center, and enumerates at most
-    min(|G|, |C|) elements."""
+def _assert_centralizer_matches_the_oracle(g: PermGroup, n: PermGroup) -> None:
+    """C_G(N) read off the action (center(g) when n is g) is the
+    enumeration centralizer, and enumerates at most min(|G|, |D|)
+    elements."""
     with _counted_enumerations() as calls:
-        z = center(g)
-    assert sum(n for _, n in calls) <= min(g.order(), _orbit_centralizer_order(g))
-    oracle = centralizer(g, g)
-    assert z.order() == oracle.order()
-    assert z.is_subgroup_of(oracle)
+        c = center(g) if n is g else group._normal_centralizer(g, n)
+    assert sum(k for _, k in calls) <= min(g.order(), _sym_centralizer_order(g, n))
+    oracle = centralizer(g, n)
+    assert c.order() == oracle.order()
+    assert c.is_subgroup_of(oracle)
 
 
-@pytest.mark.parametrize(
-    "spec", list(suite_specs(3)) + list(KERNEL_SPECS) + ["C2 wr S6", "S4 wr C2"]
-)
+CENTRALIZER_SPECS = list(suite_specs(3)) + list(KERNEL_SPECS) + ["C2 wr S6", "S4 wr C2"]
+
+
+@pytest.mark.parametrize("spec", CENTRALIZER_SPECS)
 def test_center_matches_the_centralizer_oracle(spec):
-    _assert_center_matches_centralizer(group_from_spec(spec))
+    g = group_from_spec(spec)
+    _assert_centralizer_matches_the_oracle(g, g)
+
+
+@pytest.mark.parametrize("spec", CENTRALIZER_SPECS)
+def test_normal_centralizer_matches_the_centralizer_oracle(spec):
+    g = group_from_spec(spec)
+    for n in minimal_normal_subgroups(g) + (fitting_subgroup(g),):
+        _assert_centralizer_matches_the_oracle(g, n)
 
 
 @st.composite
@@ -241,7 +266,15 @@ def _two_block_groups(draw):
 @given(g=_two_block_groups())
 @settings(max_examples=60, deadline=None)
 def test_center_matches_the_centralizer_oracle_on_intransitive_groups(g):
-    _assert_center_matches_centralizer(g)
+    _assert_centralizer_matches_the_oracle(g, g)
+
+
+@pytest.mark.property_based
+@given(g=_two_block_groups(), rng=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_normal_centralizer_matches_the_centralizer_oracle_on_intransitive_groups(g, rng):
+    n = normal_closure(g, PermGroup(g.degree, [g.random_element(rng)]))
+    _assert_centralizer_matches_the_oracle(g, n)
 
 
 @pytest.mark.parametrize("spec", ["A8", "PSL(2,7) wr C2"])
@@ -250,8 +283,8 @@ def test_center_of_a_transitive_group_enumerates_none_of_it(spec):
     assert g.is_transitive()
     with _counted_enumerations() as calls:
         assert center(g).is_trivial()
-    # only the trivial orbit centralizer is enumerated
-    assert [(group.order(), n) for group, n in calls] == [(1, 1)]
+    # the orbit centralizer has order 1, so nothing at all is enumerated
+    assert calls == []
 
 
 def test_centralizer_in_s4(s4):

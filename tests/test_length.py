@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import clear_caches
+from oracles import lambda_oracle, normal_subgroup_lattice, p_length_oracle
 from hallbound import (
     PermGroup,
     check_kernel_lemma,
@@ -10,12 +11,9 @@ from hallbound import (
     is_normal,
     is_p_soluble,
     kernel_series,
-    lambda_oracle,
     make_named,
     non_p_soluble_length,
-    normal_subgroup_lattice,
     p_kernel,
-    p_length_oracle,
     p_length_value,
     symmetric_group,
     wreath_product,

@@ -180,6 +180,26 @@ def test_layer_values(s4, a5, sl25):
     assert layer(mixed).order() == 60
 
 
+@pytest.mark.parametrize("spec", ["S4 wr C2", "A4 wr C3", "C2 wr A5"])
+def test_layer_enumerates_no_group_of_the_order_of_g(spec, monkeypatch):
+    # C_G(F) is read off the action: the centralizer of F in the symmetric
+    # groups of G's orbits (of order 16, 64 and 32 here) is far smaller
+    # than G, so only it is enumerated.  F is computed first, because its
+    # own seed harvest may enumerate G.
+    g = group_from_spec(spec)
+    fitting_subgroup(g)
+    enumerated = []
+    elements = PermGroup.elements
+
+    def counted(group):
+        enumerated.append(group.order())
+        return elements(group)
+
+    monkeypatch.setattr(PermGroup, "elements", counted)
+    assert layer(g).is_trivial()
+    assert g.order() not in enumerated
+
+
 def test_generalized_fitting_subgroup_values(s4, a5, sl25):
     assert generalized_fitting_subgroup(s4).order() == 4
     assert generalized_fitting_subgroup(a5).same_group_as(a5)

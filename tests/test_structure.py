@@ -41,6 +41,7 @@ from hallbound import (
 )
 from hallbound.config import enumeration_cap
 from hallbound.errors import CapExceeded
+from hallbound.group import _normal_centralizer
 from hallbound.perm import Permutation
 from hallbound import structure
 from hallbound.primes import factorize, prime_divisors
@@ -50,7 +51,6 @@ from hallbound.structure import (
     _class_seeds,
     _giant_index,
     _inclusion_minimal,
-    _kernel_centralizer,
     _support_factorization,
     seed_closures,
 )
@@ -139,6 +139,14 @@ def test_support_factorization_is_called_only_from_settled_minimal_normals():
     ]
 
 
+def test_one_module_owns_centralizers():
+    # Centralizers of normal subgroups are read off the action by one
+    # helper in group.py; the enumerating centralizer is the tests' oracle
+    # and public API, and no other module of the package calls it.
+    assert {path for path, _ in _callers("_commuting_map")} == {"group.py"}
+    assert {path for path, _ in _callers("centralizer")} <= {"group.py"}
+
+
 def test_an_unsettled_kernel_over_the_cap_raises(monkeypatch):
     # C2 wr C4 has one minimal normal subgroup, the diagonal of its base
     # C2^4, of order 2.  Under a cap of 10 its block kernels (orders 16 and
@@ -222,7 +230,7 @@ def test_only_the_centralizer_search_finds_a_minimal_normal_subgroup(monkeypatch
     assert [k.order() for k in kernels] == [6]
     # the S3 has two equivalent orbits on the hexagon and fixes 6 and 7, so
     # C_Sym(S3) on the two G-orbits is generated by two swaps, of order 4
-    c = _kernel_centralizer(g, kernels, enumeration_cap())
+    c = _normal_centralizer(g, kernels[0])
     assert c.order() == 2 and not c.is_subgroup_of(kernels[0])
     enumerated = _count_enumerations(monkeypatch)
     clear_caches()
