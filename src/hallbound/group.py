@@ -668,19 +668,6 @@ def _filtered_subgroup(
     return result
 
 
-def centralizer(ambient: PermGroup, sub: PermGroup) -> PermGroup:
-    """Centralizer of sub in ambient, by element filtering under the cap."""
-    _require_subgroup(sub, ambient, "centralizer")
-    if sub.is_trivial():
-        return ambient
-    subgens = [s.images for s in sub.generators]
-    return _filtered_subgroup(
-        ambient,
-        lambda x: all(_mul(x.images, s) == _mul(s, x.images) for s in subgens),
-        "centralizer",
-    )
-
-
 def _is_abelian(g: PermGroup) -> bool:
     gens = g.generators
     return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1 :])
@@ -721,61 +708,68 @@ def _commuting_map(
     return Permutation._trusted(tuple(z))
 
 
-def _normal_centralizer(g: PermGroup, n: PermGroup) -> PermGroup:
-    """C_G(N) for N normal in G, read off the action: G's intersection with
-    D, the centralizer of N in the product of Sym(Delta) over the G-orbits
-    Delta (which contains G).
+def centralizer(ambient: PermGroup, sub: PermGroup) -> PermGroup:
+    """C_G(N), G = ambient and N = sub, read off the action: G's
+    intersection with D, the centralizer of N in the product of Sym(Delta)
+    over the G-orbits Delta (which contains G).
 
-    N is normal, so its orbits in Delta have one length.  D permutes N's
-    orbits, and an element taking orbit O to O' restricts to a map that
-    commutes with N: D is the product, over the classes of N-orbits in one
-    Delta with equivalent actions, of C_Sym(O)(N^O) wr S_m, of order
-    c^m * m!.  C_Sym(O)(N^O) is semiregular, so each of its elements is
-    determined by the image beta of O's first point alpha, and one exists
-    exactly when the stabilizer of alpha fixes beta (Dixon & Mortimer,
-    *Permutation Groups*, 1996, Thm 4.2A; Wielandt, *Finite Permutation
-    Groups*, 1964, §4): c counts the betas for which _commuting_map finds
-    one, and those maps generate it; the swaps of O with each other orbit
-    of its class generate the S_m.  |D| is known before D is built, so C is
-    G outright when N's generators commute with G's, trivial when |D| = 1,
-    and otherwise only the smaller of G and D is enumerated, under the cap.
+    D permutes N's orbits, and an element taking orbit O to O' restricts to
+    a map that commutes with N, a bijection, so O and O' have one length: D
+    is the product, over the classes of N-orbits in one Delta with
+    equivalent actions, of C_Sym(O)(N^O) wr S_m, of order c^m * m!.
+    C_Sym(O)(N^O) is semiregular, so each of its elements is determined by
+    the image beta of O's first point alpha, and one exists exactly when
+    the stabilizer of alpha fixes beta (Dixon & Mortimer, *Permutation
+    Groups*, 1996, Thm 4.2A; Wielandt, *Finite Permutation Groups*, 1964,
+    §4): c counts the betas for which _commuting_map finds one, and those
+    maps generate it; the swaps of O with each other orbit of its class
+    generate the S_m.  An orbit joins a class only when it has the class's
+    length; for a normal N all its orbits in one Delta do.  |D| is known
+    before D is built, so C is G outright when N's generators commute with
+    G's, trivial when |D| = 1, and otherwise only the smaller of G and D is
+    enumerated, under the cap.
     """
-    gens = [x.images for x in n.generators]
-    if all(_mul(s.images, x) == _mul(x, s.images) for s in g.generators for x in gens):
-        return g
-    delta_of = {pt: i for i, delta in enumerate(g.orbits()) for pt in delta}
+    _require_subgroup(sub, ambient, "centralizer")
+    gens = [x.images for x in sub.generators]
+
+    def commutes(s: tuple[int, ...]) -> bool:
+        return all(_mul(s, x) == _mul(x, s) for x in gens)
+
+    if all(commutes(s.images) for s in ambient.generators):
+        return ambient
+    delta_of = {pt: i for i, delta in enumerate(ambient.orbits()) for pt in delta}
     by_delta: dict[int, list[list[int]]] = {}
-    for orbit in n.orbits():
+    for orbit in sub.orbits():
         by_delta.setdefault(delta_of[orbit[0]], []).append(orbit)
     maps: list[Permutation] = []
     order = 1
     for orbits in by_delta.values():
-        classes: list[list[int]] = []  # [first point of the class's first orbit, c, m]
+        classes: list[list[int]] = []  # [first point, orbit length, c, m]
         for orbit in orbits:
-            for cls in classes:
-                swaps = (_commuting_map(gens, cls[0], beta, g.degree) for beta in orbit)
+            for cls in (cls for cls in classes if cls[1] == len(orbit)):
+                swaps = (_commuting_map(gens, cls[0], beta, ambient.degree) for beta in orbit)
                 swap = next((z for z in swaps if z is not None), None)
                 if swap is not None:
                     maps.append(swap)
-                    cls[2] += 1
+                    cls[3] += 1
                     break
             else:
-                own = [_commuting_map(gens, orbit[0], beta, g.degree) for beta in orbit[1:]]
+                own = [_commuting_map(gens, orbit[0], beta, ambient.degree) for beta in orbit[1:]]
                 maps.extend(z for z in own if z is not None)
-                classes.append([orbit[0], 1 + sum(z is not None for z in own), 1])
-        order *= math.prod(c**m * math.factorial(m) for _, c, m in classes)
+                classes.append([orbit[0], len(orbit), 1 + sum(z is not None for z in own), 1])
+        order *= math.prod(c**m * math.factorial(m) for _, _, c, m in classes)
     if order == 1:
-        return PermGroup.trivial(g.degree)
-    if order < g.order():
-        return _filtered_subgroup(span(g.degree, maps), g.contains, "centralizer")
-    return centralizer(g, n)
+        return PermGroup.trivial(ambient.degree)
+    if order < ambient.order():
+        return _filtered_subgroup(span(ambient.degree, maps), ambient.contains, "centralizer")
+    return _filtered_subgroup(ambient, lambda x: commutes(x.images), "centralizer")
 
 
 def center(g: PermGroup) -> PermGroup:
-    """Z(G) = C_G(G), read off the action by _normal_centralizer: the
-    G-orbits are G's own, so D is the product of the centralizers
-    C_Sym(Delta)(G^Delta), and only the smaller of G and D is enumerated."""
-    return _normal_centralizer(g, g)
+    """Z(G) = C_G(G), read off the action by centralizer: the G-orbits are
+    G's own, so D is the product of the centralizers C_Sym(Delta)(G^Delta),
+    and only the smaller of G and D is enumerated."""
+    return centralizer(g, g)
 
 
 def intersection(a: PermGroup, b: PermGroup) -> PermGroup:

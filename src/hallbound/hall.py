@@ -34,8 +34,9 @@ The scan is exact: a subgroup of full pi-part order contains a Sylow
 p-subgroup of the whole group for every p in pi and is generated by one
 such choice per prime, and all Sylow p-subgroups are conjugate, so fixing
 one reference factor and ranging over conjugates of the rest visits a
-conjugate of every Hall pi-subgroup.  Absence proofs and the
-no-nilpotent-Hall confirmation ride on the same scan.
+conjugate of every Hall pi-subgroup, and its failure proves absence.  The
+no-nilpotent-Hall confirmation needs no scan: one centralizer of a Sylow
+2-subgroup decides it.
 
 Greedy growth and the scan build each candidate <current, new> with
 PermGroup.adjoin, which extends current's complete chain instead of building
@@ -68,12 +69,12 @@ from .errors import (
     SubgroupError,
     check_cap,
 )
-from .group import PermGroup, conjugate_subgroup, intersection, is_normal
+from .group import PermGroup, centralizer, conjugate_subgroup, intersection, is_normal
 from .perm import Permutation, _conj, _inv
 from .primes import PrimeSet, factorize
 from .quotient import quotient_by
 from .radicals import pi_core, sylow_subgroup
-from .structure import is_nilpotent, is_simple, is_soluble, socle
+from .structure import is_simple, is_soluble, socle
 
 
 def is_hall_subgroup(sub: PermGroup, g: PermGroup, pi: PrimeSet) -> bool:
@@ -174,23 +175,13 @@ def _fails_coset_bound(k: PermGroup, pi: PrimeSet) -> bool:
     return any(e > _factorial_valuation(m, r) for r, e in factorize(index).items())
 
 
-def _bound_fails_on_group(g: PermGroup, pi: PrimeSet) -> bool:
-    """_fails_coset_bound(g, pi), False also when a cap stops the check."""
+def _bound_certificate(g: PermGroup, pi: PrimeSet, socle_factors: bool) -> PermGroup | None:
+    """g, or with socle_factors the first proper socle factor of g, when it
+    fails the coset-action bound; None otherwise, also when a cap stops the
+    check (socle included)."""
     try:
-        return _fails_coset_bound(g, pi)
-    except CapExceeded:
-        return False
-
-
-def _failing_socle_factor(g: PermGroup, pi: PrimeSet) -> PermGroup | None:
-    """A proper socle factor of g that fails the coset-action bound, or None,
-    also when a cap stops the check.  g itself is checked on its own."""
-    try:
-        factors = socle(g).factors
-        return next(
-            (f for f in factors if f.order() < g.order() and _fails_coset_bound(f, pi)),
-            None,
-        )
+        parts = [f for f in socle(g).factors if f.order() < g.order()] if socle_factors else [g]
+        return next((k for k in parts if _fails_coset_bound(k, pi)), None)
     except CapExceeded:
         return None
 
@@ -310,7 +301,7 @@ def hall_search(g: PermGroup, pi: PrimeSet, cap: int) -> HallSearchResult:
     witness, tried = _greedy_phase(g, pi, target, rng, first)
     budget = {"random_growth_steps": tried}
     if witness is None:
-        if _bound_fails_on_group(g, pi):
+        if _bound_certificate(g, pi, socle_factors=False) is not None:
             budget.update(route="certificate", certificate_order=g.order())
             return HallSearchResult("proven_absent", pi, None, budget)
         built = [0]
@@ -327,7 +318,7 @@ def hall_search(g: PermGroup, pi: PrimeSet, cap: int) -> HallSearchResult:
             return HallSearchResult(status, pi, witness, budget)
     if witness is not None:
         return HallSearchResult("found", pi, witness, {**budget, "route": "greedy"})
-    failing = _failing_socle_factor(g, pi)
+    failing = _bound_certificate(g, pi, socle_factors=True)
     if failing is not None:
         budget.update(route="certificate", certificate_order=failing.order())
         return HallSearchResult("proven_absent", pi, None, budget)
@@ -365,11 +356,13 @@ def check_hall_heredity(
 def confirm_no_nilpotent_hall_2p(simple_group: PermGroup, p: int) -> bool:
     """True iff the simple group has no nilpotent Hall {2,p}-subgroup.
 
-    p must be an odd prime divisor of the order.  Every subgroup whose order
-    is the full {2,p}-part has a conjugate among the Sylow system joins, and
-    nilpotency is preserved by conjugation, so testing each full-order join
-    for nilpotency decides the claim; no such subgroup at all also confirms
-    it.
+    p must be an odd prime divisor of the order.  A nilpotent Hall
+    {2,p}-subgroup is P' x Q, P' a Sylow 2-subgroup and Q a Sylow
+    p-subgroup.  Conjugating it so that P' is P, the Sylow 2-subgroup taken
+    here, puts Q inside C(P), the centralizer of P, so |C(P)| has the full
+    p-part of the order.  Conversely, a Sylow p-subgroup Q of C(P) of that
+    full p-part meets P trivially, since p is odd, so PQ = P x Q is a
+    nilpotent Hall {2,p}-subgroup.  One centralizer decides the claim.
     """
     if p == 2:
         raise PreconditionError("p must be odd")
@@ -377,9 +370,6 @@ def confirm_no_nilpotent_hall_2p(simple_group: PermGroup, p: int) -> bool:
         raise PreconditionError(f"{p} does not divide the group order")
     if not is_simple(simple_group) or is_soluble(simple_group):
         raise PreconditionError("expected a non-abelian simple group")
-    pi = PrimeSet([2, p])
-    target = pi.part_of(simple_group.order())
-    for candidate in _sylow_generated(simple_group, pi, target, [0]):
-        if candidate.order() == target and is_nilpotent(candidate):
-            return False
-    return True
+    p_part = PrimeSet([p]).part_of
+    c = centralizer(simple_group, sylow_subgroup(simple_group, 2))
+    return p_part(c.order()) < p_part(simple_group.order())

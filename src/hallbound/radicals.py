@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .config import enumeration_cap
 from .errors import PreconditionError, check_cap
-from .group import PermGroup, _normal_centralizer, center, is_normal
+from .group import PermGroup, center, centralizer, is_normal
 from .perm import Permutation
 from .primes import PrimeSet, is_prime, prime_divisors
 from .quotient import ascending_series, quotient_or_self
@@ -136,7 +136,7 @@ def layer(g: PermGroup) -> PermGroup:
     centralizer of F in the symmetric groups of G's orbits is enumerated.
     """
     f = fitting_subgroup(g)
-    c = _normal_centralizer(g, f)
+    c = centralizer(g, f)
     z = center(c)
     if z.order() == c.order():
         return PermGroup.trivial(g.degree)

@@ -13,7 +13,7 @@ into simple factors.  They come from one call that tries in order:
   * a certified kernel search, at any order: the kernels of the actions on
     the nontrivial orbits (two or more of them) or on the minimal block
     systems (one; none for a regular action) are searched, and so is C =
-    C_G(P), P their product, read off the action (group._normal_centralizer).
+    C_G(P), P their product, read off the action (group.centralizer).
     Inside a kernel k the search closes k's own minimal normal subgroups
     (k settled, or over the cap: a recursive call) or k's prime-order class
     seeds (otherwise);
@@ -53,8 +53,8 @@ from .errors import CapExceeded, PreconditionError, check_cap
 from .group import (
     PermGroup,
     _is_abelian,
-    _normal_centralizer,
     block_action_kernel,
+    centralizer,
     commutator_subgroup,
     derived_subgroup,
     is_normal,
@@ -285,7 +285,7 @@ def _certified_minimal_normals(g: PermGroup, cap: int) -> list[PermGroup] | None
     if not kernels:
         return None
     try:
-        c = _normal_centralizer(g, PermGroup(g.degree, [x for k in kernels for x in k.generators]))
+        c = centralizer(g, PermGroup(g.degree, [x for k in kernels for x in k.generators]))
     except CapExceeded:
         return None
     if c.order() == g.order():
@@ -350,15 +350,18 @@ def socle(g: PermGroup) -> SocleDecomposition:
     )
 
 
+def _descending_series(g: PermGroup, step) -> tuple[PermGroup, ...]:
+    """g >= step(g) >= step(step(g)) >= ... until stable."""
+    series = [g]
+    while (nxt := step(series[-1])).order() < series[-1].order():
+        series.append(nxt)
+    return tuple(series)
+
+
 @functools.lru_cache(maxsize=None)
 def derived_series(g: PermGroup) -> tuple[PermGroup, ...]:
     """G >= G' >= G'' >= ... until stable."""
-    series = [g]
-    while True:
-        nxt = derived_subgroup(series[-1])
-        if nxt.order() == series[-1].order():
-            return tuple(series)
-        series.append(nxt)
+    return _descending_series(g, derived_subgroup)
 
 
 def is_soluble(g: PermGroup) -> bool:
@@ -367,12 +370,7 @@ def is_soluble(g: PermGroup) -> bool:
 
 def lower_central_series(g: PermGroup) -> tuple[PermGroup, ...]:
     """G >= [G,G] >= [[G,G],G] >= ... until stable."""
-    series = [g]
-    while True:
-        nxt = commutator_subgroup(series[-1], g, g)
-        if nxt.order() == series[-1].order():
-            return tuple(series)
-        series.append(nxt)
+    return _descending_series(g, lambda h: commutator_subgroup(h, g, g))
 
 
 def is_nilpotent(g: PermGroup) -> bool:

@@ -1,11 +1,18 @@
-"""Independent oracles for the non-p-soluble length and the p-length.
+"""Independent oracles for the non-p-soluble length, the p-length, the
+centralizer and the no-nilpotent-Hall check.
 
-Each takes the definition literally: it builds the whole normal subgroup
-lattice of a small group and searches it for a shortest normal series of
-the admissible kind, so the tests use them to cross-check the kernel series
-and the upper p-series at small orders.  The lattice and the series search
-share no code with those; the classification of a factor still calls the
-package's socle and is_p_soluble.
+The length oracles take the definition literally: each builds the whole
+normal subgroup lattice of a small group and searches it for a shortest
+normal series of the admissible kind, so the tests use them to cross-check
+the kernel series and the upper p-series at small orders.  The lattice and
+the series search share no code with those; the classification of a factor
+still calls the package's socle and is_p_soluble.
+
+centralizer_oracle enumerates the whole ambient group and keeps the elements
+that commute with the subgroup's generators, against the package's
+centralizer, which reads C_G(N) off the action.  no_nilpotent_hall_2p_oracle
+walks the Hall search's Sylow system scan and tests each full-order join for
+nilpotency, against the package's check by one centralizer.
 """
 
 import functools
@@ -14,7 +21,9 @@ from collections import deque
 from hallbound import (
     PermGroup,
     Permutation,
+    PrimeSet,
     factor_group,
+    is_nilpotent,
     is_normal,
     is_p_soluble,
     normal_closure,
@@ -22,6 +31,7 @@ from hallbound import (
     span,
 )
 from hallbound.errors import PreconditionError, check_cap
+from hallbound.hall import _sylow_generated
 from hallbound.radicals import require_prime
 
 # Largest group order the lattice oracles enumerate.
@@ -176,3 +186,23 @@ def p_length_oracle(g: PermGroup, p: int) -> int:
         return None
 
     return _lattice_shortest(g, p, classify)
+
+
+def centralizer_oracle(ambient: PermGroup, sub: PermGroup) -> PermGroup:
+    """C_G(N) by its definition: the span of the elements of G, enumerated
+    under the enumeration cap, that commute with every generator of N."""
+    gens = sub.generators
+    hits = [x for x in ambient.element_list() if all(x * s == s * x for s in gens)]
+    result = span(ambient.degree, hits)
+    assert result.order() == len(hits)
+    return result
+
+
+def no_nilpotent_hall_2p_oracle(simple_group: PermGroup, p: int) -> bool:
+    """True iff no subgroup of the full {2,p}-part order is nilpotent: every
+    such subgroup has a conjugate among the Sylow system joins, and
+    conjugation keeps nilpotency."""
+    pi = PrimeSet([2, p])
+    target = pi.part_of(simple_group.order())
+    joins = _sylow_generated(simple_group, pi, target, [0])
+    return not any(c.order() == target and is_nilpotent(c) for c in joins)

@@ -37,13 +37,16 @@ from hallbound import (
     pointwise_stabilizer,
     span,
     suite_specs,
+    sylow_subgroup,
     symmetric_group,
 )
 from hallbound import group
 from hallbound.errors import CapExceeded, DegreeMismatch
 from hallbound.perm import _inv, _mul
+from hallbound.primes import prime_divisors
 
 from conftest import permutations_of_degree, random_permutation, random_subgroup_gens
+from oracles import centralizer_oracle
 
 
 def test_symmetric_group_order_and_membership():
@@ -79,10 +82,6 @@ def test_element_list_cap_enforced():
 
 def test_enumerating_operations_respect_the_cap(monkeypatch, s4, a4):
     monkeypatch.setenv("HALLBOUND_CAP", "20")
-    transposition = span(4, [Permutation.from_cycles(4, [(0, 1)])])
-    with pytest.raises(CapExceeded, match="centralizer") as info:
-        centralizer(s4, transposition)
-    assert (info.value.needed, info.value.cap) == (24, 20)
     # the center is read off the action: the centralizer of S4 in Sym(4)
     # is trivial, so nothing is enumerated
     assert center(s4).is_trivial()
@@ -91,6 +90,14 @@ def test_enumerating_operations_respect_the_cap(monkeypatch, s4, a4):
     assert info.value.needed == 24
     # intersection enumerates only the smaller group
     assert intersection(s4, a4).order() == 12
+    # so does centralizer: the centralizer of a transposition in Sym(4)
+    # has order 4, below S4's 24
+    transposition = span(4, [Permutation.from_cycles(4, [(0, 1)])])
+    assert centralizer(s4, transposition).order() == 4
+    monkeypatch.setenv("HALLBOUND_CAP", "3")
+    with pytest.raises(CapExceeded, match="centralizer") as info:
+        centralizer(s4, transposition)
+    assert (info.value.needed, info.value.cap) == (4, 3)
 
 
 def test_orbit_stabilizer_theorem(s4):
@@ -197,34 +204,34 @@ def _counted_enumerations():
 def _sym_centralizer_order(g: PermGroup, n: PermGroup) -> int:
     """|D|, D the centralizer of N in the product of Sym(Delta) over the
     G-orbits Delta.  Two N-orbits in one Delta carry equivalent actions
-    exactly when the stabilizer of a point of one fixes a point of the
-    other; each class of m such orbits O contributes c^m * m!, c the number
-    of points of O that the stabilizer of O's least point fixes."""
+    exactly when they have one length and the stabilizer of a point of one
+    fixes a point of the other; each class of m such orbits O contributes
+    c^m * m!, c the number of points of O that the stabilizer of O's least
+    point fixes."""
     order = 1
     for delta in g.orbits():
         inside = set(delta)
-        classes = []  # [points the stabilizer of the first point fixes, c, m]
+        classes = []  # [points the stabilizer of the first point fixes, length, c, m]
         for orbit in (o for o in n.orbits() if o[0] in inside):
             points = set(orbit)
-            cls = next((cls for cls in classes if cls[0] & points), None)
+            cls = next((c for c in classes if c[0] & points and c[1] == len(orbit)), None)
             if cls is None:
                 stabilizer = pointwise_stabilizer(n, [orbit[0]])
                 fixed = {pt for pt in delta if all(s(pt) == pt for s in stabilizer.generators)}
-                classes.append([fixed, len(fixed & points), 1])
+                classes.append([fixed, len(orbit), len(fixed & points), 1])
             else:
-                cls[2] += 1
-        order *= math.prod(c**m * math.factorial(m) for _, c, m in classes)
+                cls[3] += 1
+        order *= math.prod(c**m * math.factorial(m) for _, _, c, m in classes)
     return order
 
 
 def _assert_centralizer_matches_the_oracle(g: PermGroup, n: PermGroup) -> None:
     """C_G(N) read off the action (center(g) when n is g) is the
-    enumeration centralizer, and enumerates at most min(|G|, |D|)
-    elements."""
+    enumeration oracle's, and enumerates at most min(|G|, |D|) elements."""
     with _counted_enumerations() as calls:
-        c = center(g) if n is g else group._normal_centralizer(g, n)
+        c = center(g) if n is g else centralizer(g, n)
     assert sum(k for _, k in calls) <= min(g.order(), _sym_centralizer_order(g, n))
-    oracle = centralizer(g, n)
+    oracle = centralizer_oracle(g, n)
     assert c.order() == oracle.order()
     assert c.is_subgroup_of(oracle)
 
@@ -275,6 +282,44 @@ def test_center_matches_the_centralizer_oracle_on_intransitive_groups(g):
 def test_normal_centralizer_matches_the_centralizer_oracle_on_intransitive_groups(g, rng):
     n = normal_closure(g, PermGroup(g.degree, [g.random_element(rng)]))
     _assert_centralizer_matches_the_oracle(g, n)
+
+
+@pytest.mark.parametrize("spec", CENTRALIZER_SPECS)
+def test_centralizer_of_a_non_normal_subgroup_matches_the_oracle(spec):
+    # every Sylow subgroup and a point stabilizer: their orbits in one
+    # G-orbit may have different lengths
+    g = group_from_spec(spec)
+    for p in prime_divisors(g.order()):
+        _assert_centralizer_matches_the_oracle(g, sylow_subgroup(g, p))
+    _assert_centralizer_matches_the_oracle(g, pointwise_stabilizer(g, [g.orbits()[0][0]]))
+
+
+@pytest.mark.property_based
+@given(g=_two_block_groups(), rng=st.randoms(use_true_random=False), count=st.integers(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_centralizer_matches_the_oracle_on_intransitive_groups(g, rng, count):
+    n = span(g.degree, [g.random_element(rng) for _ in range(count)])
+    _assert_centralizer_matches_the_oracle(g, n)
+
+
+def test_orbits_of_unequal_length_are_never_matched(s4):
+    # <(1 2)> has orbits {0}, {1, 2}, {3}: the two fixed points swap, and a
+    # map from {1, 2} onto a fixed point would not be a permutation, so D
+    # is <(1 2)> x <(0 3)> and it is all that is enumerated
+    sub = span(4, [Permutation.from_cycles(4, [(1, 2)])])
+    with _counted_enumerations() as calls:
+        c = centralizer(s4, sub)
+    assert c.order() == 4
+    assert sum(k for _, k in calls) <= 4
+    assert c.contains(Permutation.from_cycles(4, [(0, 3)]))
+
+
+def test_centralizer_of_a_three_cycle_in_s10_is_read_off_the_action():
+    # C3 x S7, of order 15,120, under the default cap; S10 itself would need
+    # 3,628,800 elements
+    s10 = symmetric_group(10)
+    c = centralizer(s10, span(10, [Permutation.from_cycles(10, [(1, 2, 3)])]))
+    assert c.order() == 3 * math.factorial(7)
 
 
 @pytest.mark.parametrize("spec", ["A8", "PSL(2,7) wr C2"])

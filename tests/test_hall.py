@@ -33,10 +33,9 @@ from hallbound.config import SEARCH_SEED
 from hallbound.errors import CapExceeded, PreconditionError
 from hallbound.hall import (
     GREEDY_RESTARTS,
-    _bound_fails_on_group,
+    _bound_certificate,
     _conjugates,
     _fails_coset_bound,
-    _failing_socle_factor,
     _greedy_phase,
     _pi_part_of_element,
     _sylow_generated,
@@ -45,6 +44,7 @@ from hallbound.perm import _mul
 from hallbound.primes import prime_divisors
 
 from conftest import random_permutation
+from oracles import no_nilpotent_hall_2p_oracle
 
 
 def test_is_hall_subgroup_basics(s4, a4):
@@ -507,7 +507,7 @@ def test_theorem_holds_at_non_p_soluble_length_two():
 
 def _bound_fires(g, pi) -> bool:
     """The coset-action bound fails on g or on one of its socle factors."""
-    return _bound_fails_on_group(g, pi) or _failing_socle_factor(g, pi) is not None
+    return any(_bound_certificate(g, pi, factors) is not None for factors in (False, True))
 
 
 def _scan_finds_hall(g, pi) -> bool:
@@ -738,6 +738,18 @@ def test_heredity_rejects_non_normal(s4):
 def test_no_nilpotent_hall_in_a5(a5):
     assert confirm_no_nilpotent_hall_2p(a5, 3)
     assert confirm_no_nilpotent_hall_2p(a5, 5)
+
+
+def test_no_nilpotent_hall_check_agrees_with_the_scan_oracle(monkeypatch):
+    # the check is one centralizer: it walks no Sylow system scan
+    groups = [make_named(name) for name in (
+        "A5", "A6", "PSL(2,7)", "PSL(2,11)", "PSL(2,13)", "A7", "A8", "A9"
+    )]
+    cases = [(g, p) for g in groups for p in prime_divisors(g.order()) if p != 2]
+    oracle = [no_nilpotent_hall_2p_oracle(g, p) for g, p in cases]
+    monkeypatch.setattr(hall, "_sylow_generated", None)
+    assert [confirm_no_nilpotent_hall_2p(g, p) for g, p in cases] == oracle
+    assert len(cases) == 21 and all(oracle)
 
 
 def test_no_nilpotent_hall_preconditions(a5, s4):

@@ -16,6 +16,7 @@ from hallbound import (
     PermGroup,
     PrimeSet,
     alternating_group,
+    centralizer,
     check_kernel_lemma,
     compute_invariant_report,
     conjugate_subgroup,
@@ -41,7 +42,6 @@ from hallbound import (
 )
 from hallbound.config import enumeration_cap
 from hallbound.errors import CapExceeded
-from hallbound.group import _normal_centralizer
 from hallbound.perm import Permutation
 from hallbound import structure
 from hallbound.primes import factorize, prime_divisors
@@ -139,12 +139,26 @@ def test_support_factorization_is_called_only_from_settled_minimal_normals():
     ]
 
 
+def _defined(pattern: str) -> list[tuple[str, str]]:
+    """(file, name) of every function under src/hallbound whose name holds
+    pattern."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and pattern in node.name:
+                found.append((path.name, node.name))
+    return found
+
+
 def test_one_module_owns_centralizers():
-    # Centralizers of normal subgroups are read off the action by one
-    # helper in group.py; the enumerating centralizer is the tests' oracle
-    # and public API, and no other module of the package calls it.
+    # Every centralizer is read off the action by group.centralizer: only
+    # group.py builds commuting maps or filters a group's elements, no other
+    # function is a centralizer, and the Sylow system scan serves the Hall
+    # search alone (the no-nilpotent-Hall check is one centralizer).
     assert {path for path, _ in _callers("_commuting_map")} == {"group.py"}
-    assert {path for path, _ in _callers("centralizer")} <= {"group.py"}
+    assert {path for path, _ in _callers("_filtered_subgroup")} == {"group.py"}
+    assert _defined("centralizer") == [("group.py", "centralizer")]
+    assert _callers("_sylow_generated") == [("hall.py", "hall_search")]
 
 
 def test_an_unsettled_kernel_over_the_cap_raises(monkeypatch):
@@ -230,7 +244,7 @@ def test_only_the_centralizer_search_finds_a_minimal_normal_subgroup(monkeypatch
     assert [k.order() for k in kernels] == [6]
     # the S3 has two equivalent orbits on the hexagon and fixes 6 and 7, so
     # C_Sym(S3) on the two G-orbits is generated by two swaps, of order 4
-    c = _normal_centralizer(g, kernels[0])
+    c = centralizer(g, kernels[0])
     assert c.order() == 2 and not c.is_subgroup_of(kernels[0])
     enumerated = _count_enumerations(monkeypatch)
     clear_caches()
