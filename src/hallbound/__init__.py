@@ -7,6 +7,8 @@ the inequalities relating the non-p-soluble length of a group to the
 generalized Fitting height and 2-length of its Hall subgroups.
 """
 
+from types import ModuleType
+
 from .errors import (
     CapExceeded,
     DegreeMismatch,
@@ -108,6 +110,15 @@ from .verify import (
 
 __version__ = "1.0.0"
 
+
+def clear_caches() -> None:
+    """Empty every memo of the package, which a caller that changes
+    HALLBOUND_CAP does: memos are keyed by their arguments, not the cap."""
+    modules = [m for m in globals().values() if isinstance(m, ModuleType)]
+    for memo in [f for m in modules for f in vars(m).values() if hasattr(f, "cache_clear")]:
+        memo.cache_clear()
+
+
 __all__ = [
     "CapExceeded",
     "ChainCheck",
@@ -136,6 +147,7 @@ __all__ = [
     "centralizer",
     "check_hall_heredity",
     "check_kernel_lemma",
+    "clear_caches",
     "closed_form_order",
     "commutator_subgroup",
     "compute_invariant_report",

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 from .group import PermGroup, action_kernel
 from .perm import Permutation
-from .quotient import ascending_series, factor_group, quotient_or_self
+from .quotient import ascending_series, quotient_or_self
 from .radicals import p_soluble_radical, require_prime
-from .structure import is_soluble, socle
+from .structure import derived_series, socle
 
 
 def _kernel_of_factor_action(g: PermGroup, factors) -> PermGroup:
@@ -129,14 +129,16 @@ class KernelLemmaReport:
 
 
 def check_kernel_lemma(g: PermGroup, p: int) -> KernelLemmaReport:
-    """Check that the p-kernel has non-p-soluble length at most one, and that
-    above the socle's preimage the kernel is soluble (vacuous when p-soluble)."""
+    """Check that the p-kernel K has non-p-soluble length at most one, and
+    that K/S is soluble for S the socle's preimage (vacuous when p-soluble):
+    (K/S)^(i) = K^(i)S/S, so K/S is soluble exactly when the last term of
+    K's derived series lies in S, and no quotient is built."""
     socle_preimage = kernel_series(g, p).socle_preimage
     kernel = p_kernel(g, p)
     kernel_length = non_p_soluble_length(kernel, p)
     outer_soluble: bool | None = None
     if socle_preimage is not None:
-        outer_soluble = is_soluble(factor_group(kernel, socle_preimage))
+        outer_soluble = derived_series(kernel)[-1].is_subgroup_of(socle_preimage)
     holds = kernel_length <= 1 and (outer_soluble is None or outer_soluble)
     return KernelLemmaReport(
         group=g,

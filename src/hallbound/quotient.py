@@ -8,10 +8,10 @@ element of a group is always the identity), so the target degree equals the
 index and the map of the identity is the identity.
 
 The rule that a trivial kernel never builds a quotient (which would be the
-regular representation) lives here, in quotient_or_self, and every series
-that ascends through full preimages goes through ascending_series, whose
-top term is g itself whenever it has g's order, so caches keyed by the
-group see one handle.
+regular representation) lives here, in quotient_or_self.  Every ascending
+series goes through _ascend, whose top term is g itself whenever it has g's
+order, so caches keyed by the group see one handle; ascending_series feeds
+it preimages from quotients, and radicals' series feed it their own terms.
 """
 
 from __future__ import annotations
@@ -70,14 +70,6 @@ class QuotientMap:
     def __setattr__(self, name, value):
         raise AttributeError("QuotientMap is immutable")
 
-    def _image_images(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        nchain = self.kernel.chain
-        index_of = self._index_of
-        return tuple(
-            index_of[nchain.min_coset_rep(_mul(rep.images, x))]
-            for rep in self.coset_reps
-        )
-
     @property
     def index(self) -> int:
         return len(self.coset_reps)
@@ -86,7 +78,8 @@ class QuotientMap:
         """Image of a source element in the coset action."""
         if not self.source.contains(x):
             raise SubgroupError("element is not in the quotient's source group")
-        return Permutation(self._image_images(x.images))
+        min_rep, index_of = self.kernel.chain.min_coset_rep, self._index_of
+        return Permutation([index_of[min_rep(_mul(r.images, x.images))] for r in self.coset_reps])
 
     def image_subgroup(self, sub: PermGroup) -> PermGroup:
         """Image of a subgroup of the source."""
@@ -141,23 +134,28 @@ def quotient_or_self(
     return q.target, q.preimage_subgroup
 
 
-def ascending_series(
-    g: PermGroup, step: Callable[[PermGroup], PermGroup]
-) -> list[PermGroup]:
-    """1 = N_0 < N_1 < ... with N_{i+1} the full preimage of step(G/N_i).
+def ascending_series(g: PermGroup, step: Callable[[PermGroup], PermGroup]) -> list[PermGroup]:
+    """_ascend with N_{i+1} the full preimage of step(G/N_i), a normal
+    subgroup of its argument; callers decide whether stopping short of G
+    is an answer or a failure."""
 
-    step must return a normal subgroup of its argument.  The series stops
-    at G, appending g itself for a term of order |G|, or when step returns
-    the trivial group; callers decide whether stopping short of G is an
-    answer or a failure.
-    """
+    def above(n: PermGroup) -> PermGroup:
+        quotient, pull_back = quotient_or_self(g, n)
+        found = step(quotient)
+        return n if found.is_trivial() else pull_back(found)
+
+    return _ascend(g, above)
+
+
+def _ascend(g: PermGroup, above: Callable[[PermGroup], PermGroup]) -> list[PermGroup]:
+    """1 = N_0 < N_1 < ... with N_{i+1} = above(N_i), a normal subgroup of g
+    containing N_i.  The series stops at g, appending g itself for a term of
+    order |G|, or when above adds nothing."""
     series = [PermGroup.trivial(g.degree)]
     while series[-1].order() < g.order():
-        quotient, pull_back = quotient_or_self(g, series[-1])
-        found = step(quotient)
-        if found.is_trivial():
+        term = above(series[-1])
+        if term.order() == series[-1].order():
             break
-        term = pull_back(found)
         series.append(g if term.order() == g.order() else term)
     return series
 

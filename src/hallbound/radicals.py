@@ -3,9 +3,13 @@
 The characteristic-subgroup tower: Sylow subgroups, pi-cores, the largest
 normal p-soluble subgroup, the Fitting subgroup (product of p-cores), the
 layer (product of subnormal quasisimple subgroups, computed through the
-centralizer of the Fitting subgroup), their product, and the heights read
-off iterated quotients.  Height computations return an explicit ascending
-series as a certificate.
+centralizer of the Fitting subgroup), their product, and the heights of the
+ascending series they define.  Height computations return an explicit
+ascending series as a certificate.
+
+The upper p-series and the Fitting series build no coset action: each term
+is a span of pi-cores above the last, read off G's seed closures
+(_pi_core_above).  The layer and the generalized Fitting tower use quotients.
 """
 
 from __future__ import annotations
@@ -16,14 +20,14 @@ from dataclasses import dataclass
 from .config import enumeration_cap
 from .errors import PreconditionError, check_cap
 from .group import PermGroup, center, centralizer, is_normal
-from .perm import Permutation
 from .primes import PrimeSet, is_prime, prime_divisors
-from .quotient import ascending_series, quotient_or_self
+from .quotient import _ascend, ascending_series, quotient_or_self
 from .structure import (
     derived_series,
     is_nilpotent,
     is_soluble,
     normal_part,
+    seed_closures,
     socle,
 )
 
@@ -74,12 +78,37 @@ def p_prime_core(g: PermGroup, p: int) -> PermGroup:
     return pi_core(g, PrimeSet([p]).complement_in(g.order()))
 
 
-def _upper_p_step(q: PermGroup, p: int) -> PermGroup:
-    """O_p'(Q), or O_p(Q) when that is trivial: one step of the upper
-    p-series.  Above a p'-step the p'-core is trivial again, since
-    O_p'(G/O_p'(G)) = 1, so the steps alternate."""
-    core = p_prime_core(q, p)
-    return p_core(q, p) if core.is_trivial() else core
+def _pi_core_above(g: PermGroup, n: PermGroup, pi: PrimeSet) -> PermGroup:
+    """The largest normal M >= n of g with |M : n| a pi-number, the preimage
+    of O_pi(g/n), on g's own points: M spans n and the seed closures inside
+    it.  The normal span m grows from n by each closure C with <m, C>/n a
+    pi-group (|<m, C>| divides |n| times the pi-part of |g : n|); normal
+    pi-subgroups of g/n multiply, so exactly the closures inside M join.
+    The series reach a nontrivial proper n only after a step that harvested
+    g, so seed_closures then reads its memo."""
+    if n.is_trivial():
+        return pi_core(g, pi)
+    index = g.order() // n.order()
+    if pi.is_pi_number(index):
+        return g
+    bound = n.order() * pi.part_of(index)
+    m = n
+    for c in seed_closures(g):
+        if not c.is_subgroup_of(m):
+            m = m.adjoin(c.generators, bound) or m
+    return m
+
+
+def _upper_p_series(g: PermGroup, p: int) -> list[PermGroup]:
+    """Each term the p'-core above the last, or the p-core above it when
+    that adds nothing: the steps alternate, as O_p'(G/O_p'(G)) = 1."""
+    prime = PrimeSet([p])
+
+    def above(n: PermGroup) -> PermGroup:
+        term = _pi_core_above(g, n, prime.complement_in(g.order()))
+        return term if term.order() > n.order() else _pi_core_above(g, n, prime)
+
+    return _ascend(g, above)
 
 
 def require_prime(p: int) -> None:
@@ -91,16 +120,14 @@ def require_prime(p: int) -> None:
 def p_soluble_radical(g: PermGroup, p: int) -> PermGroup:
     """Largest normal p-soluble subgroup.
 
-    Ascends the upper p-series, sharing its step with p_length.  At the
-    limit both cores of the quotient vanish, and a nontrivial p-soluble
-    normal subgroup up there would contain a minimal normal subgroup lying
-    inside one of them, so the limit is the whole radical.  Quotients are
-    only ever taken by the accumulated radical, never by a small piece of it.
+    The top of the upper p-series, which p_length shares.  Both cores above
+    its limit R add nothing, and a nontrivial p-soluble normal subgroup of
+    G/R would contain a minimal normal p- or p'-subgroup, so R is the radical.
     """
     require_prime(p)
     if is_soluble(g):
         return g
-    return ascending_series(g, lambda q: _upper_p_step(q, p))[-1]
+    return _upper_p_series(g, p)[-1]
 
 
 def is_p_soluble(g: PermGroup, p: int) -> bool:
@@ -109,21 +136,20 @@ def is_p_soluble(g: PermGroup, p: int) -> bool:
     return p_soluble_radical(g, p).order() == g.order()
 
 
+def _fitting_above(g: PermGroup, n: PermGroup) -> PermGroup:
+    """The preimage of F(g/n): the span of the p-cores above n, one for each
+    prime dividing |g : n|."""
+    cores = [_pi_core_above(g, n, PrimeSet([p])) for p in prime_divisors(g.order() // n.order())]
+    return PermGroup(g.degree, list(dict.fromkeys(x for c in cores for x in c.generators)))
+
+
 @functools.lru_cache(maxsize=None)
 def fitting_subgroup(g: PermGroup) -> PermGroup:
     """Largest normal nilpotent subgroup: the product of all p-cores."""
-    gens: list[Permutation] = []
-    for p in prime_divisors(g.order()) if g.order() > 1 else ():
-        gens.extend(p_core(g, p).generators)
-    result = PermGroup(g.degree, gens)
+    result = _fitting_above(g, PermGroup.trivial(g.degree))
     if not is_nilpotent(result) or not is_normal(result, g):
         raise AssertionError("Fitting subgroup failed its own invariants")
     return result
-
-
-def _perfect_core(g: PermGroup) -> PermGroup:
-    """Last term of the derived series."""
-    return derived_series(g)[-1]
 
 
 def layer(g: PermGroup) -> PermGroup:
@@ -141,7 +167,7 @@ def layer(g: PermGroup) -> PermGroup:
     if z.order() == c.order():
         return PermGroup.trivial(g.degree)
     quotient, pull_back = quotient_or_self(c, z)
-    return _perfect_core(pull_back(socle(quotient).socle))
+    return derived_series(pull_back(socle(quotient).socle))[-1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,22 +195,20 @@ class HeightCertificate:
     kind: str
 
 
-def _ascending_tower(g: PermGroup, step, kind: str) -> HeightCertificate:
-    """The ascending series of step, which must reach the whole group."""
-    series = ascending_series(g, step)
+def _tower(g: PermGroup, series: list[PermGroup], kind: str) -> HeightCertificate:
+    """The certificate of an ascending series, which must reach the whole group."""
     if series[-1].order() < g.order():
-        raise PreconditionError(
-            f"{kind} series stalled at order {series[-1].order()}; "
-            "input violates the operation's hypothesis"
-        )
+        stalled = f"{kind} series stalled at order {series[-1].order()}"
+        raise PreconditionError(f"{stalled}; input violates the operation's hypothesis")
     return HeightCertificate(series=tuple(series), height=len(series) - 1, kind=kind)
 
 
 def fitting_height(g: PermGroup) -> HeightCertificate:
-    """Length of the ascending Fitting series; defined for soluble groups."""
+    """Length of the ascending Fitting series, on g's own points; defined
+    for soluble groups."""
     if not is_soluble(g):
         raise PreconditionError("Fitting height requires a soluble group")
-    return _ascending_tower(g, fitting_subgroup, "fitting")
+    return _tower(g, _ascend(g, functools.partial(_fitting_above, g)), "fitting")
 
 
 def generalized_fitting_height(g: PermGroup) -> HeightCertificate:
@@ -193,20 +217,19 @@ def generalized_fitting_height(g: PermGroup) -> HeightCertificate:
     The generalized Fitting subgroup of a nontrivial finite group is
     nontrivial, so the tower always terminates.
     """
-    return _ascending_tower(g, generalized_fitting_subgroup, "generalized_fitting")
+    return _tower(g, ascending_series(g, generalized_fitting_subgroup), "generalized_fitting")
 
 
 def p_length(g: PermGroup, p: int) -> HeightCertificate:
     """Number of p-factors in the alternating upper p-series.
 
     Requires a p-soluble group.  The series is the one p_soluble_radical
-    ascends, with the same step, and it stalls below the whole group
-    exactly when the group is not p-soluble; each factor of order divisible
-    by p is counted.
+    ascends, and it stalls below the whole group exactly when the group is
+    not p-soluble; each factor of order divisible by p is counted.
     """
     require_prime(p)
     kind = "two_length" if p == 2 else "p_length"
-    series = _ascending_tower(g, lambda q: _upper_p_step(q, p), kind).series
+    series = _tower(g, _upper_p_series(g, p), kind).series
     count = sum((b.order() // a.order()) % p == 0 for a, b in zip(series, series[1:]))
     return HeightCertificate(series=series, height=count, kind=kind)
 

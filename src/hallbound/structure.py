@@ -37,8 +37,8 @@ the cyclic subgroups of prime-power order.  It reads the elements once,
 from the chain's shared-prefix enumeration, and sorts each one into its
 cyclic subgroup with one power walk per cyclic subgroup it has not met.
 seed_closures closes each seed of the whole group under conjugation, once
-per group; the cores and radicals of normal_part are spans of those
-closures.
+per group; the cores and radicals of normal_part, and the cores above a
+normal subgroup that radicals' series take, are spans of those closures.
 """
 
 from __future__ import annotations
@@ -394,7 +394,8 @@ def normal_part(g: PermGroup, keep) -> PermGroup:
     normal subgroup does, since a nontrivial R contains one; both settle
     without a harvest.  Otherwise a seed closure lies in R exactly when it
     satisfies `keep`, and R is the span of the closures inside it.  Runs
-    entirely on the original domain.
+    entirely on the original domain, like the cores above a normal subgroup
+    that the same closures give (radicals._pi_core_above).
     """
     if g.is_trivial() or keep(g):
         return g

@@ -6,7 +6,6 @@ domain.  Groups used across modules are built once per session.
 """
 
 import ast
-import importlib
 import random
 from pathlib import Path
 
@@ -37,14 +36,6 @@ def cached_definitions() -> list[tuple[str, str, bool]]:
             ):
                 found.append((path.stem, node.name, id(node) in top_level))
     return found
-
-
-def clear_caches() -> None:
-    """Empty every memo of the package.  Memos are keyed by their arguments,
-    not by the HALLBOUND_CAP they were computed under, so a test that
-    changes the cap clears them before it starts and after it ends."""
-    for module, name, _ in cached_definitions():
-        getattr(importlib.import_module(f"hallbound.{module}"), name).cache_clear()
 
 
 def permutations_of_degree(degree: int):

@@ -7,8 +7,8 @@ and carry its entries, and their memory, into the next pass.
 
 import importlib
 
-from conftest import cached_definitions, clear_caches
-from hallbound import generalized_fitting_height
+from conftest import cached_definitions
+from hallbound import clear_caches, generalized_fitting_height
 
 
 def test_every_cached_function_is_public_and_module_level():

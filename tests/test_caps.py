@@ -10,8 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import clear_caches
-from hallbound import CapExceeded, group_from_spec, minimal_normal_subgroups
+from hallbound import CapExceeded, clear_caches, group_from_spec, minimal_normal_subgroups
 from hallbound.errors import check_cap
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hallbound"

@@ -2,14 +2,17 @@
 
 import pytest
 
-from conftest import clear_caches
 from oracles import lambda_oracle, normal_subgroup_lattice, p_length_oracle
 from hallbound import (
     PermGroup,
+    QuotientMap,
     check_kernel_lemma,
+    clear_caches,
+    factor_group,
     group_from_spec,
     is_normal,
     is_p_soluble,
+    is_soluble,
     kernel_series,
     make_named,
     non_p_soluble_length,
@@ -182,3 +185,29 @@ def test_kernel_lemma_on_soluble_group(s4):
     assert report.holds
     assert report.kernel_length == 0
     assert report.outer_soluble is None
+
+
+@pytest.mark.parametrize(
+    "name, p", [("S5", 5), ("A5 wr C2", 3), ("A5 x SL(2,3)", 5), ("PSL(2,7) x S3", 7)]
+)
+def test_kernel_lemma_reads_solubility_above_the_socle_without_a_quotient(
+    monkeypatch, name, p
+):
+    # K/S is soluble exactly when the last derived term of K lies in S, so
+    # the check agrees with the factor group and builds no coset action once
+    # the series of G and of K are known.
+    g = group_from_spec(name)
+    socle_preimage = kernel_series(g, p).socle_preimage
+    kernel = p_kernel(g, p)
+    non_p_soluble_length(kernel, p)
+    expected = is_soluble(factor_group(kernel, socle_preimage))
+    built = []
+    init = QuotientMap.__init__
+
+    def counted(self, source, kernel):
+        built.append(source.order() // kernel.order())
+        init(self, source, kernel)
+
+    monkeypatch.setattr(QuotientMap, "__init__", counted)
+    assert check_kernel_lemma(g, p).outer_soluble is expected
+    assert built == []

@@ -1,16 +1,21 @@
 """Cores, radicals, Fitting machinery, layer, and height/length certificates."""
 
+import ast
+import itertools
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clear_caches, permutations_of_degree
+from conftest import SRC, permutations_of_degree
+from oracles import normal_subgroup_lattice
 from hallbound import (
     PermGroup,
     PrimeSet,
+    QuotientMap,
     alternating_group,
+    clear_caches,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -29,11 +34,13 @@ from hallbound import (
     p_prime_core,
     p_soluble_radical,
     pi_core,
-    symmetric_group,
     sylow_subgroup,
+    symmetric_group,
 )
 from hallbound.errors import CapExceeded, PreconditionError
 from hallbound.primes import prime_divisors
+from hallbound.quotient import quotient_or_self
+from hallbound.radicals import _pi_core_above
 
 
 def test_sylow_subgroup_orders(s4):
@@ -260,3 +267,69 @@ def test_p_length_certificate_kind(s4):
 def test_p_length_requires_p_soluble(a5):
     with pytest.raises(PreconditionError):
         p_length(a5, 2)
+
+
+CORE_ABOVE_GROUPS = [
+    "A4 x S4", "A5 x S4", "C2 x A4", "S3 x C4", "S5",
+    "A5 x D12", "D12 x S4", "PSL(2,7) x S3",
+]
+
+
+@pytest.mark.parametrize("spec", CORE_ABOVE_GROUPS)
+def test_pi_core_above_matches_the_quotient_route(spec):
+    # For every proper normal N of the lattice oracle and every non-empty set
+    # pi of primes dividing |G|, the core above N, read off G's seed closures,
+    # is the full preimage of pi_core(G/N) taken in the coset action.  Each
+    # group's comparisons take well under a second; the budget is 5 s.
+    g = group_from_spec(spec)
+    primes = prime_divisors(g.order())
+    pi_sets = [
+        PrimeSet(c) for r in range(1, len(primes) + 1) for c in itertools.combinations(primes, r)
+    ]
+    proper = [n for n in normal_subgroup_lattice(g) if n.order() < g.order()]
+    start = time.perf_counter()
+    for n in proper:
+        quotient, pull_back = quotient_or_self(g, n)
+        for pi in pi_sets:
+            expected = pull_back(pi_core(quotient, pi))
+            assert _pi_core_above(g, n, pi).same_group_as(expected), (n.order(), pi)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5, f"{len(proper) * len(pi_sets)} cores took {elapsed:.1f}s, budget 5s"
+
+
+def test_p_soluble_radical_above_the_quotient_degree_cap():
+    # The radical at 3 is the centre C2; a quotient by it would act on 21,600
+    # cosets, over the 20,000 degree cap.
+    assert p_soluble_radical(group_from_spec("A6 x A5 x C2"), 3).order() == 2
+
+
+def test_upper_p_series_and_fitting_series_build_no_quotient(monkeypatch):
+    built = []
+    init = QuotientMap.__init__
+
+    def counted(self, source, kernel):
+        built.append(source.order() // kernel.order())
+        init(self, source, kernel)
+
+    monkeypatch.setattr(QuotientMap, "__init__", counted)
+    clear_caches()
+    assert p_soluble_radical(group_from_spec("A5 x D12"), 3).order() == 12
+    soluble = group_from_spec("A4 x S4")
+    assert [p_length_value(soluble, p) for p in (2, 3)] == [2, 1]
+    assert [h.order() for h in fitting_height(soluble).series] == [1, 16, 144, 288]
+    assert built == []
+
+
+def test_no_series_of_radicals_ascends_through_quotients():
+    tree = ast.parse((SRC / "radicals.py").read_text())
+    functions = {
+        node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    }
+    assert "_upper_p_step" not in functions
+    for name in ("p_soluble_radical", "p_length", "fitting_height", "_upper_p_series"):
+        called = {
+            node.func.id
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert not called & {"ascending_series", "quotient_or_self", "quotient_by"}, name

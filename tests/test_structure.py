@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clear_caches, random_subgroup_gens
+from conftest import random_subgroup_gens
 from hallbound import (
     PermGroup,
     PrimeSet,
     alternating_group,
     centralizer,
     check_kernel_lemma,
+    clear_caches,
     compute_invariant_report,
     conjugate_subgroup,
     cyclic_group,
