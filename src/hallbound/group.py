@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import functools
 import itertools
 import math
 from collections import deque
@@ -792,16 +793,12 @@ def pointwise_stabilizer(g: PermGroup, points: Sequence[int]) -> PermGroup:
     return PermGroup(g.degree, gens)
 
 
-def action_kernel(
+def _action_chain(
     g: PermGroup, aux_count: int, aux_action: Callable[[Permutation], Sequence[int]]
-) -> PermGroup:
-    """Kernel of a homomorphism G -> Sym(aux_count) given on generators.
-
-    aux_action(gen) must return the image list of the auxiliary permutation.
-    The kernel is the pointwise stabilizer of the auxiliary points in the
-    extended action on degree + aux_count points, so no coset enumeration is
-    needed.
-    """
+) -> StabChain:
+    """The chain of G on its own points and, by aux_action, on aux_count
+    auxiliary points after them, which come first in the base: their levels
+    read the action, and the deeper levels generate its kernel."""
     n = g.degree
     ext_gens = []
     for gen in g.generators:
@@ -809,15 +806,43 @@ def action_kernel(
         if len(aux) != aux_count or sorted(aux) != list(range(aux_count)):
             raise ValueError("aux_action must return a permutation of the aux points")
         ext_gens.append(gen.images + tuple(n + a for a in aux))
-    prefix = list(range(n, n + aux_count))
-    chain = StabChain(n + aux_count, ext_gens, base=prefix)
-    kernel_gens = []
-    for images in chain.level_generators(aux_count):
-        restricted = images[:n]
-        if any(images[n + j] != n + j for j in range(aux_count)):
-            raise AssertionError("kernel generator moves an auxiliary point")
-        kernel_gens.append(Permutation(restricted))
-    return PermGroup(n, kernel_gens)
+    return StabChain(n + aux_count, ext_gens, base=range(n, n + aux_count))
+
+
+def action_kernel(
+    g: PermGroup, aux_count: int, aux_action: Callable[[Permutation], Sequence[int]]
+) -> PermGroup:
+    """Kernel of a homomorphism G -> Sym(aux_count) given on generators.
+
+    aux_action(gen) must return the image list of the auxiliary permutation.
+    The kernel is read off the deeper levels of _action_chain, with no coset
+    enumeration.
+    """
+    n = g.degree
+    chain = _action_chain(g, aux_count, aux_action)
+    kernel_gens = chain.level_generators(aux_count)
+    if any(images[n + j] != n + j for images in kernel_gens for j in range(aux_count)):
+        raise AssertionError("kernel generator moves an auxiliary point")
+    return PermGroup(n, [Permutation(images[:n]) for images in kernel_gens])
+
+
+def action_lift(
+    g: PermGroup, aux_count: int, aux_action: Callable[[Permutation], Sequence[int]]
+) -> Callable[[Permutation], Permutation]:
+    """Lifts through action_kernel's homomorphism: t in its image goes to an
+    element of G acting as t.  Sifting p = (identity on G's points, t) in
+    the chain, built on the first lift, leaves r with p = r * w, w in the
+    group; r fixes the auxiliary points, whose levels come first, so w acts
+    as t there and as r^-1 on G's points."""
+    n = g.degree
+    chain = functools.cache(lambda: _action_chain(g, aux_count, aux_action))
+
+    def lift(t: Permutation) -> Permutation:
+        p = tuple(range(n)) + tuple(n + a for a in t.images)
+        residue = chain()._sift(p) or p  # None only for the identity t
+        return Permutation._trusted(_inv(residue[:n]))
+
+    return lift
 
 
 # ---------------------------------------------------------------------------
@@ -899,19 +924,14 @@ def minimal_block_systems(g: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
     return list(systems)
 
 
+def _block_action(system: Sequence[Sequence[int]]) -> Callable[[Permutation], list[int]]:
+    """A permutation's action on the blocks of a partition, as an image list."""
+    index_of = {pt: i for i, block in enumerate(system) for pt in block}
+    return lambda gen: [index_of[gen(block[0])] for block in system]
+
+
 def block_action_kernel(
     g: PermGroup, system: tuple[tuple[int, ...], ...]
 ) -> PermGroup:
     """Kernel of the action of g on the blocks of an invariant partition."""
-    index_of = {}
-    for i, block in enumerate(system):
-        for pt in block:
-            index_of[pt] = i
-
-    def on_blocks(gen: Permutation) -> list[int]:
-        images = [0] * len(system)
-        for i, block in enumerate(system):
-            images[i] = index_of[gen(block[0])]
-        return images
-
-    return action_kernel(g, len(system), on_blocks)
+    return action_kernel(g, len(system), _block_action(system))

@@ -1,6 +1,10 @@
-"""Quotients by normal subgroups, realized as coset actions.
+"""Quotients by normal subgroups: G's action on the orbits of N, or on its
+cosets.
 
-The quotient map G -> G/N is the right-coset action of G on the cosets of N.
+The orbits of a normal N are blocks of G; when N is the whole kernel of
+G's action on them, that action is G/N on at most deg(G) points (Dixon &
+Mortimer, *Permutation Groups*, 1996, §1.6).  Otherwise G/N is the target
+of QuotientMap, the right-coset action of G on the cosets of N.
 Each coset is named by its canonical representative: the lexicographically
 least element of the coset under image-array order, computed greedily from
 N's stabilizer chain without enumerating N.  Coset 0 is N itself (the least
@@ -16,12 +20,13 @@ it preimages from quotients, and radicals' series feed it their own terms.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from typing import Callable
 
 from .config import DEFAULT_QUOTIENT_DEGREE_CAP
 from .errors import SubgroupError, check_cap
-from .group import PermGroup, is_normal
+from .group import PermGroup, _block_action, action_lift, is_normal
 from .perm import Permutation, _mul
 
 
@@ -100,18 +105,24 @@ class QuotientMap:
 
     def preimage_subgroup(self, sub: PermGroup) -> PermGroup:
         """Full preimage of a subgroup of the target."""
-        if not sub.is_subgroup_of(self.target):
-            raise SubgroupError("preimage_subgroup argument is not a subgroup of target")
-        gens = list(self.kernel.generators) + [
-            self.preimage_of(t) for t in sub.generators
-        ]
-        result = PermGroup(self.source.degree, gens)
-        expected = sub.order() * self.kernel.order()
-        if result.order() != expected:
-            raise AssertionError(
-                f"preimage order {result.order()} != |sub| * |kernel| = {expected}"
-            )
-        return result
+        return _preimage(self.kernel, self.target, self.preimage_of, sub)
+
+
+def _preimage(
+    kernel: PermGroup, target: PermGroup, lift: Callable[[Permutation], Permutation], sub: PermGroup
+) -> PermGroup:
+    """<kernel, a lift of each generator of sub>: the full preimage of sub,
+    a subgroup of the quotient target, checked by its order."""
+    if not sub.is_subgroup_of(target):
+        raise SubgroupError("preimage argument is not a subgroup of the quotient")
+    lifts = [lift(t) for t in sub.generators]
+    result = PermGroup(kernel.degree, list(kernel.generators) + lifts)
+    expected = sub.order() * kernel.order()
+    if result.order() != expected:
+        raise AssertionError(
+            f"preimage order {result.order()} != |sub| * |kernel| = {expected}"
+        )
+    return result
 
 
 def quotient_by(source: PermGroup, kernel: PermGroup) -> QuotientMap:
@@ -126,10 +137,22 @@ def quotient_or_self(
     their full preimages in G.
 
     For a trivial N this is g itself (same degree) and the identity, which
-    keeps series computations off the regular representation.
+    keeps series computations off the regular representation.  Else it is
+    G's action on the orbits of N when N is its whole kernel and there are
+    fewer than |G : N| orbits, and the coset action when not.
     """
     if n.is_trivial():
         return g, lambda sub: sub
+    if not is_normal(n, g):
+        raise SubgroupError("quotient kernel must be normal in the source")
+    blocks = n.orbits()
+    index = g.order() // n.order()
+    if len(blocks) < index:
+        on_blocks = _block_action(blocks)
+        image = PermGroup(len(blocks), [Permutation(on_blocks(x)) for x in g.generators])
+        if image.order() == index:
+            lift = action_lift(g, len(blocks), on_blocks)
+            return image, functools.partial(_preimage, n, image, lift)
     q = quotient_by(g, n)
     return q.target, q.preimage_subgroup
 
@@ -161,6 +184,7 @@ def _ascend(g: PermGroup, above: Callable[[PermGroup], PermGroup]) -> list[PermG
 
 
 def factor_group(big: PermGroup, small: PermGroup) -> PermGroup:
-    """The abstract factor big/small as a permutation group (big itself
-    when small is trivial); public quotient maps go through QuotientMap."""
+    """The abstract factor big/small as a permutation group, from
+    quotient_or_self: big itself when small is trivial, else big's action
+    on the orbits of small or on its cosets."""
     return quotient_or_self(big, small)[0]

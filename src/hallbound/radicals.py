@@ -7,9 +7,10 @@ centralizer of the Fitting subgroup), their product, and the heights of the
 ascending series they define.  Height computations return an explicit
 ascending series as a certificate.
 
-The upper p-series and the Fitting series build no coset action: each term
-is a span of pi-cores above the last, read off G's seed closures
-(_pi_core_above).  The layer and the generalized Fitting tower use quotients.
+The upper p-series and the Fitting series take no quotient: each term is a
+span of pi-cores above the last, read off G's seed closures (_pi_core_above).
+The layer and the generalized Fitting tower take G/N from quotient_or_self:
+G's action on the orbits of N when N is its kernel, else on the cosets.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def _pi_core_above(g: PermGroup, n: PermGroup, pi: PrimeSet) -> PermGroup:
     bound = n.order() * pi.part_of(index)
     m = n
     for c in seed_closures(g):
-        if not c.is_subgroup_of(m):
-            m = m.adjoin(c.generators, bound) or m
+        if new := [x for x in c.generators if not m.contains(x)]:
+            m = m.adjoin(new, bound) or m
     return m
 
 

@@ -1,14 +1,19 @@
 """Kernel series, non-p-soluble length, and the lattice-based oracles."""
 
+import time
+
 import pytest
 
 from oracles import lambda_oracle, normal_subgroup_lattice, p_length_oracle
 from hallbound import (
     PermGroup,
+    PrimeSet,
     QuotientMap,
     check_kernel_lemma,
     clear_caches,
+    compute_invariant_report,
     factor_group,
+    generalized_fitting_height,
     group_from_spec,
     is_normal,
     is_p_soluble,
@@ -23,6 +28,7 @@ from hallbound import (
 )
 from hallbound import length
 from hallbound.errors import CapExceeded, PreconditionError
+from hallbound.primes import prime_divisors
 
 
 def test_p_kernel_of_p_soluble_group_is_whole(s4):
@@ -211,3 +217,42 @@ def test_kernel_lemma_reads_solubility_above_the_socle_without_a_quotient(
     monkeypatch.setattr(QuotientMap, "__init__", counted)
     assert check_kernel_lemma(g, p).outer_soluble is expected
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A5 x D12", "PSL(2,7) x S3", "S5 x S3", "A5 x SL(2,3)", "C2 wr A5", "SL(2,5)", "C2 wr S6"],
+)
+def test_kernel_series_and_tower_build_no_regular_quotient(monkeypatch, name):
+    # Each stage quotient of the kernel series (G/R and its socle step) and
+    # of the generalized Fitting tower, and the layer's C/Z(C), is G's action
+    # on the orbits of N: none of them is a coset action as large as |A5|.
+    g = group_from_spec(name)
+    built = []
+    init = QuotientMap.__init__
+
+    def counted(self, source, kernel):
+        built.append(source.order() // kernel.order())
+        init(self, source, kernel)
+
+    monkeypatch.setattr(QuotientMap, "__init__", counted)
+    clear_caches()
+    lengths = [non_p_soluble_length(g, p) for p in prime_divisors(g.order()) if p > 2]
+    assert max(lengths) == 1
+    generalized_fitting_height(g)
+    assert [index for index in built if index >= 60] == []
+
+
+def test_a5_wr_c2_x_c7_reports_within_budget():
+    # C7 is the kernel of G's action on its 10-point orbit.  Built as that
+    # action, G/C7 keeps this report near 1 s (budget 20 s); as a coset
+    # action on 7,200 points it took 95-120 s and 2 GB of peak RSS.
+    start = time.perf_counter()
+    g = group_from_spec("A5 wr C2 x C7")
+    report = compute_invariant_report("A5 wr C2 x C7", g, PrimeSet([2, 3, 5]), 3)
+    elapsed = time.perf_counter() - start
+    assert report.lambda_p == 1
+    assert (report.hall_status, report.hall_order, report.h_star_hall) == ("found", 7200, 2)
+    checks = (report.theorem, report.proposition, report.lemma_fitting, report.kernel_lemma)
+    assert checks == (True, True, True, True)
+    assert elapsed < 20, f"report took {elapsed:.1f}s, budget 20s"

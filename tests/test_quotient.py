@@ -1,25 +1,34 @@
-"""Coset-action quotients: homomorphism law, kernels, preimages."""
+"""Quotients: the coset action's homomorphism law, kernels and preimages,
+and the orbit-action route of quotient_or_self checked against it."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_subgroup_gens
+from oracles import normal_subgroup_lattice
 from hallbound import (
+    Permutation,
     PermGroup,
     StabChain,
+    action_kernel,
     alternating_group,
     cyclic_group,
     derived_subgroup,
     direct_product,
     factor_group,
+    group_from_spec,
     make_named,
     quotient_by,
     span,
     symmetric_group,
 )
+from hallbound.corpus import suite_specs
 from hallbound.errors import CapExceeded, SubgroupError
+from hallbound.group import _block_action, action_lift
 from hallbound.quotient import ascending_series, quotient_or_self
 
 
@@ -144,3 +153,66 @@ def test_quotient_respects_products(seed):
     x = g.random_element(rng)
     y = g.random_element(rng)
     assert q.image(x * y) == q.image(x) * q.image(y)
+
+
+ORBIT_ROUTE_PRODUCTS = ("A5 x D12", "D12 x S4", "PSL(2,7) x S3", "S5 x S3", "A5 x SL(2,3)")
+
+
+def test_orbit_route_agrees_with_the_coset_action():
+    # For every corpus group up to order 2,000, the direct products of the
+    # kernel workload, and every proper nontrivial normal N of the lattice
+    # oracle, quotient_or_self takes G's action on the m orbits of N exactly
+    # when that action has order |G : N| and m < |G : N|.  There its
+    # pull-back must give G, N, and for each generator x the same <N, x> as
+    # QuotientMap's preimage of <x's coset image>.  The sweep takes about
+    # 15 s; the budget is 60 s.
+    start = time.perf_counter()
+    routed = 0
+    for spec in suite_specs(3) + ORBIT_ROUTE_PRODUCTS:
+        g = group_from_spec(spec)
+        if g.order() > 2000:
+            continue
+        for n in normal_subgroup_lattice(g):
+            if n.is_trivial() or n.order() == g.order():
+                continue
+            q = quotient_by(g, n)
+            blocks = n.orbits()
+            on_blocks = _block_action(blocks)
+            images = [Permutation(on_blocks(x)) for x in g.generators]
+            exact = len(blocks) < q.index and PermGroup(len(blocks), images).order() == q.index
+            image, pull_back = quotient_or_self(g, n)
+            assert (image.degree == len(blocks) != q.index) is exact, (spec, n.order())
+            if not exact:
+                continue
+            routed += 1
+            assert image.order() == q.index
+            assert pull_back(image).same_group_as(g)
+            assert pull_back(PermGroup.trivial(image.degree)).same_group_as(n)
+            for x, t in zip(g.generators, images):
+                expected = q.preimage_subgroup(PermGroup(q.index, [q.image(x)]))
+                assert pull_back(PermGroup(image.degree, [t])).same_group_as(expected), spec
+    assert routed == 29
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60, f"{routed} orbit quotients took {elapsed:.1f}s, budget 60s"
+
+
+@pytest.mark.property_based
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_action_lift_maps_onto_its_target(seed):
+    # G x C3 acting on G's orbits and on the three points of C3: every lift
+    # of an element of the image acts as that element, and the lifts of the
+    # image's generators with the kernel give the whole group.
+    rng = random.Random(seed)
+    degree, gens = random_subgroup_gens(rng)
+    g = direct_product(PermGroup(degree, gens), cyclic_group(3))
+    blocks = g.orbits()
+    on_blocks = _block_action(blocks)
+    image = PermGroup(len(blocks), [Permutation(on_blocks(x)) for x in g.generators])
+    lift = action_lift(g, len(blocks), on_blocks)
+    for _ in range(5):
+        t = image.random_element(rng)
+        assert on_blocks(lift(t)) == list(t.images)
+    kernel = action_kernel(g, len(blocks), on_blocks)
+    lifts = tuple(map(lift, image.generators))
+    assert PermGroup(g.degree, kernel.generators + lifts).same_group_as(g)
