@@ -45,7 +45,6 @@ from .structure import (
     lower_central_series,
     minimal_normal_subgroups,
     socle,
-    soluble_radical,
 )
 from .radicals import (
     HeightCertificate,
@@ -61,6 +60,7 @@ from .radicals import (
     p_prime_core,
     p_soluble_radical,
     pi_core,
+    soluble_radical,
     sylow_subgroup,
 )
 from .length import (

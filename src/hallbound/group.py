@@ -620,19 +620,13 @@ def normal_closure(ambient: PermGroup, sub: PermGroup) -> PermGroup:
 
 
 def commutator_subgroup(a: PermGroup, b: PermGroup, ambient: PermGroup) -> PermGroup:
-    """[A, B]: normal closure in <A, B> of all generator commutators."""
+    """[A, B]: normal closure in <A, B> of all generator commutators, with
+    <A, B> extended from A's chain (for G' a copy of G's)."""
     _require_subgroup(a, ambient, "commutator_subgroup")
     _require_subgroup(b, ambient, "commutator_subgroup")
-    joint = PermGroup(ambient.degree, a.generators + b.generators)
-    seeds = []
-    seen = set()
-    for x in a.generators:
-        for y in b.generators:
-            c = x.commutator(y)
-            if not c.is_identity and c.images not in seen:
-                seen.add(c.images)
-                seeds.append(c)
-    return normal_closure(joint, PermGroup(ambient.degree, seeds))
+    joint = a.adjoin(b.generators)
+    seeds = PermGroup(ambient.degree, [x.commutator(y) for x in a.generators for y in b.generators])
+    return normal_closure(joint, seeds)
 
 
 def derived_subgroup(g: PermGroup) -> PermGroup:
@@ -645,14 +639,12 @@ def span(degree: int, perms: Iterable[Permutation]) -> PermGroup:
 
 
 def _enlarge(current: PermGroup, perms: Iterable[Permutation]) -> PermGroup:
-    """<current, perms>, adding to current's generators each of perms that
-    enlarges the group.  On a span this is the span of its generators
-    followed by perms, without rebuilding the groups on their prefixes."""
-    gens = list(current.generators)
+    """<current, perms>, adjoining to current each of perms that enlarges
+    the group.  On a span this is the span of its generators followed by
+    perms, each step extending the last step's chain."""
     for p in perms:
         if not current.contains(p):
-            gens.append(p)
-            current = PermGroup(current.degree, gens)
+            current = current.adjoin((p,))
     return current
 
 

@@ -72,7 +72,6 @@ from .errors import (
 from .group import PermGroup, centralizer, conjugate_subgroup, intersection, is_normal
 from .perm import Permutation, _conj, _inv
 from .primes import PrimeSet, factorize
-from .quotient import quotient_by
 from .radicals import pi_core, sylow_subgroup
 from .structure import is_simple, is_soluble, socle
 
@@ -347,9 +346,10 @@ def check_hall_heredity(
         raise PreconditionError("check_hall_heredity needs a normal subgroup")
     meet = intersection(hall, normal)
     first = is_hall_subgroup(meet, normal, pi)
-    q = quotient_by(g, normal)
-    image = q.image_subgroup(hall)
-    second = is_hall_subgroup(image, q.target, pi)
+    # HN/N is H/(H n N), a subgroup of G/N of order |H : H n N|
+    image_order = hall.order() // meet.order()
+    index = g.order() // normal.order() // image_order
+    second = pi.is_pi_number(image_order) and pi.part_of(index) == 1
     return HeredityReport(intersection_is_hall=first, image_is_hall=second)
 
 

@@ -111,12 +111,13 @@ class QuotientMap:
 def _preimage(
     kernel: PermGroup, target: PermGroup, lift: Callable[[Permutation], Permutation], sub: PermGroup
 ) -> PermGroup:
-    """<kernel, a lift of each generator of sub>: the full preimage of sub,
-    a subgroup of the quotient target, checked by its order."""
+    """<kernel, a lift of each generator of sub>, extended from the kernel's
+    chain: the full preimage of sub, a subgroup of the quotient target,
+    checked by its order."""
     if not sub.is_subgroup_of(target):
         raise SubgroupError("preimage argument is not a subgroup of the quotient")
     lifts = [lift(t) for t in sub.generators]
-    result = PermGroup(kernel.degree, list(kernel.generators) + lifts)
+    result = kernel.adjoin(lifts)
     expected = sub.order() * kernel.order()
     if result.order() != expected:
         raise AssertionError(

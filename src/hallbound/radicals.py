@@ -1,14 +1,18 @@
 """Radical subgroups, the layer, and height invariants.
 
 The characteristic-subgroup tower: Sylow subgroups, pi-cores, the largest
-normal p-soluble subgroup, the Fitting subgroup (product of p-cores), the
-layer (product of subnormal quasisimple subgroups, computed through the
-centralizer of the Fitting subgroup), their product, and the heights of the
-ascending series they define.  Height computations return an explicit
-ascending series as a certificate.
+normal p-soluble and soluble subgroups, the Fitting subgroup (product of
+p-cores), the layer (product of subnormal quasisimple subgroups, computed
+through the centralizer of the Fitting subgroup), their product, and the
+heights of the ascending series they define.  Height computations return an
+explicit ascending series as a certificate.
 
-The upper p-series and the Fitting series take no quotient: each term is a
-span of pi-cores above the last, read off G's seed closures (_pi_core_above).
+Every core is a pi-core above a normal subgroup N (_pi_core_above), N = 1
+for pi_core: the span of N and the seed closures of G it can take, settled
+without them when the index is a pi-number or when N = 1 and no minimal
+normal subgroup of G is a pi-group.  The upper p-series and the Fitting
+series take no quotient: each term is a span of such cores above the last,
+and the two radicals are the tops of those series.
 The layer and the generalized Fitting tower take G/N from quotient_or_self:
 G's action on the orbits of N when N is its kernel, else on the cosets.
 """
@@ -20,14 +24,14 @@ from dataclasses import dataclass
 
 from .config import enumeration_cap
 from .errors import PreconditionError, check_cap
-from .group import PermGroup, center, centralizer, is_normal
+from .group import PermGroup, _enlarge, center, centralizer, is_normal
 from .primes import PrimeSet, is_prime, prime_divisors
 from .quotient import _ascend, ascending_series, quotient_or_self
 from .structure import (
     derived_series,
     is_nilpotent,
     is_soluble,
-    normal_part,
+    minimal_normal_subgroups,
     seed_closures,
     socle,
 )
@@ -65,9 +69,8 @@ def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
 
 
 def pi_core(g: PermGroup, pi: PrimeSet) -> PermGroup:
-    """Largest normal pi-subgroup, by normal_part: groups without a minimal
-    normal pi-subgroup finish on that structural certificate alone."""
-    return normal_part(g, lambda n: pi.is_pi_number(n.order()))
+    """Largest normal pi-subgroup: the pi-core above the trivial group."""
+    return _pi_core_above(g, PermGroup.trivial(g.degree), pi)
 
 
 def p_core(g: PermGroup, p: int) -> PermGroup:
@@ -85,18 +88,32 @@ def _pi_core_above(g: PermGroup, n: PermGroup, pi: PrimeSet) -> PermGroup:
     it.  The normal span m grows from n by each closure C with <m, C>/n a
     pi-group (|<m, C>| divides |n| times the pi-part of |g : n|); normal
     pi-subgroups of g/n multiply, so exactly the closures inside M join.
-    The series reach a nontrivial proper n only after a step that harvested
-    g, so seed_closures then reads its memo."""
-    if n.is_trivial():
-        return pi_core(g, pi)
+    A closure joins whole or not at all, one generator at a time and only
+    those m lacks.
+
+    Two cases settle without reading the seed closures: M is g when |g : n|
+    is a pi-number, and M is n = 1 when no minimal normal subgroup of g is
+    a pi-group, since a nontrivial M contains one.  The series reach a
+    nontrivial proper n only after a step that harvested g, so
+    seed_closures then reads its memo."""
     index = g.order() // n.order()
     if pi.is_pi_number(index):
         return g
+    if n.is_trivial() and not any(
+        pi.is_pi_number(k.order()) for k in minimal_normal_subgroups(g)
+    ):
+        return n
     bound = n.order() * pi.part_of(index)
     m = n
     for c in seed_closures(g):
-        if new := [x for x in c.generators if not m.contains(x)]:
-            m = m.adjoin(new, bound) or m
+        trial = m
+        for x in c.generators:
+            if not trial.contains(x):
+                trial = trial.adjoin((x,), bound)
+                if trial is None:
+                    break
+        else:
+            m = trial
     return m
 
 
@@ -141,7 +158,7 @@ def _fitting_above(g: PermGroup, n: PermGroup) -> PermGroup:
     """The preimage of F(g/n): the span of the p-cores above n, one for each
     prime dividing |g : n|."""
     cores = [_pi_core_above(g, n, PrimeSet([p])) for p in prime_divisors(g.order() // n.order())]
-    return PermGroup(g.degree, list(dict.fromkeys(x for c in cores for x in c.generators)))
+    return _enlarge(n, (x for c in cores for x in c.generators))
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,7 +193,7 @@ def generalized_fitting_subgroup(g: PermGroup) -> PermGroup:
     """Product of the Fitting subgroup and the layer."""
     f = fitting_subgroup(g)
     e = layer(g)
-    result = PermGroup(g.degree, f.generators + e.generators)
+    result = f.adjoin(e.generators)
     if not is_normal(result, g):
         raise AssertionError("generalized Fitting subgroup is not normal")
     return result
@@ -202,6 +219,18 @@ def _tower(g: PermGroup, series: list[PermGroup], kind: str) -> HeightCertificat
         stalled = f"{kind} series stalled at order {series[-1].order()}"
         raise PreconditionError(f"{stalled}; input violates the operation's hypothesis")
     return HeightCertificate(series=tuple(series), height=len(series) - 1, kind=kind)
+
+
+def soluble_radical(g: PermGroup) -> PermGroup:
+    """Largest soluble normal subgroup: g when g is soluble, else the top of
+    the ascending Fitting series, which stalls exactly there (every term is
+    soluble, and above the radical a minimal normal subgroup of the factor
+    is non-abelian, so its Fitting subgroup is trivial).  A group without
+    an abelian minimal normal subgroup stalls at once, on the p-cores' own
+    early exit."""
+    if is_soluble(g):
+        return g
+    return _ascend(g, functools.partial(_fitting_above, g))[-1]
 
 
 def fitting_height(g: PermGroup) -> HeightCertificate:

@@ -37,8 +37,8 @@ the cyclic subgroups of prime-power order.  It reads the elements once,
 from the chain's shared-prefix enumeration, and sorts each one into its
 cyclic subgroup with one power walk per cyclic subgroup it has not met.
 seed_closures closes each seed of the whole group under conjugation, once
-per group; the cores and radicals of normal_part, and the cores above a
-normal subgroup that radicals' series take, are spans of those closures.
+per group; the cores and radicals of the radicals module are spans of those
+closures.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .group import (
     minimal_block_systems,
     normal_closure,
     pointwise_stabilizer,
-    span,
 )
 from .perm import Permutation, _conj, _inv
 from .primes import factorize, is_prime
@@ -383,32 +382,3 @@ def is_simple(g: PermGroup) -> bool:
         return False
     mins = minimal_normal_subgroups(g)
     return len(mins) == 1 and mins[0].order() == g.order()
-
-
-def normal_part(g: PermGroup, keep) -> PermGroup:
-    """Largest normal subgroup satisfying `keep`, as a span of seed closures.
-
-    `keep` must hold for the trivial group and be inherited by subgroups and
-    by products of normal subgroups, so that a largest normal `keep`-subgroup
-    R exists.  R is g when g satisfies `keep`, and trivial when no minimal
-    normal subgroup does, since a nontrivial R contains one; both settle
-    without a harvest.  Otherwise a seed closure lies in R exactly when it
-    satisfies `keep`, and R is the span of the closures inside it.  Runs
-    entirely on the original domain, like the cores above a normal subgroup
-    that the same closures give (radicals._pi_core_above).
-    """
-    if g.is_trivial() or keep(g):
-        return g
-    if not any(keep(n) for n in minimal_normal_subgroups(g)):
-        return PermGroup.trivial(g.degree)
-    return span(g.degree, (x for n in seed_closures(g) if keep(n) for x in n.generators))
-
-
-def soluble_radical(g: PermGroup) -> PermGroup:
-    """Largest soluble normal subgroup.
-
-    A minimal normal subgroup is soluble exactly when it is abelian, so
-    normal_part settles a radical without abelian minimal normal subgroups
-    as trivial without reading the seed closures.
-    """
-    return normal_part(g, is_soluble)

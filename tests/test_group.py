@@ -1,5 +1,6 @@
 """Stabilizer-chain engine: orders, membership, orbits, subgroup operations."""
 
+import ast
 import collections
 import contextlib
 import itertools
@@ -45,7 +46,7 @@ from hallbound.errors import CapExceeded, DegreeMismatch
 from hallbound.perm import _inv, _mul
 from hallbound.primes import prime_divisors
 
-from conftest import permutations_of_degree, random_permutation, random_subgroup_gens
+from conftest import SRC, permutations_of_degree, random_permutation, random_subgroup_gens
 from oracles import centralizer_oracle
 
 
@@ -170,6 +171,50 @@ def test_commutator_subgroup_of_commuting_factors():
     left = span(g.degree, g.generators[:1])
     right = span(g.degree, g.generators[1:])
     assert commutator_subgroup(left, right, g).is_trivial()
+
+
+@pytest.mark.parametrize("spec", ["A8", "S5 x S3", "A5 wr C2"])
+def test_joins_extend_the_chains_they_start_from(spec, monkeypatch):
+    # Once g's chain exists, the derived subgroup extends a copy of it and
+    # every span step extends the last one, so the only chain built from
+    # scratch is the trivial group's that each closure starts from.
+    g = group_from_spec(spec)
+    g.order()
+    built = []
+    init = StabChain.__init__
+
+    def counted(self, degree, generators, base=None):
+        built.append(len(generators))
+        init(self, degree, generators, base)
+
+    monkeypatch.setattr(StabChain, "__init__", counted)
+    derived_subgroup(g).order()
+    assert built == [0]
+    built.clear()
+    normal_closure(g, PermGroup(g.degree, g.generators[:1])).order()
+    assert built == [0]
+
+
+def test_no_join_rebuilds_a_chain_from_generator_tuples():
+    # PermGroup(degree, x.generators + ...) builds <x, ...> from scratch;
+    # a join goes through PermGroup.adjoin (which alone forms that tuple,
+    # for the chain it extends) or group._enlarge.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef) or function.name == "adjoin":
+                continue
+            for call in ast.walk(function):
+                if not (isinstance(call, ast.Call) and getattr(call.func, "id", "") == "PermGroup"):
+                    continue
+                for node in (n for arg in call.args for n in ast.walk(arg)):
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and any(
+                        isinstance(n, ast.Attribute) and n.attr == "generators"
+                        for n in ast.walk(node)
+                    ):
+                        found.append((path.name, function.name))
+    assert found == []
 
 
 def test_center_of_dihedral_group():

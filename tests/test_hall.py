@@ -21,6 +21,7 @@ from hallbound import (
     find_hall_subgroup,
     group_from_spec,
     is_hall_subgroup,
+    is_normal,
     make_named,
     pi_core,
     suite_specs,
@@ -733,6 +734,16 @@ def test_heredity_rejects_non_normal(s4):
     hall = sylow_subgroup(s4, 2)
     with pytest.raises(PreconditionError):
         check_hall_heredity(s4, hall, PrimeSet([2]), sylow_subgroup(s4, 3))
+
+
+def test_heredity_builds_no_coset_action():
+    # G/N has index 20,160 here, over the 20,000 quotient-degree cap; the
+    # image HN/N is read off |H : H n N| instead.
+    g = group_from_spec("A8 x C2")
+    center = PermGroup(g.degree, [g.generators[-1]])
+    assert center.order() == 2 and is_normal(center, g)
+    report = check_hall_heredity(g, sylow_subgroup(g, 2), PrimeSet([2]), center)
+    assert report.intersection_is_hall and report.image_is_hall
 
 
 def test_no_nilpotent_hall_in_a5(a5):

@@ -34,6 +34,7 @@ from hallbound import (
     p_prime_core,
     p_soluble_radical,
     pi_core,
+    soluble_radical,
     sylow_subgroup,
     symmetric_group,
 )
@@ -326,10 +327,27 @@ def test_no_series_of_radicals_ascends_through_quotients():
         node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
     }
     assert "_upper_p_step" not in functions
-    for name in ("p_soluble_radical", "p_length", "fitting_height", "_upper_p_series"):
+    for name in (
+        "p_soluble_radical",
+        "p_length",
+        "fitting_height",
+        "_upper_p_series",
+        "pi_core",
+        "soluble_radical",
+    ):
         called = {
             node.func.id
             for node in ast.walk(functions[name])
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         }
         assert not called & {"ascending_series", "quotient_or_self", "quotient_by"}, name
+
+
+@pytest.mark.parametrize("spec", ["A5 wr A5", "S10"])
+def test_cores_above_the_cap_settle_without_a_harvest(spec):
+    # No minimal normal subgroup of these groups is soluble, a p-group or a
+    # {2,5}-group, so every core below is trivial on that certificate alone;
+    # a harvest of A5 wr A5 would enumerate it and raise CapExceeded.
+    g = group_from_spec(spec)
+    cores = [soluble_radical(g), *(p_core(g, p) for p in (2, 3, 5)), p_prime_core(g, 3)]
+    assert all(c.is_trivial() for c in cores)
