@@ -785,56 +785,58 @@ def pointwise_stabilizer(g: PermGroup, points: Sequence[int]) -> PermGroup:
     return PermGroup(g.degree, gens)
 
 
-def _action_chain(
-    g: PermGroup, aux_count: int, aux_action: Callable[[Permutation], Sequence[int]]
-) -> StabChain:
-    """The chain of G on its own points and, by aux_action, on aux_count
-    auxiliary points after them, which come first in the base: their levels
-    read the action, and the deeper levels generate its kernel."""
-    n = g.degree
-    ext_gens = []
-    for gen in g.generators:
-        aux = tuple(aux_action(gen))
-        if len(aux) != aux_count or sorted(aux) != list(range(aux_count)):
+# ---------------------------------------------------------------------------
+# Action homomorphisms.  An ActionMap reads a homomorphism G -> Sym(m), given
+# on generators, as its image on the m points, and its kernel and lifts from
+# one chain of G on its own points plus the m points, those first in the base
+# (Seress, *Permutation Group Algorithms*, 2003, ch. 5), built on first use.
+
+
+class ActionMap:
+    """The action of g on aux_count points, aux_action(gen) listing the images."""
+
+    def __init__(
+        self, g: PermGroup, aux_count: int, aux_action: Callable[[Permutation], Sequence[int]]
+    ):
+        n = g.degree
+        aux_images = [tuple(aux_action(gen)) for gen in g.generators]
+        if any(sorted(aux) != list(range(aux_count)) for aux in aux_images):
             raise ValueError("aux_action must return a permutation of the aux points")
-        ext_gens.append(gen.images + tuple(n + a for a in aux))
-    return StabChain(n + aux_count, ext_gens, base=range(n, n + aux_count))
+        self.source = g
+        self.image = PermGroup(aux_count, map(Permutation._trusted, aux_images))
+        self._extended = [
+            gen.images + tuple(n + a for a in aux) for gen, aux in zip(g.generators, aux_images)
+        ]
+
+    @functools.cached_property
+    def _chain(self) -> StabChain:
+        n, m = self.source.degree, self.image.degree
+        return StabChain(n + m, self._extended, base=range(n, n + m))
+
+    def kernel(self) -> PermGroup:
+        """Generated by the chain's levels below the aux points: no coset enumeration."""
+        n, m = self.source.degree, self.image.degree
+        kernel_gens = self._chain.level_generators(m)
+        if any(images[n + j] != n + j for images in kernel_gens for j in range(m)):
+            raise AssertionError("kernel generator moves an auxiliary point")
+        return PermGroup(n, [Permutation(images[:n]) for images in kernel_gens])
+
+    def lift(self, t: Permutation) -> Permutation:
+        """An element of g acting as t, an element of the image.  Sifting
+        p = (identity on g's points, t) leaves r with p = r * w, w in the
+        group; r fixes the auxiliary points, whose levels come first, so w
+        acts as t there and as r^-1 on g's points."""
+        n = self.source.degree
+        p = tuple(range(n)) + tuple(n + a for a in t.images)
+        residue = self._chain._sift(p) or p  # None only for the identity t
+        return Permutation._trusted(_inv(residue[:n]))
 
 
 def action_kernel(
     g: PermGroup, aux_count: int, aux_action: Callable[[Permutation], Sequence[int]]
 ) -> PermGroup:
-    """Kernel of a homomorphism G -> Sym(aux_count) given on generators.
-
-    aux_action(gen) must return the image list of the auxiliary permutation.
-    The kernel is read off the deeper levels of _action_chain, with no coset
-    enumeration.
-    """
-    n = g.degree
-    chain = _action_chain(g, aux_count, aux_action)
-    kernel_gens = chain.level_generators(aux_count)
-    if any(images[n + j] != n + j for images in kernel_gens for j in range(aux_count)):
-        raise AssertionError("kernel generator moves an auxiliary point")
-    return PermGroup(n, [Permutation(images[:n]) for images in kernel_gens])
-
-
-def action_lift(
-    g: PermGroup, aux_count: int, aux_action: Callable[[Permutation], Sequence[int]]
-) -> Callable[[Permutation], Permutation]:
-    """Lifts through action_kernel's homomorphism: t in its image goes to an
-    element of G acting as t.  Sifting p = (identity on G's points, t) in
-    the chain, built on the first lift, leaves r with p = r * w, w in the
-    group; r fixes the auxiliary points, whose levels come first, so w acts
-    as t there and as r^-1 on G's points."""
-    n = g.degree
-    chain = functools.cache(lambda: _action_chain(g, aux_count, aux_action))
-
-    def lift(t: Permutation) -> Permutation:
-        p = tuple(range(n)) + tuple(n + a for a in t.images)
-        residue = chain()._sift(p) or p  # None only for the identity t
-        return Permutation._trusted(_inv(residue[:n]))
-
-    return lift
+    """Kernel of a homomorphism G -> Sym(aux_count) given on generators."""
+    return ActionMap(g, aux_count, aux_action).kernel()
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """The non-p-soluble length invariant via the p-kernel series.
 
 For a prime p, the p-kernel of G is G itself when G is p-soluble; otherwise
-quotient by the largest normal p-soluble subgroup, take the socle of the
-quotient (all of whose factors are then non-abelian simple groups of order
-divisible by p), and pull back the kernel of the conjugation action on those
-factors.  Iterating full preimages of kernels gives a strictly ascending
-series; the number of steps until the quotient becomes p-soluble is the
-invariant.  The definitional route, a shortest-series search over the full
-normal subgroup lattice, is an independent oracle of the test suite
-(tests/oracles.py), which cross-checks this one at small orders.
+quotient by the largest normal p-soluble subgroup R, take the socle of G/R
+(all of whose factors are then non-abelian simple groups of order divisible
+by p), and pull back the kernel K/R of G/R's conjugation action on those
+factors.  The invariant is 1 + its value on G/K, and G/K is the image of
+that same action, a group on as many points as there are factors: the
+series recurses on the image, and pulls each kernel of the image's series
+back through the action's lifts and then through G/R.  The definitional
+route, a shortest-series search over the full normal subgroup lattice, is an
+independent oracle of the test suite (tests/oracles.py), which cross-checks
+this one at small orders.
 """
 
 from __future__ import annotations
@@ -16,33 +18,31 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .group import PermGroup, action_kernel
+from .group import ActionMap, PermGroup
 from .perm import Permutation
-from .quotient import ascending_series, quotient_or_self
+from .quotient import _preimage, quotient_or_self
 from .radicals import p_soluble_radical, require_prime
 from .structure import derived_series, socle
 
 
-def _kernel_of_factor_action(g: PermGroup, factors) -> PermGroup:
-    """Subgroup of g normalizing every listed socle factor.
+def _factor_action(g: PermGroup, factors) -> ActionMap:
+    """g's conjugation action on its listed socle factors.
 
-    This is the kernel of the conjugation action on the factors, computed as
-    an action kernel on factor indices (no coset enumeration).
+    A generator sends each factor to the one factor holding the conjugate of
+    its first generator: distinct simple factors meet trivially, so no other
+    factor holds that element.
     """
 
     def on_factors(gen: Permutation) -> list[int]:
         images = []
         for f in factors:
-            conj = [x.conjugate(gen) for x in f.generators]
-            images += [
-                j for j, h in enumerate(factors)
-                if h.order() == f.order() and all(h.contains(c) for c in conj)
-            ]
+            conj = f.generators[0].conjugate(gen)
+            images += [j for j, h in enumerate(factors) if h.contains(conj)]
         if sorted(images) != list(range(len(factors))):
             raise AssertionError("conjugation does not permute the socle factors")
         return images
 
-    return action_kernel(g, len(factors), on_factors)
+    return ActionMap(g, len(factors), on_factors)
 
 
 @dataclass(frozen=True)
@@ -64,43 +64,37 @@ class KernelSeries:
 
 @functools.lru_cache(maxsize=None)
 def kernel_series(g: PermGroup, p: int) -> KernelSeries:
-    """Iterated full preimages of p-kernels until the quotient is p-soluble.
+    """The p-kernel K of g, then the full preimages of the terms of the
+    series of G/K, read as the image of the socle-factor action.
 
-    Each step reads the stage's p-soluble radical once, ends the series when
-    it is the whole stage, and keeps the socle's preimage on the first step.
-    The series is strictly ascending and the number of terms is the
-    non-p-soluble length; a p-soluble group yields the empty series.
+    The series is strictly ascending, its top term is g itself, and the
+    number of terms is the non-p-soluble length; a p-soluble group yields
+    the empty series.
     """
     require_prime(p)
-    counts: list[int] = []
-    socle_preimage: PermGroup | None = None
-
-    def step(stage: PermGroup) -> PermGroup:
-        nonlocal socle_preimage
-        radical = p_soluble_radical(stage, p)
-        if radical.order() == stage.order():
-            return PermGroup.trivial(stage.degree)
-        reduced, pull_back = quotient_or_self(stage, radical)
-        decomposition = socle(reduced)
-        if any(decomposition.abelian_flags):
+    radical = p_soluble_radical(g, p)
+    if radical.order() == g.order():
+        return KernelSeries(g, p, (), (), None)
+    reduced, pull_back = quotient_or_self(g, radical)
+    decomposition = socle(reduced)
+    if any(decomposition.abelian_flags):
+        raise AssertionError("socle above the p-soluble radical has an abelian factor")
+    for f in decomposition.factors:
+        if f.order() % p != 0:
             raise AssertionError(
-                "socle above the p-soluble radical has an abelian factor"
+                "socle factor above the p-soluble radical has order prime to p"
             )
-        for f in decomposition.factors:
-            if f.order() % p != 0:
-                raise AssertionError(
-                    "socle factor above the p-soluble radical has order prime to p"
-                )
-        kernel = pull_back(_kernel_of_factor_action(reduced, decomposition.factors))
-        if kernel.is_trivial():
-            raise AssertionError("kernel series failed to ascend")
-        if socle_preimage is None:
-            socle_preimage = pull_back(decomposition.socle)
-        counts.append(len(decomposition.factors))
-        return kernel
-
-    kernels = tuple(ascending_series(g, step)[1:])
-    return KernelSeries(g, p, kernels, tuple(counts), socle_preimage)
+    action = _factor_action(reduced, decomposition.factors)
+    kernel = action.kernel()
+    if kernel.is_trivial():
+        raise AssertionError("kernel series failed to ascend")
+    rest = kernel_series(action.image, p)
+    terms = [pull_back(kernel)] + [
+        pull_back(_preimage(kernel, action.image, action.lift, k)) for k in rest.kernels
+    ]
+    kernels = tuple(g if k.order() == g.order() else k for k in terms)
+    counts = (len(decomposition.factors),) + rest.socle_factor_counts
+    return KernelSeries(g, p, kernels, counts, pull_back(decomposition.socle))
 
 
 def p_kernel(g: PermGroup, p: int) -> PermGroup:

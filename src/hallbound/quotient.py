@@ -2,9 +2,10 @@
 cosets.
 
 The orbits of a normal N are blocks of G; when N is the whole kernel of
-G's action on them, that action is G/N on at most deg(G) points (Dixon &
-Mortimer, *Permutation Groups*, 1996, §1.6).  Otherwise G/N is the target
-of QuotientMap, the right-coset action of G on the cosets of N.
+G's action on them, that action, an ActionMap, is G/N on at most deg(G)
+points (Dixon & Mortimer, *Permutation Groups*, 1996, §1.6).  Otherwise G/N
+is the target of QuotientMap, the right-coset action of G on the cosets of
+N.  Both pull subgroups back through _preimage.
 Each coset is named by its canonical representative: the lexicographically
 least element of the coset under image-array order, computed greedily from
 N's stabilizer chain without enumerating N.  Coset 0 is N itself (the least
@@ -13,9 +14,11 @@ index and the map of the identity is the identity.
 
 The rule that a trivial kernel never builds a quotient (which would be the
 regular representation) lives here, in quotient_or_self.  Every ascending
-series goes through _ascend, whose top term is g itself whenever it has g's
-order, so caches keyed by the group see one handle; ascending_series feeds
-it preimages from quotients, and radicals' series feed it their own terms.
+series of radicals goes through _ascend, whose top term is g itself whenever
+it has g's order, so caches keyed by the group see one handle; only the
+generalized Fitting tower feeds it preimages from quotients, through
+ascending_series.  The kernel series (length.py) quotients only by its
+p-soluble radical and recurses on the image of its socle-factor action.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable
 
 from .config import DEFAULT_QUOTIENT_DEGREE_CAP
 from .errors import SubgroupError, check_cap
-from .group import PermGroup, _block_action, action_lift, is_normal
+from .group import ActionMap, PermGroup, _block_action, is_normal
 from .perm import Permutation, _mul
 
 
@@ -149,11 +152,9 @@ def quotient_or_self(
     blocks = n.orbits()
     index = g.order() // n.order()
     if len(blocks) < index:
-        on_blocks = _block_action(blocks)
-        image = PermGroup(len(blocks), [Permutation(on_blocks(x)) for x in g.generators])
-        if image.order() == index:
-            lift = action_lift(g, len(blocks), on_blocks)
-            return image, functools.partial(_preimage, n, image, lift)
+        action = ActionMap(g, len(blocks), _block_action(blocks))
+        if action.image.order() == index:
+            return action.image, functools.partial(_preimage, n, action.image, action.lift)
     q = quotient_by(g, n)
     return q.target, q.preimage_subgroup
 

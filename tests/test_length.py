@@ -1,12 +1,16 @@
 """Kernel series, non-p-soluble length, and the lattice-based oracles."""
 
+import ast
+import random
 import time
 
 import pytest
 
+from conftest import SRC
 from oracles import lambda_oracle, normal_subgroup_lattice, p_length_oracle
 from hallbound import (
     PermGroup,
+    Permutation,
     PrimeSet,
     QuotientMap,
     check_kernel_lemma,
@@ -23,10 +27,13 @@ from hallbound import (
     non_p_soluble_length,
     p_kernel,
     p_length_value,
+    p_soluble_radical,
+    socle,
     symmetric_group,
     wreath_product,
 )
-from hallbound import length
+from hallbound import length, quotient
+from hallbound.group import ActionMap
 from hallbound.errors import CapExceeded, PreconditionError
 from hallbound.primes import prime_divisors
 
@@ -62,8 +69,11 @@ def test_kernel_series_of_a5(a5):
 
 def test_kernel_series_never_reads_a_trivial_kernel_as_the_end(monkeypatch):
     g = wreath_product(make_named("A5"), make_named("C2"))
+    # G's action on its own points, whose kernel is trivial
     monkeypatch.setattr(
-        length, "_kernel_of_factor_action", lambda g, factors: PermGroup.trivial(g.degree)
+        length,
+        "_factor_action",
+        lambda g, factors: ActionMap(g, g.degree, lambda x: list(x.images)),
     )
     clear_caches()
     try:
@@ -92,13 +102,13 @@ def test_kernel_lemma_runs_no_second_step(monkeypatch, name, p, preimage_order, 
     socle_preimage = series.socle_preimage
     assert (socle_preimage and socle_preimage.order()) == preimage_order
     calls = []
-    original = length._kernel_of_factor_action
+    original = length._factor_action
 
     def counted(stage, factors):
         calls.append(stage)
         return original(stage, factors)
 
-    monkeypatch.setattr(length, "_kernel_of_factor_action", counted)
+    monkeypatch.setattr(length, "_factor_action", counted)
     assert check_kernel_lemma(g, p).holds
     # g's series is cached, and a p-kernel that is all of g is g itself, so
     # only a proper p-kernel (A5 wr C2's, of order 3600) runs its own step.
@@ -241,6 +251,66 @@ def test_kernel_series_and_tower_build_no_regular_quotient(monkeypatch, name):
     assert max(lengths) == 1
     generalized_fitting_height(g)
     assert [index for index in built if index >= 60] == []
+
+
+@pytest.mark.parametrize("name, p", [("A5 wr A5", 3), ("PSL(2,7) wr C2", 7), ("A5 x SL(2,3)", 5)])
+def test_kernel_series_quotients_only_by_its_radical(monkeypatch, name, p):
+    # Each level quotients its group by the p-soluble radical and reads the
+    # rest off the socle-factor action's image; no level builds G/K for a
+    # kernel K of the series.  Both module bindings are counted, so a series
+    # that ascends through quotient.ascending_series is caught too.
+    g = group_from_spec(name)
+    calls = []
+    original = quotient.quotient_or_self
+
+    def counted(group, n):
+        calls.append((group, n))
+        return original(group, n)
+
+    monkeypatch.setattr(quotient, "quotient_or_self", counted)
+    monkeypatch.setattr(length, "quotient_or_self", counted)
+    clear_caches()
+    assert non_p_soluble_length(g, p) >= 1
+    assert calls
+    for group, n in calls:
+        assert n.same_group_as(p_soluble_radical(group, p)), (group.order(), n.order())
+
+
+def test_kernel_series_neither_ascends_nor_builds_coset_actions():
+    tree = ast.parse((SRC / "length.py").read_text())
+    series = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "kernel_series"
+    )
+    names = {node.id for node in ast.walk(series) if isinstance(node, ast.Name)}
+    assert not names & {"ascending_series", "quotient_by"}
+
+
+def _all_generators_rule(x, factors):
+    """The conjugation action on socle factors by every generator of each
+    factor, with an order comparison: the rule one conjugate replaced."""
+    images = []
+    for f in factors:
+        conj = [y.conjugate(x) for y in f.generators]
+        images += [
+            j for j, h in enumerate(factors)
+            if h.order() == f.order() and all(h.contains(c) for c in conj)
+        ]
+    return images
+
+
+@pytest.mark.parametrize(
+    "name", ["A5 x A5", "A5 wr C2", "PSL(2,7) wr C2", "A6 x A5", "A5 wr A5"]
+)
+def test_one_conjugate_per_factor_matches_the_all_generators_rule(name):
+    g = group_from_spec(name)
+    factors = socle(g).factors
+    rng = random.Random(0)
+    for x in g.generators + tuple(g.random_element(rng) for _ in range(5)):
+        action = length._factor_action(PermGroup(g.degree, [x]), factors)
+        expected = PermGroup(len(factors), [Permutation(_all_generators_rule(x, factors))])
+        assert action.image.generators == expected.generators, name
 
 
 def test_a5_wr_c2_x_c7_reports_within_budget():

@@ -13,8 +13,8 @@ from oracles import normal_subgroup_lattice
 from hallbound import (
     Permutation,
     PermGroup,
+    QuotientMap,
     StabChain,
-    action_kernel,
     alternating_group,
     cyclic_group,
     derived_subgroup,
@@ -25,11 +25,12 @@ from hallbound import (
     quotient_by,
     span,
     symmetric_group,
+    wreath_product,
 )
 from hallbound.corpus import suite_specs
 from hallbound.errors import CapExceeded, SubgroupError
-from hallbound.group import _block_action, action_lift
-from hallbound.quotient import ascending_series, quotient_or_self
+from hallbound.group import ActionMap, _block_action
+from hallbound.quotient import _preimage, ascending_series, quotient_or_self
 
 
 def test_quotient_s4_by_v4_is_s3(s4):
@@ -200,19 +201,60 @@ def test_orbit_route_agrees_with_the_coset_action():
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_action_lift_maps_onto_its_target(seed):
-    # G x C3 acting on G's orbits and on the three points of C3: every lift
-    # of an element of the image acts as that element, and the lifts of the
-    # image's generators with the kernel give the whole group.
+    # G x C3 acting on its orbits, and on 2 + 3 points by the sign of its
+    # G-part and by its C3-part: every lift of an element of the image acts
+    # as that element, the kernel has index |image|, the lifts of the
+    # image's generators with the kernel give the whole group, and the
+    # preimage of <t> read off the lifts is QuotientMap's preimage of the
+    # coset image of lift(t).
     rng = random.Random(seed)
     degree, gens = random_subgroup_gens(rng)
     g = direct_product(PermGroup(degree, gens), cyclic_group(3))
     blocks = g.orbits()
-    on_blocks = _block_action(blocks)
-    image = PermGroup(len(blocks), [Permutation(on_blocks(x)) for x in g.generators])
-    lift = action_lift(g, len(blocks), on_blocks)
-    for _ in range(5):
-        t = image.random_element(rng)
-        assert on_blocks(lift(t)) == list(t.images)
-    kernel = action_kernel(g, len(blocks), on_blocks)
-    lifts = tuple(map(lift, image.generators))
-    assert PermGroup(g.degree, kernel.generators + lifts).same_group_as(g)
+
+    def on_sign_and_c3(x):
+        sign = sum(len(c) - 1 for c in x.cycles()) % 2
+        return [sign, 1 - sign] + [2 + x(degree + i) - degree for i in range(3)]
+
+    for aux_count, on_aux in ((len(blocks), _block_action(blocks)), (5, on_sign_and_c3)):
+        action = ActionMap(g, aux_count, on_aux)
+        image, lift = action.image, action.lift
+        for _ in range(5):
+            t = image.random_element(rng)
+            assert on_aux(lift(t)) == list(t.images)
+        kernel = action.kernel()
+        assert kernel.order() == g.order() // image.order()
+        lifts = tuple(map(lift, image.generators))
+        assert PermGroup(g.degree, kernel.generators + lifts).same_group_as(g)
+        q = QuotientMap(g, kernel)
+        for _ in range(3):
+            t = image.random_element(rng)
+            cyclic = PermGroup(image.degree, [t])
+            expected = q.preimage_subgroup(PermGroup(q.index, [q.image(lift(t))]))
+            assert _preimage(kernel, image, lift, cyclic).same_group_as(expected)
+
+
+def test_one_action_map_builds_one_chain(monkeypatch):
+    # The kernel and five lifts of A5 wr C3's action on its three blocks
+    # come from one extended chain.  The elements to lift are drawn from a
+    # copy of the image built before counting.
+    g = wreath_product(make_named("A5"), make_named("C3"))
+    g.order()
+    system = tuple(tuple(range(5 * i, 5 * i + 5)) for i in range(3))
+    on_blocks = _block_action(system)
+    targets = PermGroup(3, [Permutation(on_blocks(x)) for x in g.generators])
+    rng = random.Random(0)
+    elements = [targets.random_element(rng) for _ in range(5)]
+    builds = []
+    build = StabChain.__init__
+
+    def counted(chain, *args, **kwargs):
+        builds.append(args[0])
+        build(chain, *args, **kwargs)
+
+    monkeypatch.setattr(StabChain, "__init__", counted)
+    action = ActionMap(g, 3, on_blocks)
+    assert action.kernel().generators
+    for t in elements:
+        assert on_blocks(action.lift(t)) == list(t.images)
+    assert builds == [g.degree + 3]
