@@ -13,12 +13,7 @@ element of a group is always the identity), so the target degree equals the
 index and the map of the identity is the identity.
 
 The rule that a trivial kernel never builds a quotient (which would be the
-regular representation) lives here, in quotient_or_self.  Every ascending
-series of radicals goes through _ascend, whose top term is g itself whenever
-it has g's order, so caches keyed by the group see one handle; only the
-generalized Fitting tower feeds it preimages from quotients, through
-ascending_series.  The kernel series (length.py) quotients only by its
-p-soluble radical and recurses on the image of its socle-factor action.
+regular representation) lives here, in quotient_or_self.
 """
 
 from __future__ import annotations
@@ -157,32 +152,6 @@ def quotient_or_self(
             return action.image, functools.partial(_preimage, n, action.image, action.lift)
     q = quotient_by(g, n)
     return q.target, q.preimage_subgroup
-
-
-def ascending_series(g: PermGroup, step: Callable[[PermGroup], PermGroup]) -> list[PermGroup]:
-    """_ascend with N_{i+1} the full preimage of step(G/N_i), a normal
-    subgroup of its argument; callers decide whether stopping short of G
-    is an answer or a failure."""
-
-    def above(n: PermGroup) -> PermGroup:
-        quotient, pull_back = quotient_or_self(g, n)
-        found = step(quotient)
-        return n if found.is_trivial() else pull_back(found)
-
-    return _ascend(g, above)
-
-
-def _ascend(g: PermGroup, above: Callable[[PermGroup], PermGroup]) -> list[PermGroup]:
-    """1 = N_0 < N_1 < ... with N_{i+1} = above(N_i), a normal subgroup of g
-    containing N_i.  The series stops at g, appending g itself for a term of
-    order |G|, or when above adds nothing."""
-    series = [PermGroup.trivial(g.degree)]
-    while series[-1].order() < g.order():
-        term = above(series[-1])
-        if term.order() == series[-1].order():
-            break
-        series.append(g if term.order() == g.order() else term)
-    return series
 
 
 def factor_group(big: PermGroup, small: PermGroup) -> PermGroup:

@@ -14,21 +14,22 @@ normal subgroup of G is a pi-group.  The upper p-series and the Fitting
 series take no quotient: each term is a span of such cores above the last,
 and the two radicals are the tops of those series.
 The layer and the generalized Fitting tower take G/N from quotient_or_self:
-G's action on the orbits of N when N is its kernel, else on the cosets.
+G's action on the orbits of N when N is its kernel, else on the cosets; the
+tower recurses on that image, as the kernel series does.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 from .config import enumeration_cap
 from .errors import PreconditionError, check_cap
-from .group import PermGroup, _enlarge, center, centralizer, is_normal
+from .group import PermGroup, _enlarge, center, centralizer, derived_subgroup, is_normal
 from .primes import PrimeSet, is_prime, prime_divisors
-from .quotient import _ascend, ascending_series, quotient_or_self
+from .quotient import quotient_or_self
 from .structure import (
-    derived_series,
     is_nilpotent,
     is_soluble,
     minimal_normal_subgroups,
@@ -117,6 +118,20 @@ def _pi_core_above(g: PermGroup, n: PermGroup, pi: PrimeSet) -> PermGroup:
     return m
 
 
+def _ascend(g: PermGroup, above: Callable[[PermGroup], PermGroup]) -> list[PermGroup]:
+    """1 = N_0 < N_1 < ... with N_{i+1} = above(N_i), a normal subgroup of g
+    containing N_i.  The series stops at g, appending g itself for a term of
+    order |G| (so caches keyed by the group see one handle), or when above
+    adds nothing."""
+    series = [PermGroup.trivial(g.degree)]
+    while series[-1].order() < g.order():
+        term = above(series[-1])
+        if term.order() == series[-1].order():
+            break
+        series.append(g if term.order() == g.order() else term)
+    return series
+
+
 def _upper_p_series(g: PermGroup, p: int) -> list[PermGroup]:
     """Each term the p'-core above the last, or the p-core above it when
     that adds nothing: the steps alternate, as O_p'(G/O_p'(G)) = 1."""
@@ -173,11 +188,12 @@ def fitting_subgroup(g: PermGroup) -> PermGroup:
 def layer(g: PermGroup) -> PermGroup:
     """Product of all subnormal quasisimple subgroups.
 
-    Computed inside the centralizer C of the Fitting subgroup: the layer is
-    the perfect core of the preimage of the socle of C/Z(C).  When C equals
-    its center there are no components and the layer is trivial.  C, like
-    Z(C), is read off the action, so only the smaller of G and the
-    centralizer of F in the symmetric groups of G's orbits is enumerated.
+    Computed inside the centralizer C of the Fitting subgroup: the preimage
+    S of the socle of C/Z(C) is Z(C)E with E the layer, and Z(C) is
+    central, so S' = E' = E: the layer is S'.  When C equals its center
+    there are no components and the layer is trivial.  C, like Z(C), is
+    read off the action, so only the smaller of G and the centralizer of F
+    in the symmetric groups of G's orbits is enumerated.
     """
     f = fitting_subgroup(g)
     c = centralizer(g, f)
@@ -185,7 +201,7 @@ def layer(g: PermGroup) -> PermGroup:
     if z.order() == c.order():
         return PermGroup.trivial(g.degree)
     quotient, pull_back = quotient_or_self(c, z)
-    return derived_series(pull_back(socle(quotient).socle))[-1]
+    return derived_subgroup(pull_back(socle(quotient).socle))
 
 
 @functools.lru_cache(maxsize=None)
@@ -241,13 +257,28 @@ def fitting_height(g: PermGroup) -> HeightCertificate:
     return _tower(g, _ascend(g, functools.partial(_fitting_above, g)), "fitting")
 
 
+def _generalized_fitting_terms(g: PermGroup) -> tuple[PermGroup, ...]:
+    """The generalized Fitting series of g above 1: F*(g), then the full
+    preimages of the terms of G/F*(G)'s series below its top, then g; ()
+    for a trivial g and (g,) when F*(g) = g.  Like kernel_series it recurses
+    on the image that quotient_or_self returns."""
+    if g.is_trivial():
+        return ()
+    f = generalized_fitting_subgroup(g)
+    if f.order() == g.order():
+        return (g,)
+    image, pull_back = quotient_or_self(g, f)
+    return (f, *map(pull_back, _generalized_fitting_terms(image)[:-1]), g)
+
+
 def generalized_fitting_height(g: PermGroup) -> HeightCertificate:
     """Steps of the ascending generalized Fitting series; 0 for the trivial group.
 
     The generalized Fitting subgroup of a nontrivial finite group is
     nontrivial, so the tower always terminates.
     """
-    return _tower(g, ascending_series(g, generalized_fitting_subgroup), "generalized_fitting")
+    series = [PermGroup.trivial(g.degree), *_generalized_fitting_terms(g)]
+    return _tower(g, series, "generalized_fitting")
 
 
 def p_length(g: PermGroup, p: int) -> HeightCertificate:

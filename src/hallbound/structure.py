@@ -329,20 +329,20 @@ def socle(g: PermGroup) -> SocleDecomposition:
 
     Non-abelian minimal normal subgroups are split into their simple direct
     factors, which are their own minimal normal subgroups, by
-    minimal_normal_subgroups; abelian ones are kept whole and flagged.
+    minimal_normal_subgroups; abelian ones are kept whole and flagged.  The
+    socle extends the first minimal normal subgroup's chain by the others'
+    generators.
     """
     mins = minimal_normal_subgroups(g)
-    gens: list[Permutation] = []
     factors: list[PermGroup] = []
     flags: list[bool] = []
     for n in mins:
-        gens.extend(n.generators)
         abelian = _is_abelian(n)
         parts = (n,) if abelian else minimal_normal_subgroups(n)
         factors.extend(parts)
         flags.extend(abelian for _ in parts)
     return SocleDecomposition(
-        socle=PermGroup(g.degree, gens),
+        socle=mins[0].adjoin([x for n in mins[1:] for x in n.generators]),
         minimal_normals=mins,
         factors=tuple(factors),
         abelian_flags=tuple(flags),

@@ -257,8 +257,8 @@ def test_kernel_series_and_tower_build_no_regular_quotient(monkeypatch, name):
 def test_kernel_series_quotients_only_by_its_radical(monkeypatch, name, p):
     # Each level quotients its group by the p-soluble radical and reads the
     # rest off the socle-factor action's image; no level builds G/K for a
-    # kernel K of the series.  Both module bindings are counted, so a series
-    # that ascends through quotient.ascending_series is caught too.
+    # kernel K of the series.  Both module bindings are counted, so a
+    # quotient taken through another module's binding is caught too.
     g = group_from_spec(name)
     calls = []
     original = quotient.quotient_or_self

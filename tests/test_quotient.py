@@ -30,7 +30,7 @@ from hallbound import (
 from hallbound.corpus import suite_specs
 from hallbound.errors import CapExceeded, SubgroupError
 from hallbound.group import ActionMap, _block_action
-from hallbound.quotient import _preimage, ascending_series, quotient_or_self
+from hallbound.quotient import _preimage, quotient_or_self
 
 
 def test_quotient_s4_by_v4_is_s3(s4):
@@ -118,15 +118,6 @@ def test_quotient_or_self_skips_trivial_kernel(s4):
     target, pull_back = quotient_or_self(s4, v4)
     assert target.degree == 6 and target.order() == 6
     assert pull_back(PermGroup.trivial(6)).same_group_as(v4)
-
-
-def test_ascending_series_stops_at_whole_group_or_trivial_step(s4):
-    # A4 = S4', then (S4/A4)' = 1 stops the series short of S4
-    derived = ascending_series(s4, derived_subgroup)
-    assert [n.order() for n in derived] == [1, 12]
-    whole = ascending_series(s4, lambda q: q)
-    assert [n.order() for n in whole] == [1, 24]
-    assert whole[-1] is s4
 
 
 def test_quotient_requires_normal_kernel(s4):

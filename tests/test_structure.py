@@ -15,6 +15,7 @@ from conftest import random_subgroup_gens
 from hallbound import (
     PermGroup,
     PrimeSet,
+    StabChain,
     alternating_group,
     centralizer,
     check_kernel_lemma,
@@ -601,6 +602,30 @@ def test_socle_of_sl25_is_the_center(sl25):
     dec = socle(sl25)
     assert dec.socle.order() == 2
     assert dec.abelian_flags == (True,)
+
+
+@pytest.mark.parametrize("spec", ["A5 x A5", "S4 x S3", "A5 x SL(2,3)"])
+def test_socle_extends_the_chain_of_a_minimal_normal(spec, monkeypatch):
+    # Once the minimal normal subgroups have chains, the socle extends the
+    # first one's chain by the others' generators and builds no chain from
+    # scratch; its generators are those of the minimal normals in turn.
+    g = group_from_spec(spec)
+    mins = socle(g).minimal_normals
+    assert len(mins) > 1
+    expected = PermGroup(g.degree, [x for n in mins for x in n.generators]).generators
+    socle.cache_clear()
+    built = []
+    init = StabChain.__init__
+
+    def counted(self, degree, generators, base=None):
+        built.append(len(generators))
+        init(self, degree, generators, base)
+
+    monkeypatch.setattr(StabChain, "__init__", counted)
+    product = socle(g).socle
+    assert product.order() == math.prod(n.order() for n in mins)
+    assert built == []
+    assert product.generators == expected
 
 
 def _a5_squared_with_swap() -> PermGroup:
