@@ -109,12 +109,22 @@ class StabChain:
     shallower new level would leave a deeper one unbuilt).  A level is
     rebuilt only when a strong generator at that level or deeper has arrived
     since its last build, and the scan then descends from the level of the
-    last residue.  A rebuild restarts its BFS from scratch into a fresh dict
-    (extending an orbit in place would pick other coset representatives)
-    with a fresh inverse cache, so the levels a copy does not rebuild share
-    their transversal dicts, and the inverse caches that both fill with the
-    same values, with the chain it came from.  Inverse transversal elements
-    are computed when first needed.
+    last residue.  A Schreier generator once proved is not sifted again: the
+    scan of a rebuilt level skips a pair (beta, x) that its last scan (in
+    this build, or the parent chain's complete one) reached, with x one of
+    that scan's generators and u_beta and u_x(beta) unchanged.  That pair's
+    Schreier generator is the one proved then, and it lies in K_(i+1), which
+    only grows and whose levels are complete whenever level i is scanned, so
+    it would sift to the identity: the residues, and so the chain, are those
+    of the scan that sifts every pair.
+    A rebuild restarts its BFS from scratch into a fresh dict (extending an
+    orbit in place would pick other coset representatives, so the skipped
+    pairs are only those whose representatives came out unchanged), so the
+    levels a copy does not rebuild share their transversal dicts, and the
+    inverse caches that both fill with the same values, with the chain it
+    came from.  Inverse transversal elements are computed when first needed;
+    a rebuilt level starts a fresh inverse cache that keeps the entries of
+    the representatives that came out unchanged.
 
     With a divisor n the build stops (``_OrbitDoesNotDivide``) at the first
     rebuilt level whose orbit length does not divide n.  That level's orbit
@@ -171,6 +181,7 @@ class StabChain:
     def _extend(self, generators: Sequence[tuple[int, ...]], divisor: int | None) -> None:
         """Append the new strong generators and resume the build at the
         deepest level among them."""
+        parent = len(self._strong)
         fresh = []
         for g in generators:
             if g != self._identity and all(s[0] != g for s in self._strong):
@@ -181,7 +192,7 @@ class StabChain:
             return
         levels = sorted({entry[0] for entry in self._levels}.union(fresh))
         self._set_levels(levels)
-        self._build(levels.index(max(fresh)), divisor)
+        self._build(levels.index(max(fresh)), divisor, parent)
 
     @property
     def transversal(self) -> list[dict[int, tuple[int, ...]]]:
@@ -212,9 +223,14 @@ class StabChain:
             prev = i
         self._levels = table
 
-    def _rebuild_level(self, i: int, gens: Sequence[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
-        """Rebuild level i's transversal from gens, with a fresh inverse cache."""
+    def _rebuild_level(
+        self, i: int, gens: Sequence[tuple[int, ...]]
+    ) -> tuple[dict[int, tuple[int, ...]], set[int]]:
+        """Rebuild level i's transversal from gens; returns it with the
+        points whose representative came out unchanged, which keep their
+        cached inverses."""
         b = self.base[i]
+        old = self._trans.get(i) or {b: self._identity}
         trans = {b: self._identity}
         queue = deque([b])
         while queue:
@@ -225,9 +241,11 @@ class StabChain:
                 if img not in trans:
                     trans[img] = _mul(u, g)
                     queue.append(img)
+        kept = {pt for pt, u in trans.items() if old.get(pt) == u}
+        inv = self._transversal_inv.get(i, {})
         self._trans[i] = trans
-        self._transversal_inv[i] = {}
-        return trans
+        self._transversal_inv[i] = {pt: v for pt, v in inv.items() if pt in kept}
+        return trans, kept
 
     def _u_inv(self, i: int, pt: int) -> tuple[int, ...]:
         """Inverse of the level-i transversal element for pt, cached."""
@@ -254,36 +272,71 @@ class StabChain:
         # full base: anything fixing every base point is the identity
         return None if p == self._identity else p
 
-    def _first_residue(self, k: int, gens: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-        """The sift residue of the first Schreier generator of the k-th
-        non-trivial level that does not sift through the deeper levels, the
-        pairs (beta, x) taken in order (beta sorted, x as in gens); None
-        when there is none."""
+    def _first_residue(
+        self,
+        k: int,
+        gens: list[tuple[int, ...]],
+        kept: set[int],
+        count: int,
+        stop: tuple[int, int] | None,
+    ) -> tuple[tuple[int, ...] | None, tuple[int, int] | None]:
+        """First Schreier generator of the k-th non-trivial level that does
+        not sift through the deeper levels, as its sift residue, with its
+        pair (beta, index of x in gens); (None, None) when there is none.
+
+        kept holds the points whose representative the rebuild left
+        unchanged; count and stop describe the level's last scan: its
+        number of generators (a prefix of gens) and the pair whose residue
+        it returned (None: it completed).  A pair that scan reached, with x
+        among its generators and u_beta and u_x(beta) unchanged, has the
+        same Schreier generator as then, which lies in K_(i+1) and so sifts
+        to the identity: it is skipped.
+        """
         i, b, _, _ = self._levels[k]
         trans = self._trans[i]
         for beta in sorted(trans):
             u = trans[beta]
-            for x in gens:
+            proved = 0
+            if beta in kept:
+                if stop is None or beta < stop[0]:
+                    proved = count
+                elif beta == stop[0]:
+                    proved = stop[1] + 1
+            todo = gens
+            if proved:  # u * x maps b to x[beta]
+                todo = [x for x in gens[:proved] if x[beta] not in kept] + gens[proved:]
+            for x in todo:
                 v = _mul(u, x)
                 img = v[b]
                 if v == trans[img]:
                     continue  # the Schreier generator is the identity
                 residue = self._sift(_mul(v, self._u_inv(i, img)), k + 1)
                 if residue is not None:
-                    return residue
-        return None
+                    return residue, (beta, gens.index(x))
+        return None, None
 
-    def _build(self, k: int, divisor: int | None) -> None:
+    def _build(self, k: int, divisor: int | None, parent: int) -> None:
         """Rebuild the k-th non-trivial level and every shallower one, and
-        descend again from the level of each new residue."""
+        descend again from the level of each new residue.
+
+        scans keeps each level's last scan in this build as (generator
+        count, stop pair).  A level not yet scanned was complete in the
+        chain being extended, with the first `parent` strong generators
+        (those at its level or deeper), and its transversal is still in
+        place; a trivial one had {base point: identity}.
+        """
         levels = [entry[0] for entry in self._levels]
+        scans: dict[int, tuple[int, tuple[int, int] | None]] = {}
         while k >= 0:
             i = levels[k]
             gens = [g for g, lv in self._strong if lv >= i]
-            trans = self._rebuild_level(i, gens)
+            if i not in scans:
+                scans[i] = (sum(lv >= i for _, lv in self._strong[:parent]), None)
+            trans, kept = self._rebuild_level(i, gens)
             if divisor is not None and divisor % len(trans):
                 raise _OrbitDoesNotDivide
-            residue = self._first_residue(k, gens)
+            residue, stop = self._first_residue(k, gens, kept, *scans[i])
+            scans[i] = (len(gens), stop)
             if residue is None:
                 k -= 1
                 continue

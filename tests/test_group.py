@@ -1,6 +1,7 @@
 """Stabilizer-chain engine: orders, membership, orbits, subgroup operations."""
 
 import ast
+import collections
 import contextlib
 import itertools
 import math
@@ -871,6 +872,28 @@ def test_chain_matches_reference_schreier_sims(seed):
     _assert_same_chain(degree, images, prefix, rng)
 
 
+class _FullScanChain(StabChain):
+    """The engine with the scan it had before proved pairs were skipped:
+    every Schreier generator of a rebuilt level is sifted, whatever the
+    level's last scan proved.  Kept as the oracle that every extension
+    must match chain for chain."""
+
+    def _first_residue(self, k, gens, old, count, stop):
+        i, b, _, _ = self._levels[k]
+        trans = self._trans[i]
+        for beta in sorted(trans):
+            u = trans[beta]
+            for j, x in enumerate(gens):
+                v = _mul(u, x)
+                img = v[b]
+                if v == trans[img]:
+                    continue
+                residue = self._sift(_mul(v, self._u_inv(i, img)), k + 1)
+                if residue is not None:
+                    return residue, (beta, j)
+        return None, None
+
+
 def _level_table(chain: StabChain):
     """The non-trivial levels as (level, base point, gap points)."""
     return [(i, b, gap) for i, b, _, gap in chain._levels]
@@ -888,9 +911,8 @@ def _extend_or_stop(chain: StabChain, images, divisor):
 @settings(max_examples=150, deadline=None)
 def test_extensions_match_the_full_scan(seed):
     """A chain grown by one extension or more, each with or without a
-    divisor: an extension stops only when the join's order does not divide
-    the divisor, and one that does not stop is the extension without a
-    divisor, with the same strong generators, transversals and levels."""
+    divisor, is the chain the full scan grows: the same stops, strong
+    generators, transversals and levels."""
     rng = random.Random(seed)
     degree, gens = random_subgroup_gens(rng)
     gens += [
@@ -900,26 +922,60 @@ def test_extensions_match_the_full_scan(seed):
     images = [x.images for x in gens]
     cuts = sorted(rng.sample(range(1, len(images) + 1), rng.randint(1, len(images))))
     base = rng.sample(range(degree), rng.randint(1, degree)) if rng.random() < 0.3 else None
-    chain = StabChain(degree, images[: cuts[0]], base=base)
+    engine = StabChain(degree, images[: cuts[0]], base=base)
+    oracle = _FullScanChain(degree, images[: cuts[0]], base=base)
     for start, end in zip(cuts, cuts[1:] + [len(images)]):
         step = images[start:end]
         if rng.random() < 0.3:
-            step.append(chain.random_element(rng))  # an element it has
+            step.append(engine.random_element(rng))  # an element it has
             images.append(step[-1])
-        plain = chain.extended(step)
-        divisor = rng.choice([
-            None, None, rng.randint(1, 5_000), 40_320 * rng.randint(1, 6),
-            plain.order() * rng.randint(1, 3),
-        ])
-        grown = _extend_or_stop(chain, step, divisor)
+        divisor = rng.choice([None, None, rng.randint(1, 5_000), 40_320 * rng.randint(1, 6)])
+        grown = _extend_or_stop(engine, step, divisor)
+        expected = _extend_or_stop(oracle, step, divisor)
+        assert (grown is None) == (expected is None)
         if grown is None:
-            join = StabChain(degree, chain.strong_generators() + step)
-            assert divisor is not None and divisor % join.order()
-        else:
-            assert _chain_state(grown) == _chain_state(plain)
-            assert _level_table(grown) == _level_table(plain)
-        chain = plain
-    assert chain.order() == StabChain(degree, images).order()
+            grown, expected = engine.extended(step), oracle.extended(step)
+        assert _chain_state(grown) == _chain_state(expected)
+        assert _level_table(grown) == _level_table(expected)
+        engine, oracle = grown, expected
+    assert engine.order() == StabChain(degree, images).order()
+
+
+@pytest.mark.parametrize("spec", ["S5", "PSL(2,7)", "A5 wr C2"])
+def test_extending_by_an_own_element_sifts_no_pair_already_proved(spec, monkeypatch):
+    """Only pairs (beta, x) with x the new generator, or with u_beta or
+    u_x(beta) rebuilt differently, are sifted; every other pair of a rebuilt
+    level was proved by the complete parent chain."""
+    parent = group_from_spec(spec).chain
+    rng = random.Random(2)
+    x = parent.random_element(rng)
+    while x in parent.strong_generators():
+        x = parent.random_element(rng)
+    sifted = []
+    sift = StabChain._sift
+
+    def recording_sift(chain, p, k=0):
+        sifted.append((k, p))
+        return sift(chain, p, k)
+
+    monkeypatch.setattr(StabChain, "_sift", recording_sift)
+    child = parent.extended([x])
+    monkeypatch.undo()
+    assert child.order() == parent.order()
+    unproved = []
+    for k, (i, _, _, _) in enumerate(child._levels):
+        old, trans = parent._trans[i], child._trans[i]
+        if trans is old:
+            continue  # not rebuilt
+        for beta, u in trans.items():
+            for y in child.level_generators(i):
+                img = y[beta]
+                if y == x or old.get(beta) != u or old.get(img) != trans[img]:
+                    v = _mul(u, y)
+                    if v != trans[img]:
+                        unproved.append((k + 1, _mul(v, _inv(trans[img]))))
+    assert sifted
+    assert not collections.Counter(sifted) - collections.Counter(unproved)
 
 
 def _spread(x: Permutation, degree: int) -> Permutation:
