@@ -7,7 +7,7 @@ the inequalities relating the non-p-soluble length of a group to the
 generalized Fitting height and 2-length of its Hall subgroups.
 """
 
-from types import ModuleType
+from types import ModuleType as _ModuleType
 
 from .errors import (
     CapExceeded,
@@ -114,100 +114,13 @@ __version__ = "1.0.0"
 def clear_caches() -> None:
     """Empty every memo of the package, which a caller that changes
     HALLBOUND_CAP does: memos are keyed by their arguments, not the cap."""
-    modules = [m for m in globals().values() if isinstance(m, ModuleType)]
+    modules = [m for m in globals().values() if isinstance(m, _ModuleType)]
     for memo in [f for m in modules for f in vars(m).values() if hasattr(f, "cache_clear")]:
         memo.cache_clear()
 
 
-__all__ = [
-    "CapExceeded",
-    "ChainCheck",
-    "CorollaryCheck",
-    "DegreeMismatch",
-    "GroupError",
-    "HallSearchResult",
-    "HeightCertificate",
-    "HeredityReport",
-    "InvariantReport",
-    "KernelLemmaReport",
-    "KernelSeries",
-    "Permutation",
-    "PermGroup",
-    "PreconditionError",
-    "PrimeSet",
-    "QuotientMap",
-    "SocleDecomposition",
-    "StabChain",
-    "SubgroupError",
-    "TheoremCheck",
-    "action_kernel",
-    "alternating_group",
-    "block_action_kernel",
-    "center",
-    "centralizer",
-    "check_hall_heredity",
-    "check_kernel_lemma",
-    "clear_caches",
-    "closed_form_order",
-    "commutator_subgroup",
-    "compute_invariant_report",
-    "confirm_no_nilpotent_hall_2p",
-    "conjugate_subgroup",
-    "cyclic_group",
-    "derived_series",
-    "derived_subgroup",
-    "dihedral_group",
-    "direct_product",
-    "factor_group",
-    "factorize",
-    "find_hall_subgroup",
-    "fitting_height",
-    "fitting_subgroup",
-    "format_cycles",
-    "generalized_fitting_height",
-    "generalized_fitting_subgroup",
-    "group_from_file",
-    "group_from_spec",
-    "intersection",
-    "is_hall_subgroup",
-    "is_nilpotent",
-    "is_normal",
-    "is_p_soluble",
-    "is_prime",
-    "is_simple",
-    "is_soluble",
-    "kernel_series",
-    "layer",
-    "lower_central_series",
-    "make_named",
-    "minimal_block_system",
-    "minimal_normal_subgroups",
-    "non_p_soluble_length",
-    "normal_closure",
-    "p_core",
-    "p_kernel",
-    "p_length",
-    "p_length_value",
-    "p_prime_core",
-    "p_soluble_radical",
-    "parse_cycles",
-    "pi_core",
-    "pointwise_stabilizer",
-    "prime_divisors",
-    "projective_special_linear_group",
-    "quotient_by",
-    "revalidate",
-    "socle",
-    "soluble_radical",
-    "span",
-    "special_linear_group",
-    "suite_specs",
-    "sylow_subgroup",
-    "symmetric_group",
-    "valid_instances",
-    "validate_hypotheses",
-    "verify_corollary",
-    "verify_proposition_chain",
-    "verify_theorem",
-    "wreath_product",
-]
+# every public name above except the submodules, which the imports bind too
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -606,17 +606,11 @@ def normal_closure(ambient: PermGroup, sub: PermGroup) -> PermGroup:
         return PermGroup.trivial(ambient.degree)
     current = span(ambient.degree, sub.generators)
     while True:
-        fresh: list[Permutation] = []
-        seen: set[tuple[int, ...]] = set()
-        for g in ambient.generators:
-            for h in current.generators:
-                c = h.conjugate(g)
-                if not current.contains(c) and c.images not in seen:
-                    seen.add(c.images)
-                    fresh.append(c)
-        if not fresh:
+        conjugates = (h.conjugate(g) for g in ambient.generators for h in current.generators)
+        grown = _enlarge(current, conjugates)
+        if grown is current:
             return ambient if current.order() == ambient.order() else current
-        current = _enlarge(current, fresh)
+        current = grown
 
 
 def commutator_subgroup(a: PermGroup, b: PermGroup, ambient: PermGroup) -> PermGroup:
@@ -638,13 +632,19 @@ def span(degree: int, perms: Iterable[Permutation]) -> PermGroup:
     return _enlarge(PermGroup.trivial(degree), perms)
 
 
-def _enlarge(current: PermGroup, perms: Iterable[Permutation]) -> PermGroup:
+def _enlarge(
+    current: PermGroup, perms: Iterable[Permutation], divisor: int | None = None
+) -> PermGroup | None:
     """<current, perms>, adjoining to current each of perms that enlarges
     the group.  On a span this is the span of its generators followed by
-    perms, each step extending the last step's chain."""
+    perms, each step extending the last step's chain.  With a divisor n,
+    None as soon as one step's order does not divide n (see adjoin).  This
+    is the one loop that grows a subgroup by the elements it lacks."""
     for p in perms:
         if not current.contains(p):
-            current = current.adjoin((p,))
+            current = current.adjoin((p,), divisor)
+            if current is None:
+                break
     return current
 
 
@@ -843,49 +843,24 @@ def action_kernel(
 # Block systems (used by the structured path for very large groups)
 
 
-class _UnionFind:
-    """Partition of {0..n-1} into classes, merged one pair at a time."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        """Merge the classes of x and y; False if they were one already."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[max(rx, ry)] = min(rx, ry)
-        return True
-
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """The classes, each sorted, ordered by least point."""
-        blocks: dict[int, list[int]] = {}
-        for pt in range(len(self.parent)):
-            blocks.setdefault(self.find(pt), []).append(pt)
-        return tuple(tuple(b) for b in sorted(blocks.values()))
-
-
 def minimal_block_system(g: PermGroup, alpha: int, beta: int) -> tuple[tuple[int, ...], ...]:
-    """Finest G-invariant partition with alpha and beta in one block.
-
-    Classical union-find refinement; alpha and beta must lie in one orbit.
-    """
-    classes = _UnionFind(g.degree)
-    classes.union(alpha, beta)
+    """Finest G-invariant partition with alpha and beta in one block, each
+    block sorted and the blocks ordered by least point; alpha and beta must
+    lie in one orbit.  Atkinson's merge loop (*Math. Comp.* 29, 1975): the
+    points of a block share one list, and merging the blocks of a pair
+    queues the pair's images under every generator."""
+    block_of = [[pt] for pt in range(g.degree)]
     queue = deque([(alpha, beta)])
     while queue:
         x, y = queue.popleft()
-        for gen in g.generators:
-            if classes.union(gen(x), gen(y)):
-                queue.append((gen(x), gen(y)))
-    return classes.blocks()
+        block, other = block_of[x], block_of[y]
+        if block is not other:
+            block.extend(other)
+            for pt in other:
+                block_of[pt] = block
+            queue.extend((s(x), s(y)) for s in g.generators)
+    blocks = {id(b): b for b in block_of}.values()
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
 def minimal_block_systems(g: PermGroup) -> list[tuple[tuple[int, ...], ...]]:

@@ -38,15 +38,15 @@ conjugate of every Hall pi-subgroup, and its failure proves absence.  The
 no-nilpotent-Hall confirmation needs no scan: one centralizer of a Sylow
 2-subgroup decides it.
 
-Greedy growth and the scan build each candidate <current, new> with
-PermGroup.adjoin, which extends current's complete chain instead of building
-the join's from scratch.  It rejects a candidate whose order cannot divide
-the pi-part of |G| first by Lagrange (the order of new * old must divide
-it), then by the orbits of the join (each length must divide it), and only
-then during the extension, at the first rebuilt level whose orbit length
-does not; a candidate that cannot be a pi-group never pays for a full
-Schreier-Sims run.  The decisions are the same as with the full order, and
-the generators are those of PermGroup(degree, current.generators + new).
+Greedy growth, by group._enlarge, and the scan build each candidate
+<current, new> with PermGroup.adjoin, which extends current's complete chain
+instead of building the join's from scratch.  It rejects a candidate whose
+order cannot divide the pi-part of |G| first by Lagrange (the order of new *
+old must divide it), then by the orbits of the join (each length must divide
+it), and only then during the extension, at the first rebuilt level whose
+orbit length does not; a candidate that cannot be a pi-group never pays for a
+full Schreier-Sims run.  The decisions are the same as with the full order,
+and the generators are those of PermGroup(degree, current.generators + new).
 """
 
 from __future__ import annotations
@@ -69,11 +69,16 @@ from .errors import (
     SubgroupError,
     check_cap,
 )
-from .group import PermGroup, centralizer, conjugate_subgroup, intersection, is_normal
+from .group import PermGroup, _enlarge, centralizer, conjugate_subgroup, is_normal
 from .perm import Permutation, _conj, _inv
 from .primes import PrimeSet, factorize
 from .radicals import pi_core, sylow_subgroup
 from .structure import is_simple, is_soluble, socle
+
+
+def _is_hall_order(order: int, index: int, pi: PrimeSet) -> bool:
+    """The Hall condition: a pi-number order and a pi'-number index."""
+    return pi.is_pi_number(order) and pi.part_of(index) == 1
 
 
 def is_hall_subgroup(sub: PermGroup, g: PermGroup, pi: PrimeSet) -> bool:
@@ -82,9 +87,7 @@ def is_hall_subgroup(sub: PermGroup, g: PermGroup, pi: PrimeSet) -> bool:
         raise DegreeMismatch("is_hall_subgroup: degree mismatch")
     if not sub.is_subgroup_of(g):
         raise SubgroupError("is_hall_subgroup: not a subgroup")
-    order = sub.order()
-    index = g.order() // order
-    return pi.is_pi_number(order) and pi.part_of(index) == 1
+    return _is_hall_order(sub.order(), g.order() // sub.order(), pi)
 
 
 @dataclass(frozen=True)
@@ -139,15 +142,11 @@ def _greedy_phase(
         while current.order() < target and stale < 40:
             tried += 1
             y = _pi_part_of_element(g.random_element(rng), pi)
-            if y.is_identity or current.contains(y):
+            grown = current if y.is_identity else _enlarge(current, (y,), target)
+            if grown is None or grown is current:
                 stale += 1
-                continue
-            candidate = current.adjoin((y,), target)
-            if candidate is not None:
-                current = candidate
-                stale = 0
             else:
-                stale += 1
+                current, stale = grown, 0
         if current.order() == target:
             return current, tried
     return None, tried
@@ -344,12 +343,11 @@ def check_hall_heredity(
         raise PreconditionError("check_hall_heredity needs a genuine Hall subgroup")
     if not is_normal(normal, g):
         raise PreconditionError("check_hall_heredity needs a normal subgroup")
-    meet = intersection(hall, normal)
-    first = is_hall_subgroup(meet, normal, pi)
-    # HN/N is H/(H n N), a subgroup of G/N of order |H : H n N|
-    image_order = hall.order() // meet.order()
-    index = g.order() // normal.order() // image_order
-    second = pi.is_pi_number(image_order) and pi.part_of(index) == 1
+    # orders only: |H n N| = |H| |N| / |HN|, and HN/N has index |G : HN|
+    joined = normal.adjoin(hall.generators)
+    meet = hall.order() * normal.order() // joined.order()
+    first = _is_hall_order(meet, normal.order() // meet, pi)
+    second = _is_hall_order(joined.order() // normal.order(), g.order() // joined.order(), pi)
     return HeredityReport(intersection_is_hall=first, image_is_hall=second)
 
 

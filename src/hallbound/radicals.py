@@ -42,14 +42,14 @@ from .structure import (
 def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup, grown in one pass over the elements of g.
 
-    Each x with p dividing its order offers its p-part y, and y joins the
-    current p-subgroup P when it lies outside P.  adjoin, with the p-part
-    of |g| as divisor, returns None exactly when <P, y> is not a p-group,
-    and such a rejection is final: <P, y> lies in <P', y> whenever P lies
-    in P'.  So the pass cannot end below a Sylow subgroup, for N(P) would
-    then hold a p-element y outside P with <P, y> a p-group, and y would
-    have been adjoined when the pass reached it.  The pass enumerates g, so
-    this operation lives under the enumeration cap.
+    Each x with p dividing its order offers its p-part y, and _enlarge,
+    with the p-part of |g| as divisor, joins y to the current p-subgroup P
+    when it lies outside P and <P, y> is a p-group.  A rejection is final:
+    <P, y> lies in <P', y> whenever P lies in P'.  So the pass cannot end
+    below a Sylow subgroup, for N(P) would then hold a p-element y outside
+    P with <P, y> a p-group, and y would have been adjoined when the pass
+    reached it.  The pass enumerates g, so this operation lives under the
+    enumeration cap.
     """
     prime = PrimeSet([p])
     target = prime.part_of(g.order())
@@ -61,11 +61,9 @@ def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
         o = x.order()
         if o % p:
             continue
-        y = x ** prime.coprime_part_of(o)
-        if not current.contains(y):
-            current = current.adjoin((y,), target) or current
-            if current.order() == target:
-                return current
+        current = _enlarge(current, (x ** prime.coprime_part_of(o),), target) or current
+        if current.order() == target:
+            return current
     raise AssertionError("Sylow growth stalled below the p-part")
 
 
@@ -89,8 +87,8 @@ def _pi_core_above(g: PermGroup, n: PermGroup, pi: PrimeSet) -> PermGroup:
     it.  The normal span m grows from n by each closure C with <m, C>/n a
     pi-group (|<m, C>| divides |n| times the pi-part of |g : n|); normal
     pi-subgroups of g/n multiply, so exactly the closures inside M join.
-    A closure joins whole or not at all, one generator at a time and only
-    those m lacks.
+    A closure joins whole or not at all: _enlarge adjoins the generators m
+    lacks one at a time, and its None keeps m as it was.
 
     Two cases settle without reading the seed closures: M is g when |g : n|
     is a pi-number, and M is n = 1 when no minimal normal subgroup of g is
@@ -107,14 +105,7 @@ def _pi_core_above(g: PermGroup, n: PermGroup, pi: PrimeSet) -> PermGroup:
     bound = n.order() * pi.part_of(index)
     m = n
     for c in seed_closures(g):
-        trial = m
-        for x in c.generators:
-            if not trial.contains(x):
-                trial = trial.adjoin((x,), bound)
-                if trial is None:
-                    break
-        else:
-            m = trial
+        m = _enlarge(m, c.generators, bound) or m
     return m
 
 

@@ -271,8 +271,8 @@ def revalidate(data: dict) -> bool:
     lam = data["lambda_p"]
     h_star = data["h_star_H"]
     l2 = data["l2_H"]
-    expect_theorem = None if h_star is None else lam <= h_star
-    expect_corollary = None if l2 is None else lam <= 2 * l2 + 1
+    expect_theorem = None if h_star is None else TheoremCheck(lam, h_star).holds
+    expect_corollary = None if l2 is None else CorollaryCheck(lam, l2, None, None).holds
     return checks["theorem"] == expect_theorem and checks["corollary"] == expect_corollary
 
 

@@ -5,9 +5,12 @@ module-level functions; a private or nested cache would survive the clearing
 and carry its entries, and their memory, into the next pass.
 """
 
+import ast
 import importlib
+from types import ModuleType
 
-from conftest import cached_definitions
+import hallbound
+from conftest import SRC, cached_definitions
 from hallbound import clear_caches, generalized_fitting_height
 
 
@@ -26,3 +29,18 @@ def test_clear_caches_empties_every_memo(s4):
     for module, name, _ in cached_definitions():
         memo = getattr(importlib.import_module(f"hallbound.{module}"), name)
         assert memo.cache_info().currsize == 0, f"{module}.{name}"
+
+
+def test_all_lists_every_imported_public_name_and_no_module():
+    # __all__ is derived from the package's globals; it must hold exactly
+    # the names the package imports from its modules, plus clear_caches
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {
+        alias.name for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names
+    }
+    names = hallbound.__all__
+    assert len(names) == len(set(names)) == 90
+    assert set(names) == imported | {"clear_caches"}
+    assert not any(isinstance(getattr(hallbound, name), ModuleType) for name in names)
+    assert {"QuotientMap", "StabChain"} <= set(names)

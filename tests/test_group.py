@@ -217,6 +217,30 @@ def test_no_join_rebuilds_a_chain_from_generator_tuples():
     assert found == []
 
 
+def test_divisor_bounded_joins_go_through_enlarge():
+    # _enlarge is the one loop that grows a subgroup by the elements it
+    # lacks; the scan's joins add whole Sylow subgroups, so they adjoin
+    # directly.  Any other two-argument adjoin is a hand-rolled copy.
+    allowed = {("group.py", "_enlarge"), ("hall.py", "_sylow_generated")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+        functions += [
+            m for c in tree.body if isinstance(c, ast.ClassDef)
+            for m in c.body if isinstance(m, ast.FunctionDef)
+        ]
+        for function in functions:
+            for call in ast.walk(function):
+                if (
+                    isinstance(call, ast.Call)
+                    and getattr(call.func, "attr", "") == "adjoin"
+                    and len(call.args) + len(call.keywords) > 1
+                ):
+                    found.append((path.name, function.name))
+    assert found and set(found) <= allowed, found
+
+
 def test_center_of_dihedral_group():
     assert center(dihedral_group(12)).order() == 2
     assert center(dihedral_group(10)).order() == 1
@@ -421,6 +445,35 @@ def test_block_systems_keep_fixed_points_as_blocks():
     two_orbits = PermGroup(6, [Permutation([1, 2, 0, 4, 5, 3])])
     with pytest.raises(ValueError, match="transitive on its support"):
         group.minimal_block_systems(two_orbits)
+
+
+def _block_oracle(g, alpha, beta):
+    """The finest partition joining alpha and beta in which every generator
+    maps each block into one block, by merging blocks until none moves."""
+    blocks = [{alpha, beta}] + [{pt} for pt in range(g.degree) if pt not in (alpha, beta)]
+    changed = True
+    while changed:
+        changed = False
+        for block, s in itertools.product(list(blocks), g.generators):
+            image = {s(pt) for pt in block}
+            hit = [b for b in blocks if b & image]
+            if len(hit) > 1:
+                blocks = [b for b in blocks if not b & image] + [set().union(*hit)]
+                changed = True
+                break
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+@pytest.mark.property_based
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_minimal_block_system_matches_the_merge_oracle(seed):
+    rng = random.Random(seed)
+    degree, gens = random_subgroup_gens(rng)
+    g = PermGroup(degree, gens)
+    orbit = g.orbit(rng.randrange(degree))
+    for beta in orbit[1:]:
+        assert group.minimal_block_system(g, orbit[0], beta) == _block_oracle(g, orbit[0], beta)
 
 
 def test_degree_mismatch_between_groups(s4):

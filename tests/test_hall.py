@@ -746,6 +746,14 @@ def test_heredity_builds_no_coset_action():
     assert report.intersection_is_hall and report.image_is_hall
 
 
+def test_heredity_reads_orders_only(monkeypatch, s4, a4):
+    # |H n N| comes from |H| |N| / |HN|: no group is enumerated, so a cap
+    # below |H| = 8 does not stop the check
+    hall = sylow_subgroup(s4, 2)
+    monkeypatch.setenv("HALLBOUND_CAP", "5")
+    assert check_hall_heredity(s4, hall, PrimeSet([2]), a4).holds
+
+
 def test_no_nilpotent_hall_in_a5(a5):
     assert confirm_no_nilpotent_hall_2p(a5, 3)
     assert confirm_no_nilpotent_hall_2p(a5, 5)
