@@ -787,13 +787,13 @@ def pointwise_stabilizer(g: PermGroup, points: Sequence[int]) -> PermGroup:
 
 # ---------------------------------------------------------------------------
 # Action homomorphisms.  An ActionMap reads a homomorphism G -> Sym(m), given
-# on generators, as its image on the m points, and its kernel and lifts from
+# on generators, as its target on the m points, and its kernel and lifts from
 # one chain of G on its own points plus the m points, those first in the base
 # (Seress, *Permutation Group Algorithms*, 2003, ch. 5), built on first use.
 
 
 class ActionMap:
-    """The action of g on aux_count points, aux_action(gen) listing the images."""
+    """The action of g on aux_count points, aux_action(x) listing the images."""
 
     def __init__(
         self, g: PermGroup, aux_count: int, aux_action: Callable[[Permutation], Sequence[int]]
@@ -803,26 +803,37 @@ class ActionMap:
         if any(sorted(aux) != list(range(aux_count)) for aux in aux_images):
             raise ValueError("aux_action must return a permutation of the aux points")
         self.source = g
-        self.image = PermGroup(aux_count, map(Permutation._trusted, aux_images))
+        self.target = PermGroup(aux_count, map(Permutation._trusted, aux_images))
+        self._aux_action = aux_action
+        self._kernel: PermGroup | None = None
         self._extended = [
             gen.images + tuple(n + a for a in aux) for gen, aux in zip(g.generators, aux_images)
         ]
 
     @functools.cached_property
     def _chain(self) -> StabChain:
-        n, m = self.source.degree, self.image.degree
+        n, m = self.source.degree, self.target.degree
         return StabChain(n + m, self._extended, base=range(n, n + m))
 
+    def image(self, x: Permutation) -> Permutation:
+        """The image of an element of the source."""
+        if not self.source.contains(x):
+            raise SubgroupError("element is not in the action's source group")
+        return Permutation(self._aux_action(x))
+
     def kernel(self) -> PermGroup:
-        """Generated by the chain's levels below the aux points: no coset enumeration."""
-        n, m = self.source.degree, self.image.degree
-        kernel_gens = self._chain.level_generators(m)
-        if any(images[n + j] != n + j for images in kernel_gens for j in range(m)):
-            raise AssertionError("kernel generator moves an auxiliary point")
-        return PermGroup(n, [Permutation(images[:n]) for images in kernel_gens])
+        """Generated by the chain's levels below the aux points: no coset
+        enumeration.  Computed once."""
+        if self._kernel is None:
+            n, m = self.source.degree, self.target.degree
+            kernel_gens = self._chain.level_generators(m)
+            if any(images[n + j] != n + j for images in kernel_gens for j in range(m)):
+                raise AssertionError("kernel generator moves an auxiliary point")
+            self._kernel = PermGroup(n, [Permutation(images[:n]) for images in kernel_gens])
+        return self._kernel
 
     def lift(self, t: Permutation) -> Permutation:
-        """An element of g acting as t, an element of the image.  Sifting
+        """An element of g acting as t, an element of the target.  Sifting
         p = (identity on g's points, t) leaves r with p = r * w, w in the
         group; r fixes the auxiliary points, whose levels come first, so w
         acts as t there and as r^-1 on g's points."""
@@ -830,6 +841,19 @@ class ActionMap:
         p = tuple(range(n)) + tuple(n + a for a in t.images)
         residue = self._chain._sift(p) or p  # None only for the identity t
         return Permutation._trusted(_inv(residue[:n]))
+
+    def preimage(self, sub: PermGroup) -> PermGroup:
+        """<kernel, a lift of each generator of sub>, extended from the
+        kernel's chain: the full preimage of sub, a subgroup of the target,
+        checked by its order."""
+        if not sub.is_subgroup_of(self.target):
+            raise SubgroupError("preimage argument is not a subgroup of the target")
+        kernel = self.kernel()
+        result = kernel.adjoin([self.lift(t) for t in sub.generators])
+        expected = sub.order() * kernel.order()
+        if result.order() != expected:
+            raise AssertionError(f"preimage order {result.order()} != |sub||kernel| = {expected}")
+        return result
 
 
 def action_kernel(

@@ -4,10 +4,10 @@ For a prime p, the p-kernel of G is G itself when G is p-soluble; otherwise
 quotient by the largest normal p-soluble subgroup R, take the socle of G/R
 (all of whose factors are then non-abelian simple groups of order divisible
 by p), and pull back the kernel K/R of G/R's conjugation action on those
-factors.  The invariant is 1 + its value on G/K, and G/K is the image of
+factors.  The invariant is 1 + its value on G/K, and G/K is the target of
 that same action, a group on as many points as there are factors: the
-series recurses on the image, and pulls each kernel of the image's series
-back through the action's lifts and then through G/R.  The definitional
+series recurses on the target, and pulls each kernel of the target's series
+back through ActionMap.preimage and then through G/R.  The definitional
 route, a shortest-series search over the full normal subgroup lattice, is an
 independent oracle of the test suite (tests/oracles.py), which cross-checks
 this one at small orders.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .group import ActionMap, PermGroup
 from .perm import Permutation
-from .quotient import _preimage, quotient_or_self
+from .quotient import quotient_or_self
 from .radicals import p_soluble_radical, require_prime
 from .structure import derived_series, socle
 
@@ -65,7 +65,7 @@ class KernelSeries:
 @functools.lru_cache(maxsize=None)
 def kernel_series(g: PermGroup, p: int) -> KernelSeries:
     """The p-kernel K of g, then the full preimages of the terms of the
-    series of G/K, read as the image of the socle-factor action.
+    series of G/K, read as the target of the socle-factor action.
 
     The series is strictly ascending, its top term is g itself, and the
     number of terms is the non-p-soluble length; a p-soluble group yields
@@ -88,10 +88,8 @@ def kernel_series(g: PermGroup, p: int) -> KernelSeries:
     kernel = action.kernel()
     if kernel.is_trivial():
         raise AssertionError("kernel series failed to ascend")
-    rest = kernel_series(action.image, p)
-    terms = [pull_back(kernel)] + [
-        pull_back(_preimage(kernel, action.image, action.lift, k)) for k in rest.kernels
-    ]
+    rest = kernel_series(action.target, p)
+    terms = [pull_back(kernel)] + [pull_back(action.preimage(k)) for k in rest.kernels]
     kernels = tuple(g if k.order() == g.order() else k for k in terms)
     counts = (len(decomposition.factors),) + rest.socle_factor_counts
     return KernelSeries(g, p, kernels, counts, pull_back(decomposition.socle))

@@ -310,7 +310,7 @@ def test_one_conjugate_per_factor_matches_the_all_generators_rule(name):
     for x in g.generators + tuple(g.random_element(rng) for _ in range(5)):
         action = length._factor_action(PermGroup(g.degree, [x]), factors)
         expected = PermGroup(len(factors), [Permutation(_all_generators_rule(x, factors))])
-        assert action.image.generators == expected.generators, name
+        assert action.target.generators == expected.generators, name
 
 
 def test_a5_wr_c2_x_c7_reports_within_budget():

@@ -30,13 +30,13 @@ from hallbound import (
 from hallbound.corpus import suite_specs
 from hallbound.errors import CapExceeded, SubgroupError
 from hallbound.group import ActionMap, _block_action
-from hallbound.quotient import _preimage, quotient_or_self
+from hallbound.quotient import quotient_or_self
 
 
 def test_quotient_s4_by_v4_is_s3(s4):
     v4 = derived_subgroup(derived_subgroup(s4))
     q = quotient_by(s4, v4)
-    assert q.index == 6
+    assert q.target.degree == 6
     assert q.target.order() == 6
     assert q.target.degree == 6
 
@@ -58,7 +58,7 @@ def test_construction_reduces_each_coset_once_per_generator(monkeypatch, s4, dep
 
     monkeypatch.setattr(StabChain, "min_coset_rep", counted)
     q = quotient_by(s4, kernel)
-    assert q.index == index
+    assert q.target.degree == index
     assert len(calls) == 1 + index * len(s4.generators)
 
 
@@ -85,21 +85,21 @@ def test_preimage_round_trip(s4):
     rng = random.Random(3)
     for _ in range(25):
         t = q.target.random_element(rng)
-        assert q.image(q.preimage_of(t)) == t
+        assert q.image(q.lift(t)) == t
 
 
 def test_preimage_subgroup_full_and_trivial(s4):
     v4 = derived_subgroup(derived_subgroup(s4))
     q = quotient_by(s4, v4)
-    assert q.preimage_subgroup(q.target).same_group_as(s4)
-    assert q.preimage_subgroup(PermGroup.trivial(q.target.degree)).same_group_as(v4)
+    assert q.preimage(q.target).same_group_as(s4)
+    assert q.preimage(PermGroup.trivial(q.target.degree)).same_group_as(v4)
 
 
 def test_image_subgroup_order(s4):
     v4 = derived_subgroup(derived_subgroup(s4))
     q = quotient_by(s4, v4)
     sylow3 = span(4, [p for p in s4.element_list() if p.order() == 3][:1])
-    image = q.image_subgroup(sylow3)
+    image = PermGroup(q.target.degree, [q.image(x) for x in sylow3.generators])
     assert image.order() == 3
 
 
@@ -156,8 +156,10 @@ def test_orbit_route_agrees_with_the_coset_action():
     # oracle, quotient_or_self takes G's action on the m orbits of N exactly
     # when that action has order |G : N| and m < |G : N|.  There its
     # pull-back must give G, N, and for each generator x the same <N, x> as
-    # QuotientMap's preimage of <x's coset image>.  The sweep takes about
-    # 15 s; the budget is 60 s.
+    # QuotientMap's preimage of <x's coset image>.  For every N, the coset
+    # map's lifts map back onto its target's generators, and its known
+    # kernel N is the kernel the generic ActionMap reads off its chain.  The
+    # sweep takes about 15 s; the budget is 60 s.
     start = time.perf_counter()
     routed = 0
     for spec in suite_specs(3) + ORBIT_ROUTE_PRODUCTS:
@@ -168,20 +170,23 @@ def test_orbit_route_agrees_with_the_coset_action():
             if n.is_trivial() or n.order() == g.order():
                 continue
             q = quotient_by(g, n)
+            index = q.target.degree
+            assert all(q.image(q.lift(t)) == t for t in q.target.generators), spec
+            assert ActionMap.kernel(q).same_group_as(n), (spec, n.order())
             blocks = n.orbits()
             on_blocks = _block_action(blocks)
             images = [Permutation(on_blocks(x)) for x in g.generators]
-            exact = len(blocks) < q.index and PermGroup(len(blocks), images).order() == q.index
+            exact = len(blocks) < index and PermGroup(len(blocks), images).order() == index
             image, pull_back = quotient_or_self(g, n)
-            assert (image.degree == len(blocks) != q.index) is exact, (spec, n.order())
+            assert (image.degree == len(blocks) != index) is exact, (spec, n.order())
             if not exact:
                 continue
             routed += 1
-            assert image.order() == q.index
+            assert image.order() == index
             assert pull_back(image).same_group_as(g)
             assert pull_back(PermGroup.trivial(image.degree)).same_group_as(n)
             for x, t in zip(g.generators, images):
-                expected = q.preimage_subgroup(PermGroup(q.index, [q.image(x)]))
+                expected = q.preimage(PermGroup(index, [q.image(x)]))
                 assert pull_back(PermGroup(image.degree, [t])).same_group_as(expected), spec
     assert routed == 29
     elapsed = time.perf_counter() - start
@@ -209,7 +214,7 @@ def test_action_lift_maps_onto_its_target(seed):
 
     for aux_count, on_aux in ((len(blocks), _block_action(blocks)), (5, on_sign_and_c3)):
         action = ActionMap(g, aux_count, on_aux)
-        image, lift = action.image, action.lift
+        image, lift = action.target, action.lift
         for _ in range(5):
             t = image.random_element(rng)
             assert on_aux(lift(t)) == list(t.images)
@@ -221,14 +226,17 @@ def test_action_lift_maps_onto_its_target(seed):
         for _ in range(3):
             t = image.random_element(rng)
             cyclic = PermGroup(image.degree, [t])
-            expected = q.preimage_subgroup(PermGroup(q.index, [q.image(lift(t))]))
-            assert _preimage(kernel, image, lift, cyclic).same_group_as(expected)
+            expected = q.preimage(PermGroup(q.target.degree, [q.image(lift(t))]))
+            assert action.preimage(cyclic).same_group_as(expected)
 
 
 def test_one_action_map_builds_one_chain(monkeypatch):
     # The kernel and five lifts of A5 wr C3's action on its three blocks
     # come from one extended chain.  The elements to lift are drawn from a
-    # copy of the image built before counting.
+    # copy of the image built before counting.  The coset action by the same
+    # kernel then pulls subgroups back from the kernel's own chain and the
+    # coset representatives: it builds no chain on g's points plus its three
+    # cosets.
     g = wreath_product(make_named("A5"), make_named("C3"))
     g.order()
     system = tuple(tuple(range(5 * i, 5 * i + 5)) for i in range(3))
@@ -249,3 +257,10 @@ def test_one_action_map_builds_one_chain(monkeypatch):
     for t in elements:
         assert on_blocks(action.lift(t)) == list(t.images)
     assert builds == [g.degree + 3]
+    kernel = action.kernel()
+    q = QuotientMap(g, kernel)
+    assert q.preimage(q.target).same_group_as(g)
+    assert q.preimage(PermGroup.trivial(3)).same_group_as(kernel)
+    for t in elements:
+        assert q.preimage(PermGroup(3, [t])).order() == t.order() * kernel.order()
+    assert builds.count(g.degree + 3) == 1
