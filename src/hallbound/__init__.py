@@ -20,8 +20,6 @@ from .perm import Permutation, format_cycles, parse_cycles
 from .group import (
     PermGroup,
     StabChain,
-    action_kernel,
-    block_action_kernel,
     center,
     centralizer,
     commutator_subgroup,

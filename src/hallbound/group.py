@@ -787,16 +787,21 @@ def pointwise_stabilizer(g: PermGroup, points: Sequence[int]) -> PermGroup:
 
 # ---------------------------------------------------------------------------
 # Action homomorphisms.  An ActionMap reads a homomorphism G -> Sym(m), given
-# on generators, as its target on the m points, and its kernel and lifts from
-# one chain of G on its own points plus the m points, those first in the base
-# (Seress, *Permutation Group Algorithms*, 2003, ch. 5), built on first use.
+# on generators, as its target on the m points, and its lifts, and its kernel
+# unless the caller passes it, from one chain of G on its own points plus the
+# m points, those first in the base (Seress, *Permutation Group Algorithms*,
+# 2003, ch. 5), built on first use.
 
 
 class ActionMap:
-    """The action of g on aux_count points, aux_action(x) listing the images."""
+    """The action of g on aux_count points, aux_action(x) listing the images.
+    A caller that holds the kernel passes it: N, for the coset action and for
+    quotient_or_self's action on N's orbits.  Without it, as for the factor
+    action and the block kernels, kernel() reads it off the chain."""
 
     def __init__(
-        self, g: PermGroup, aux_count: int, aux_action: Callable[[Permutation], Sequence[int]]
+        self, g: PermGroup, aux_count: int, aux_action: Callable[[Permutation], Sequence[int]],
+        kernel: PermGroup | None = None,
     ):
         n = g.degree
         aux_images = [tuple(aux_action(gen)) for gen in g.generators]
@@ -805,7 +810,7 @@ class ActionMap:
         self.source = g
         self.target = PermGroup(aux_count, map(Permutation._trusted, aux_images))
         self._aux_action = aux_action
-        self._kernel: PermGroup | None = None
+        self._kernel = kernel
         self._extended = [
             gen.images + tuple(n + a for a in aux) for gen, aux in zip(g.generators, aux_images)
         ]
@@ -822,8 +827,8 @@ class ActionMap:
         return Permutation(self._aux_action(x))
 
     def kernel(self) -> PermGroup:
-        """Generated by the chain's levels below the aux points: no coset
-        enumeration.  Computed once."""
+        """The kernel passed in, else generated by the chain's levels below
+        the aux points: no coset enumeration.  Computed once."""
         if self._kernel is None:
             n, m = self.source.degree, self.target.degree
             kernel_gens = self._chain.level_generators(m)
@@ -854,13 +859,6 @@ class ActionMap:
         if result.order() != expected:
             raise AssertionError(f"preimage order {result.order()} != |sub||kernel| = {expected}")
         return result
-
-
-def action_kernel(
-    g: PermGroup, aux_count: int, aux_action: Callable[[Permutation], Sequence[int]]
-) -> PermGroup:
-    """Kernel of a homomorphism G -> Sym(aux_count) given on generators."""
-    return ActionMap(g, aux_count, aux_action).kernel()
 
 
 # ---------------------------------------------------------------------------
@@ -921,10 +919,3 @@ def _block_action(system: Sequence[Sequence[int]]) -> Callable[[Permutation], li
     """A permutation's action on the blocks of a partition, as an image list."""
     index_of = {pt: i for i, block in enumerate(system) for pt in block}
     return lambda gen: [index_of[gen(block[0])] for block in system]
-
-
-def block_action_kernel(
-    g: PermGroup, system: tuple[tuple[int, ...], ...]
-) -> PermGroup:
-    """Kernel of the action of g on the blocks of an invariant partition."""
-    return action_kernel(g, len(system), _block_action(system))

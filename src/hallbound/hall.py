@@ -62,14 +62,15 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .config import SEARCH_SEED, SYLOW_COMBINATION_BUDGET, enumeration_cap
-from .errors import (
-    CapExceeded,
-    DegreeMismatch,
-    PreconditionError,
-    SubgroupError,
-    check_cap,
+from .errors import CapExceeded, PreconditionError, check_cap
+from .group import (
+    PermGroup,
+    _enlarge,
+    _require_subgroup,
+    centralizer,
+    conjugate_subgroup,
+    is_normal,
 )
-from .group import PermGroup, _enlarge, centralizer, conjugate_subgroup, is_normal
 from .perm import Permutation, _conj, _inv
 from .primes import PrimeSet, factorize
 from .radicals import pi_core, sylow_subgroup
@@ -83,10 +84,7 @@ def _is_hall_order(order: int, index: int, pi: PrimeSet) -> bool:
 
 def is_hall_subgroup(sub: PermGroup, g: PermGroup, pi: PrimeSet) -> bool:
     """Order is a pi-number and index is a pi'-number; membership checked."""
-    if sub.degree != g.degree:
-        raise DegreeMismatch("is_hall_subgroup: degree mismatch")
-    if not sub.is_subgroup_of(g):
-        raise SubgroupError("is_hall_subgroup: not a subgroup")
+    _require_subgroup(sub, g, "is_hall_subgroup")
     return _is_hall_order(sub.order(), g.order() // sub.order(), pi)
 
 
@@ -246,24 +244,18 @@ def _sylow_generated(g: PermGroup, pi: PrimeSet, target: int, built: list[int]):
     # every pass over a level reads a fresh copy of one tee, whose shared
     # buffer keeps the conjugates found so far
     conjugates = [itertools.tee(w, 1)[0] for w in walks]
-    base = sylows[fixed]
-    if not rest:
-        built[0] += 1
-        yield base
-        return
 
     def walk(joined: PermGroup, level: int):
+        if level == len(conjugates):
+            yield joined
+            return
         for factor in copy.copy(conjugates[level]):
             candidate = joined.adjoin(factor.generators, target)
             built[0] += 1
-            if candidate is None:
-                continue
-            if level + 1 == len(conjugates):
-                yield candidate
-            else:
+            if candidate is not None:
                 yield from walk(candidate, level + 1)
 
-    yield from walk(base, 0)
+    yield from walk(sylows[fixed], 0)
 
 
 def find_hall_subgroup(g: PermGroup, pi: PrimeSet) -> HallSearchResult:

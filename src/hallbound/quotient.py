@@ -5,9 +5,9 @@ The orbits of a normal N are blocks of G; when N is the whole kernel of
 G's action on them, that action, an ActionMap, is G/N on at most deg(G)
 points (Dixon & Mortimer, *Permutation Groups*, 1996, §1.6).  Otherwise G/N
 is the target of QuotientMap, the ActionMap of G on the right cosets of N,
-whose kernel is N and whose lifts are the coset representatives, so it
-builds no chain on the cosets.  Either pulls subgroups back through
-ActionMap.preimage.
+whose lifts are the coset representatives, so it builds no chain on the
+cosets.  Either map is given N as its kernel, and ActionMap.preimage pulls
+subgroups back by extending N's own chain.
 Each coset is named by its canonical representative: the lexicographically
 least element of the coset under image-array order, computed greedily from
 N's stabilizer chain without enumerating N.  Coset 0 is N itself (the least
@@ -61,13 +61,8 @@ class QuotientMap(ActionMap):
             # a generator's image is its row from the walk, not a second reduction
             return rows.get(x) or [index_of[min_rep(_mul(r, x.images))] for r in reps]
 
-        super().__init__(source, index, on_cosets)
+        super().__init__(source, index, on_cosets, kernel)
         self.coset_reps = tuple(map(Permutation._trusted, reps))
-        self._normal = kernel
-
-    def kernel(self) -> PermGroup:
-        """N itself, so no chain on the cosets is built."""
-        return self._normal
 
     def lift(self, t: Permutation) -> Permutation:
         """The canonical representative of the coset t sends N to.  The
@@ -99,7 +94,9 @@ def quotient_or_self(
         raise SubgroupError("quotient kernel must be normal in the source")
     blocks = n.orbits()
     index = g.order() // n.order()
-    action = ActionMap(g, len(blocks), _block_action(blocks)) if len(blocks) < index else None
+    # N fixes its own orbits, so it is the whole kernel exactly when the
+    # target has order |G : N|; a map that fails this never leaves here
+    action = ActionMap(g, len(blocks), _block_action(blocks), n) if len(blocks) < index else None
     if action is None or action.target.order() != index:
         action = QuotientMap(g, n)
     return action.target, action.preimage

@@ -51,9 +51,10 @@ from operator import itemgetter
 from .config import enumeration_cap
 from .errors import CapExceeded, PreconditionError, check_cap
 from .group import (
+    ActionMap,
     PermGroup,
+    _block_action,
     _is_abelian,
-    block_action_kernel,
     centralizer,
     commutator_subgroup,
     derived_subgroup,
@@ -263,7 +264,8 @@ def _action_kernels(g: PermGroup) -> list[PermGroup]:
     if len(moved) == 1:
         if len(moved[0]) == n:
             return []
-        kernels = [block_action_kernel(g, system) for system in minimal_block_systems(g)]
+        systems = minimal_block_systems(g)
+        kernels = [ActionMap(g, len(s), _block_action(s)).kernel() for s in systems]
     else:
         kernels = [pointwise_stabilizer(g, orbit) for orbit in moved]
     return _dedupe_subgroups([k for k in kernels if not k.is_trivial() and k.order() < n])

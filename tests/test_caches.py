@@ -40,7 +40,7 @@ def test_all_lists_every_imported_public_name_and_no_module():
         if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names
     }
     names = hallbound.__all__
-    assert len(names) == len(set(names)) == 90
+    assert len(names) == len(set(names)) == 88
     assert set(names) == imported | {"clear_caches"}
     assert not any(isinstance(getattr(hallbound, name), ModuleType) for name in names)
     assert {"QuotientMap", "StabChain"} <= set(names)

@@ -920,7 +920,7 @@ def test_chain_matches_reference_schreier_sims(seed):
     chain, ref = _assert_same_chain(degree, images, None, rng)
     cosets = [random_permutation(rng, degree).images for _ in range(10)]
     assert [chain.min_coset_rep(c) for c in cosets] == [ref.min_coset_rep(c) for c in cosets]
-    # a prescribed base prefix, as pointwise_stabilizer and action_kernel use
+    # a prescribed base prefix, as pointwise_stabilizer and ActionMap use
     prefix = rng.sample(range(degree), rng.randint(1, degree))
     _assert_same_chain(degree, images, prefix, rng)
 

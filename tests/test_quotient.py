@@ -172,7 +172,7 @@ def test_orbit_route_agrees_with_the_coset_action():
             q = quotient_by(g, n)
             index = q.target.degree
             assert all(q.image(q.lift(t)) == t for t in q.target.generators), spec
-            assert ActionMap.kernel(q).same_group_as(n), (spec, n.order())
+            assert ActionMap(g, index, q._aux_action).kernel().same_group_as(n), (spec, n.order())
             blocks = n.orbits()
             on_blocks = _block_action(blocks)
             images = [Permutation(on_blocks(x)) for x in g.generators]
@@ -264,3 +264,27 @@ def test_one_action_map_builds_one_chain(monkeypatch):
     for t in elements:
         assert q.preimage(PermGroup(3, [t])).order() == t.order() * kernel.order()
     assert builds.count(g.degree + 3) == 1
+
+
+@pytest.mark.parametrize("top, k", [("A5", 3), ("A5 wr C2", 7)])
+def test_orbit_route_pulls_back_through_the_known_kernel(monkeypatch, top, k):
+    # G = top x C_k and N its C_k factor: quotient_or_self acts on the orbits
+    # of N, whose kernel is N, so pulling back extends N's chain and builds
+    # no second chain on G's points.  The chains of G and N exist before
+    # counting; the target's chain and the extended chain are built inside.
+    a = group_from_spec(top)
+    g = direct_product(a, cyclic_group(k))
+    n = direct_product(PermGroup.trivial(a.degree), cyclic_group(k))
+    g.order(), n.order()
+    builds = []
+    build = StabChain.__init__
+
+    def counted(chain, *args, **kwargs):
+        builds.append(args[0])
+        build(chain, *args, **kwargs)
+
+    monkeypatch.setattr(StabChain, "__init__", counted)
+    image, pull_back = quotient_or_self(g, n)
+    assert image.degree == len(n.orbits()) < image.order()
+    assert pull_back(image).same_group_as(g)
+    assert g.degree not in builds, builds

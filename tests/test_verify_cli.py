@@ -16,6 +16,7 @@ from hallbound import (
     verify_proposition_chain,
     verify_theorem,
 )
+from hallbound import cli
 from hallbound.cli import main
 from hallbound.errors import PreconditionError
 from hallbound.verify import SCHEMA_VERSION, InvariantReport
@@ -209,6 +210,31 @@ def test_cli_invariants_json_revalidates(capsys):
     assert payload["pi"] == [2, 3]  # defaulted to {2, p}
 
 
+def test_cli_invariants_json_when_the_hall_search_is_unknown(capsys):
+    # A5 wr A5 is over the enumeration cap for a Sylow scan, and no bound
+    # decides {2, 3}: the report skips the four Hall checks but keeps the
+    # kernel lemma
+    code = main(["invariants", "A5 wr A5", "--p", "3", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["lambda_p"] == 2
+    assert payload["kernel_orders"] == [777600000, 46656000000]
+    assert payload["hall"]["status"] == "unknown"
+    assert payload["skipped_reason"] == "hall_subgroup_unknown"
+    checks = payload["checks"]
+    assert [checks[k] for k in ("theorem", "corollary", "proposition", "lemma_F")] == [None] * 4
+    assert checks["kernel_lemma"] is True
+    assert revalidate(payload)
+
+
+def test_cli_hall_unknown_exits_skipped(capsys):
+    assert main(["hall", "A5 wr A5", "--pi", "2,3"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "hall pi={2,3}: unknown"
+    assert lines[1].startswith("route: cap (")
+    assert "scan_refused" in lines[1]
+
+
 def test_cli_unknown_group_is_an_error(capsys):
     code = main(["order", "Q8"])
     assert code == 2
@@ -227,3 +253,19 @@ def test_cli_suite_scale_one(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "suite: 17 instances, 84 checks evaluated, 0 failed" in out
+
+
+def test_cli_suite_json_prints_the_reports_payload(capsys):
+    code = main(["suite", "--scale", "1", "--json"])
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["schema"] == 1
+    assert len(payload["reports"]) == 17
+    assert all(revalidate(report) for report in payload["reports"])
+    reports = [
+        compute_invariant_report(name, g, pi, p).to_dict()
+        for name, g, pi, p in cli._suite_instances(1)
+    ]
+    expected = {"schema": SCHEMA_VERSION, "scale": 1, "reports": reports}
+    assert out == json.dumps(expected, sort_keys=True) + "\n"
