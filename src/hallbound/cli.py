@@ -135,26 +135,28 @@ def _cmd_hall(args) -> int:
 
 
 def _report_for_args(args) -> InvariantReport:
+    """The report for one (group, pi, p) argument set, printed as text or JSON."""
     g = _load_group(args.spec)
     pi = PrimeSet.parse(args.pi) if args.pi else PrimeSet([2, args.p])
-    return compute_invariant_report(args.spec, g, pi, args.p)
-
-
-def _cmd_invariants(args) -> int:
-    report = _report_for_args(args)
+    report = compute_invariant_report(args.spec, g, pi, args.p)
     if args.json:
         print(report.to_json())
     else:
         _print_report(report, sys.stdout)
-    return _verdict(list(report.checks.values()))
+    return report
+
+
+def _all_flags(report: InvariantReport) -> list[bool | None]:
+    """Every check of a report, and the corollary's proof route."""
+    return [*report.checks.values(), report.corollary_route]
+
+
+def _cmd_invariants(args) -> int:
+    return _verdict(_all_flags(_report_for_args(args)))
 
 
 def _cmd_verify(args) -> int:
     report = _report_for_args(args)
-    if args.json:
-        print(report.to_json())
-    else:
-        _print_report(report, sys.stdout)
     flags: list[bool | None] = [report.theorem]
     if args.corollary:
         flags.append(report.corollary)
@@ -181,10 +183,7 @@ def _cmd_suite(args) -> int:
         compute_invariant_report(name, g, pi, p)
         for name, g, pi, p in _suite_instances(args.scale)
     ]
-    all_flags: list[bool | None] = []
-    for report in reports:
-        all_flags.extend(report.checks.values())
-        all_flags.append(report.corollary_route)
+    all_flags = [flag for report in reports for flag in _all_flags(report)]
     if args.json:
         payload = {
             "schema": SCHEMA_VERSION,

@@ -804,15 +804,15 @@ class ActionMap:
         kernel: PermGroup | None = None,
     ):
         n = g.degree
-        aux_images = [tuple(aux_action(gen)) for gen in g.generators]
-        if any(sorted(aux) != list(range(aux_count)) for aux in aux_images):
-            raise ValueError("aux_action must return a permutation of the aux points")
+        # one per generator of g: the target's list drops identities and repeats
+        aux_perms = [Permutation(aux_action(gen)) for gen in g.generators]
         self.source = g
-        self.target = PermGroup(aux_count, map(Permutation._trusted, aux_images))
+        self.target = PermGroup(aux_count, aux_perms)
         self._aux_action = aux_action
         self._kernel = kernel
         self._extended = [
-            gen.images + tuple(n + a for a in aux) for gen, aux in zip(g.generators, aux_images)
+            gen.images + tuple(n + a for a in aux.images)
+            for gen, aux in zip(g.generators, aux_perms)
         ]
 
     @functools.cached_property

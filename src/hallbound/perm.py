@@ -162,8 +162,8 @@ class Permutation:
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycle decomposition, each cycle starting at its least point."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Disjoint cycles without fixed points, each from its least point."""
         seen = [False] * self.degree
         out = []
         for start in range(self.degree):
@@ -176,7 +176,7 @@ class Permutation:
                 seen[pt] = True
                 cycle.append(pt)
                 pt = self.images[pt]
-            if len(cycle) > 1 or include_fixed:
+            if len(cycle) > 1:
                 out.append(tuple(cycle))
         return out
 

@@ -13,10 +13,11 @@ into simple factors.  They come from one call that tries in order:
   * a certified kernel search, at any order: the kernels of the actions on
     the nontrivial orbits (two or more of them) or on the minimal block
     systems (one; none for a regular action) are searched, and so is C =
-    C_G(P), P their product, read off the action (group.centralizer).
-    Inside a kernel k the search closes k's own minimal normal subgroups
-    (k settled, or over the cap: a recursive call) or k's prime-order class
-    seeds (otherwise);
+    C_G(P), P their product, read off the action (group.centralizer, which
+    raises CapExceeded when it would enumerate over the cap).  Inside a
+    kernel k the search closes k's own minimal normal subgroups (over the
+    cap, the memoized search of k; under it, k settled) or k's prime-order
+    class seeds (otherwise);
   * only when the search has no certificate, and only under the enumeration
     cap, the harvest: the inclusion-minimal seed closures (any nontrivial
     normal subgroup contains one, and a minimal normal subgroup is the
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .config import enumeration_cap
-from .errors import CapExceeded, PreconditionError, check_cap
+from .errors import PreconditionError, check_cap
 from .group import (
     ActionMap,
     PermGroup,
@@ -70,9 +71,7 @@ from .primes import factorize, is_prime
 def _dedupe_subgroups(groups: list[PermGroup]) -> list[PermGroup]:
     out: list[PermGroup] = []
     for g in groups:
-        if not any(
-            g.order() == h.order() and g.is_subgroup_of(h) for h in out
-        ):
+        if not any(g.same_group_as(h) for h in out):
             out.append(g)
     return out
 
@@ -191,9 +190,8 @@ def _support_factorization(k: PermGroup, cap: int) -> list[PermGroup] | None:
     their orders multiply to |k|, k is their direct product.  Each must be a
     certified non-abelian simple group: a giant by its order, any other
     factor under the cap.  A non-abelian simple group moves at least 5
-    points and is perfect, so an orbit of fewer points, or a factor that is
-    not perfect (an abelian one included), rejects the product before any
-    factor is certified.
+    points, so an orbit of fewer points, or a factor whose generators
+    commute, rejects the product before any factor is certified.
     """
     moved = [orbit for orbit in k.orbits() if len(orbit) > 1]
     if len(moved) < 2 or min(map(len, moved)) < 5:
@@ -208,7 +206,7 @@ def _support_factorization(k: PermGroup, cap: int) -> list[PermGroup] | None:
             return None
         factors.append(t)
         total *= t.order()
-    if total != k.order() or any(derived_subgroup(t).order() < t.order() for t in factors):
+    if total != k.order() or any(_is_abelian(t) for t in factors):
         return None
     return factors if all(is_simple(t) for t in factors) else None
 
@@ -238,18 +236,16 @@ def seed_closures(g: PermGroup) -> tuple[PermGroup, ...]:
 def _minimal_normals_inside(g: PermGroup, k: PermGroup, cap: int) -> list[PermGroup]:
     """All minimal normal subgroups of g inside the proper normal subgroup k:
     the inclusion-minimal closures in g of all of k's minimal normal
-    subgroups M (k settled or over the cap, where minimal_normal_subgroups
-    finds them at any order or raises) or of k's prime-order class seeds
-    (otherwise).  A minimal normal N <= k of g is the closure of any M <= N;
-    from an incomplete list of M a closure may be normal but not minimal."""
-    parts = _settled_minimal_normals(k, cap)
-    if parts is None and k.order() > cap:
+    subgroups M (over the cap, from the memoized minimal_normal_subgroups(k),
+    which finds them at any order or raises; under it, when k is settled) or
+    of k's prime-order class seeds (otherwise).  A minimal normal N <= k of
+    g is the closure of any M <= N; from an incomplete list of M a closure
+    may be normal but not minimal."""
+    if k.order() > cap:
         parts = minimal_normal_subgroups(k)
-    elif parts is None:
-        parts = (
-            PermGroup(g.degree, [x])
-            for x in _class_seeds(g, k, cap)
-            if is_prime(x.order())
+    else:
+        parts = _settled_minimal_normals(k, cap) or (
+            PermGroup(g.degree, [x]) for x in _class_seeds(g, k, cap) if is_prime(x.order())
         )
     return _inclusion_minimal(normal_closure(g, m) for m in parts)
 
@@ -280,15 +276,13 @@ def _certified_minimal_normals(g: PermGroup, cap: int) -> list[PermGroup] | None
     [N, K] <= N n K = 1.  A minimal normal subgroup no kernel holds thus
     lies in C = C_G(P), P the kernels' product: C is normal in G, and
     searching it too (unless it is trivial or inside a kernel) makes the
-    answer exact.  C = G (P central), or C over the cap, is no certificate.
+    answer exact.  C = G (P central) is no certificate; a centralizer that
+    would enumerate over the cap raises CapExceeded.
     """
     kernels = _action_kernels(g)
     if not kernels:
         return None
-    try:
-        c = centralizer(g, PermGroup(g.degree, [x for k in kernels for x in k.generators]))
-    except CapExceeded:
-        return None
+    c = centralizer(g, PermGroup(g.degree, [x for k in kernels for x in k.generators]))
     if c.order() == g.order():
         return None
     if not c.is_trivial() and not any(c.is_subgroup_of(k) for k in kernels):

@@ -81,7 +81,8 @@ class CorollaryCheck:
     The route fields are None when no Hall {2,p}-subgroup of H was found
     (only possible when a budget refuses the Sylow system scan and the
     later restarts miss; for soluble H one always exists, and the scan
-    finds it).
+    finds it), and route_holds is then None too: a route not walked is
+    skipped, not passed.
     """
 
     lambda_p: int
@@ -98,21 +99,13 @@ class CorollaryCheck:
         return self.lambda_p <= self.bound
 
     @property
-    def route_height_bound_holds(self) -> bool | None:
-        if self.route_fitting_height is None or self.route_two_length is None:
+    def route_holds(self) -> bool | None:
+        """h_F(T) <= 2*l2(T)+1 and l2(T) <= l2(H), or None when not walked."""
+        if self.route_fitting_height is None:
             return None
-        return self.route_fitting_height <= 2 * self.route_two_length + 1
-
-    @property
-    def route_monotone_holds(self) -> bool | None:
-        if self.route_two_length is None:
-            return None
-        return self.route_two_length <= self.two_length_hall
-
-    @property
-    def route_holds(self) -> bool:
-        return self.route_height_bound_holds is not False and (
-            self.route_monotone_holds is not False
+        return (
+            self.route_fitting_height <= 2 * self.route_two_length + 1
+            and self.route_two_length <= self.two_length_hall
         )
 
 
@@ -197,8 +190,8 @@ class InvariantReport:
     skipped_reason: str | None = None
     # The corollary's internal proof route.  Deliberately outside the
     # serialized schema (and outside equality) because it cannot be
-    # recomputed from the report's numbers alone; the suite runner still
-    # fails on it.
+    # recomputed from the report's numbers alone; the invariants and suite
+    # commands still fail on it.
     corollary_route: bool | None = field(default=None, compare=False)
 
     @property

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_subgroup_gens
+from oracles import normal_subgroup_lattice
 from hallbound import (
     PermGroup,
     PrimeSet,
@@ -490,11 +491,11 @@ def test_a_direct_product_splits_without_enumeration(monkeypatch):
 
 @pytest.mark.parametrize("spec, orders", [("PSL(2,7) x S3", [3, 168]), ("A5 x D12", [2, 3, 60])])
 def test_a_soluble_orbit_factor_rejects_the_product_first(monkeypatch, spec, orders):
-    # The orbit factor S3 (or D12) is not perfect, so the orbit factors are
-    # no simple product and the simple factor is never enumerated to certify
-    # it.  The orbit kernels are searched instead, and the centralizer that
-    # certifies the search is read off the action, so G's own elements are
-    # never read.
+    # The orbit factor S3 moves too few points, and D12 is not simple, so
+    # the orbit factors are no simple product and the simple factor (a
+    # giant) is never enumerated to certify it.  The orbit kernels are
+    # searched instead, and the centralizer that certifies the search is
+    # read off the action, so G's own elements are never read.
     g = group_from_spec(spec)
     enumerated = _count_enumerations(monkeypatch)
     clear_caches()
@@ -505,6 +506,24 @@ def test_a_soluble_orbit_factor_rejects_the_product_first(monkeypatch, spec, ord
     assert sorted(n.order() for n in minimals) == orders
     assert enumerated
     assert g.order() not in enumerated
+
+
+@pytest.mark.parametrize("spec, count", [("C5 x C5", 6), ("C7 x C7", 8), ("A5 x C5 x C5", 7)])
+def test_an_abelian_orbit_factor_rejects_the_product(spec, count):
+    # Each C_q factor has an orbit of at least 5 points, is simple, and the
+    # orbit factors multiply to |G|; only its being abelian keeps the group
+    # from splitting into them, which would lose the q - 1 diagonal
+    # subgroups of each C_q x C_q.  The atoms of the normal lattice are the
+    # exhaustive answer.
+    g = group_from_spec(spec)
+    lattice = [n for n in normal_subgroup_lattice(g) if not n.is_trivial()]
+    atoms = [
+        n for n in lattice
+        if not any(m.order() < n.order() and m.is_subgroup_of(n) for m in lattice)
+    ]
+    minimals = minimal_normal_subgroups(g)
+    assert len(atoms) == len(minimals) == count
+    assert all(any(m.same_group_as(n) for n in atoms) for m in minimals)
 
 
 @pytest.mark.parametrize("spec, order", [("A8", 20160), ("S7", 2520), ("S10", 1814400), ("A10", 1814400)])

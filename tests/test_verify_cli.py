@@ -1,6 +1,7 @@
 """End-to-end checks of the verification layer and the command line."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -16,10 +17,10 @@ from hallbound import (
     verify_proposition_chain,
     verify_theorem,
 )
-from hallbound import cli
+from hallbound import cli, clear_caches
 from hallbound.cli import main
 from hallbound.errors import PreconditionError
-from hallbound.verify import SCHEMA_VERSION, InvariantReport
+from hallbound.verify import SCHEMA_VERSION, CorollaryCheck, InvariantReport
 
 
 def test_validate_hypotheses_rejects_bad_input():
@@ -46,6 +47,13 @@ def test_verify_corollary_on_a5(a5):
     assert record.holds
     assert record.bound == 2 * record.two_length_hall + 1
     assert record.route_holds
+
+
+def test_a_route_not_walked_is_skipped():
+    assert CorollaryCheck(1, 1, None, None).route_holds is None
+    assert CorollaryCheck(1, 1, 3, 1).route_holds is True
+    assert CorollaryCheck(1, 1, 4, 1).route_holds is False
+    assert CorollaryCheck(1, 1, 1, 2).route_holds is False
 
 
 def test_verify_proposition_chain_on_a5(a5):
@@ -269,3 +277,68 @@ def test_cli_suite_json_prints_the_reports_payload(capsys):
     ]
     expected = {"schema": SCHEMA_VERSION, "scale": 1, "reports": reports}
     assert out == json.dumps(expected, sort_keys=True) + "\n"
+
+
+def _patched_a5_report(monkeypatch, a5, **changes):
+    """Make the CLI compute the A5, pi = {2,3}, p = 3 report with changes."""
+    report = replace(compute_invariant_report("A5", a5, PrimeSet([2, 3]), 3), **changes)
+    monkeypatch.setattr(cli, "compute_invariant_report", lambda *args: report)
+
+
+def test_cli_invariants_fails_on_a_failed_route(capsys, monkeypatch, a5):
+    _patched_a5_report(monkeypatch, a5, corollary_route=False)
+    assert main(["invariants", "A5", "--p", "3"]) == 1
+    assert "check corollary: holds (route: FAILED)" in capsys.readouterr().out
+
+
+def test_cli_invariants_skips_a_route_not_walked(capsys, monkeypatch, a5):
+    _patched_a5_report(monkeypatch, a5, corollary_route=None)
+    assert main(["invariants", "A5", "--p", "3"]) == 0
+    assert "check corollary: holds (route: skipped)" in capsys.readouterr().out
+
+
+def test_cli_verify_fails_on_a_failed_theorem(capsys, monkeypatch, a5):
+    _patched_a5_report(monkeypatch, a5, theorem=False)
+    assert main(["verify", "A5", "--pi", "2,3", "--p", "3"]) == 1
+    assert "check theorem: FAILED" in capsys.readouterr().out
+
+
+def test_cli_verify_json_revalidates(capsys):
+    code = main(["verify", "A5", "--pi", "2,3", "--p", "3", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["hall"] == {"status": "found", "order": 12}
+    assert revalidate(payload)
+
+
+def test_cli_invariants_text(capsys):
+    assert main(["invariants", "S4", "--p", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "group S4 (order 24, degree 4)  pi={2,3}  p=3",
+        "lambda_p = 0  kernel orders: []",
+        "hall: found, order 24",
+        "h*(H) = 3",
+        "l2(H) = 2",
+        "check theorem: holds",
+        "check corollary: holds (route: holds)",
+        "check proposition: holds",
+        "check lemma_F: holds",
+        "check kernel_lemma: holds",
+    ]
+
+
+def test_cli_group_file_as_a_plain_path(tmp_path, capsys):
+    path = tmp_path / "c7.grp"
+    path.write_text("degree 7\n(1 2 3 4 5 6 7)\n")
+    assert main(["order", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "7"
+
+
+def test_cli_rejects_a_cap_that_is_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("HALLBOUND_CAP", "abc")
+    clear_caches()
+    try:
+        assert main(["invariants", "A5", "--p", "3"]) == 2
+    finally:
+        clear_caches()
+    assert "HALLBOUND_CAP must be an integer" in capsys.readouterr().err
