@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import enumeration_cap
 from .errors import DegreeMismatch, SubgroupError, check_cap
-from .perm import Permutation, _inv, _mul
+from .perm import Permutation, _inv, _mul, _order_divides
 
 
 class _OrbitDoesNotDivide(Exception):
@@ -64,17 +64,15 @@ def _orbit(gens: Sequence[tuple[int, ...]], point: int) -> list[int]:
     return out
 
 
-def _orbits(gens: Sequence[tuple[int, ...]], degree: int) -> list[list[int]]:
+def _orbits(gens: Sequence[tuple[int, ...]], degree: int) -> Iterator[list[int]]:
     """All orbits under image tuples, ordered by least point, each in BFS
-    order from it."""
+    order from it, each found when it is asked for."""
     seen: set[int] = set()
-    out = []
     for pt in range(degree):
         if pt not in seen:
             orb = _orbit(gens, pt)
             seen.update(orb)
-            out.append(orb)
-    return out
+            yield orb
 
 
 class StabChain:
@@ -89,8 +87,9 @@ class StabChain:
       generators themselves, which already sift to the identity through the
       finished deeper levels.  On a non-trivial level, a product u * x that
       is itself the coset representative of its image of the base point
-      gives the identity as Schreier generator and is skipped.  Each level's
-      generator list is formed once per rebuild.
+      gives the identity as Schreier generator and is skipped; the BFS tree
+      edges, which give it by construction, are skipped before the product
+      is formed.  Each level's generator list is formed once per rebuild.
     * Sift: between two non-trivial levels one C-level comparison checks
       that p fixes every skipped base point; where it does not, p is
       returned as it stands, exactly where a pass over every level would
@@ -126,6 +125,9 @@ class StabChain:
     a rebuilt level starts a fresh inverse cache that keeps the entries of
     the representatives that came out unchanged.
 
+    A build given the group's order stops scanning once the chain is
+    complete (see _build; Seress ch. 4), with the chain of the full build.
+
     With a divisor n the build stops (``_OrbitDoesNotDivide``) at the first
     rebuilt level whose orbit length does not divide n.  That level's orbit
     is an orbit of K_i = <strong generators at level >= i>, a subgroup of the
@@ -140,6 +142,7 @@ class StabChain:
         degree: int,
         generators: Sequence[tuple[int, ...]],
         base: Sequence[int] | None = None,
+        order: int | None = None,
     ):
         self.degree = degree
         identity = tuple(range(degree))
@@ -161,10 +164,11 @@ class StabChain:
         self._trans: dict[int, dict[int, tuple[int, ...]]] = {}
         self._transversal_inv: dict[int, dict[int, tuple[int, ...]]] = {}
         self._levels: list[tuple] = []
-        # each non-trivial level's transversal in sorted point order, deepest
-        # first, kept by random_element once the chain is finished
-        self._draws: list[list[tuple[int, ...]]] | None = None
-        self._extend(generators, None)
+        # each non-trivial level's transversal in sorted point order, with
+        # its size and the size's bit length, deepest first, kept by
+        # random_element once the chain is finished
+        self._draws: list[tuple[list[tuple[int, ...]], int, int]] | None = None
+        self._extend(generators, None, order)
 
     def extended(self, generators: Sequence[tuple[int, ...]], divisor: int | None = None):
         """The chain of <this group, generators>, built on a copy of this
@@ -178,7 +182,9 @@ class StabChain:
         chain._extend(generators, divisor)
         return chain
 
-    def _extend(self, generators: Sequence[tuple[int, ...]], divisor: int | None) -> None:
+    def _extend(
+        self, generators: Sequence[tuple[int, ...]], divisor: int | None, order: int | None = None
+    ) -> None:
         """Append the new strong generators and resume the build at the
         deepest level among them."""
         parent = len(self._strong)
@@ -192,7 +198,7 @@ class StabChain:
             return
         levels = sorted({entry[0] for entry in self._levels}.union(fresh))
         self._set_levels(levels)
-        self._build(levels.index(max(fresh)), divisor, parent)
+        self._build(levels.index(max(fresh)), divisor, parent, order)
 
     @property
     def transversal(self) -> list[dict[int, tuple[int, ...]]]:
@@ -225,27 +231,29 @@ class StabChain:
 
     def _rebuild_level(
         self, i: int, gens: Sequence[tuple[int, ...]]
-    ) -> tuple[dict[int, tuple[int, ...]], set[int]]:
+    ) -> tuple[dict[int, tuple[int, ...]], set[int], dict[int, tuple[int, ...]]]:
         """Rebuild level i's transversal from gens; returns it with the
         points whose representative came out unchanged, which keep their
-        cached inverses."""
+        cached inverses, and the BFS tree: each point's representative is
+        u * x for the point x maps to it and the generator x held here."""
         b = self.base[i]
         old = self._trans.get(i) or {b: self._identity}
         trans = {b: self._identity}
-        queue = deque([b])
-        while queue:
-            pt = queue.popleft()
+        tree: dict[int, tuple[int, ...]] = {}
+        queue = [b]
+        for pt in queue:
             u = trans[pt]
             for g in gens:
                 img = g[pt]
                 if img not in trans:
                     trans[img] = _mul(u, g)
+                    tree[img] = g
                     queue.append(img)
         kept = {pt for pt, u in trans.items() if old.get(pt) == u}
         inv = self._transversal_inv.get(i, {})
         self._trans[i] = trans
         self._transversal_inv[i] = {pt: v for pt, v in inv.items() if pt in kept}
-        return trans, kept
+        return trans, kept, tree
 
     def _u_inv(self, i: int, pt: int) -> tuple[int, ...]:
         """Inverse of the level-i transversal element for pt, cached."""
@@ -259,16 +267,22 @@ class StabChain:
         """Reduce p through the non-trivial levels from the k-th one on.
 
         p must fix the base points before the k-th non-trivial level's gap.
-        Returns None when p sifts to the identity, else the residue.
+        Returns None when p sifts to the identity, else the residue.  Only
+        points of the transversal have a cached inverse.
         """
-        for i, b, gap_check, gap in self._levels[k:]:
+        for i, b, gap_check, gap in self._levels[k:] if k else self._levels:
             if gap_check is not None and gap_check(p) != gap:
                 return p
             img = p[b]
             if img != b:
-                if img not in self._trans[i]:
-                    return p
-                p = _mul(p, self._u_inv(i, img))
+                inv = self._transversal_inv[i]
+                u_inv = inv.get(img)
+                if u_inv is None:
+                    u = self._trans[i].get(img)
+                    if u is None:
+                        return p
+                    u_inv = inv[img] = _inv(u)
+                p = _mul(p, u_inv)
         # full base: anything fixing every base point is the identity
         return None if p == self._identity else p
 
@@ -277,6 +291,7 @@ class StabChain:
         k: int,
         gens: list[tuple[int, ...]],
         kept: set[int],
+        tree: dict[int, tuple[int, ...]],
         count: int,
         stop: tuple[int, int] | None,
     ) -> tuple[tuple[int, ...] | None, tuple[int, int] | None]:
@@ -284,13 +299,16 @@ class StabChain:
         not sift through the deeper levels, as its sift residue, with its
         pair (beta, index of x in gens); (None, None) when there is none.
 
-        kept holds the points whose representative the rebuild left
-        unchanged; count and stop describe the level's last scan: its
-        number of generators (a prefix of gens) and the pair whose residue
-        it returned (None: it completed).  A pair that scan reached, with x
-        among its generators and u_beta and u_x(beta) unchanged, has the
-        same Schreier generator as then, which lies in K_(i+1) and so sifts
-        to the identity: it is skipped.
+        tree maps each point to the generator of its BFS tree edge: a pair
+        (beta, x) with tree[x(beta)] the generator x is that edge, whose
+        Schreier generator is the identity by construction, so it is skipped
+        before u * x is formed.  kept holds the points whose representative
+        the rebuild left unchanged; count and stop describe the level's last
+        scan: its number of generators (a prefix of gens) and the pair whose
+        residue it returned (None: it completed).  A pair that scan reached,
+        with x among its generators and u_beta and u_x(beta) unchanged, has
+        the same Schreier generator as then, which lies in K_(i+1) and so
+        sifts to the identity: it is skipped.
         """
         i, b, _, _ = self._levels[k]
         trans = self._trans[i]
@@ -302,20 +320,19 @@ class StabChain:
                     proved = count
                 elif beta == stop[0]:
                     proved = stop[1] + 1
-            todo = gens
-            if proved:  # u * x maps b to x[beta]
-                todo = [x for x in gens[:proved] if x[beta] not in kept] + gens[proved:]
-            for x in todo:
+            for j, x in enumerate(gens):
+                img = x[beta]  # u * x maps b to img
+                if tree.get(img) is x or j < proved and img in kept:
+                    continue
                 v = _mul(u, x)
-                img = v[b]
                 if v == trans[img]:
                     continue  # the Schreier generator is the identity
                 residue = self._sift(_mul(v, self._u_inv(i, img)), k + 1)
                 if residue is not None:
-                    return residue, (beta, gens.index(x))
+                    return residue, (beta, j)
         return None, None
 
-    def _build(self, k: int, divisor: int | None, parent: int) -> None:
+    def _build(self, k: int, divisor: int | None, parent: int, order: int | None = None) -> None:
         """Rebuild the k-th non-trivial level and every shallower one, and
         descend again from the level of each new residue.
 
@@ -324,6 +341,16 @@ class StabChain:
         chain being extended, with the first `parent` strong generators
         (those at its level or deeper), and its transversal is still in
         place; a trivial one had {base point: identity}.
+
+        With the order of the group known, the scans stop once the product
+        of the levels' orbit lengths reaches it, and the shallower levels
+        are only rebuilt.  The orbit a level holds is an orbit of a subgroup
+        of G_j, the pointwise stabilizer of the base points before it (a
+        level not rebuilt yet holds its base point alone), so its length is
+        at most |G_j : G_(j+1)|, and the product reaches |G| only when the
+        strong generators at each level and deeper generate G_j: the strong
+        generating set is complete, no scan left would find a residue, and
+        the rebuilds give each level the transversal of the full build.
         """
         levels = [entry[0] for entry in self._levels]
         scans: dict[int, tuple[int, tuple[int, int] | None]] = {}
@@ -332,10 +359,16 @@ class StabChain:
             gens = [g for g, lv in self._strong if lv >= i]
             if i not in scans:
                 scans[i] = (sum(lv >= i for _, lv in self._strong[:parent]), None)
-            trans, kept = self._rebuild_level(i, gens)
+            trans, kept, tree = self._rebuild_level(i, gens)
             if divisor is not None and divisor % len(trans):
                 raise _OrbitDoesNotDivide
-            residue, stop = self._first_residue(k, gens, kept, *scans[i])
+            if order is not None and order == math.prod(
+                len(self._trans[lv]) for lv in levels if lv in self._trans
+            ):
+                for lv in reversed(levels[:k]):
+                    self._rebuild_level(lv, [g for g, at in self._strong if at >= lv])
+                return
+            residue, stop = self._first_residue(k, gens, kept, tree, *scans[i])
             scans[i] = (len(gens), stop)
             if residue is None:
                 k -= 1
@@ -390,13 +423,22 @@ class StabChain:
 
     def random_element(self, rng) -> tuple[int, ...]:
         """Uniformly random element via one transversal pick per level, in
-        sorted point order; the sorted levels are kept for later draws."""
+        sorted point order; the sorted levels are kept for later draws.
+
+        Each pick is rng.choice(level), drawn as Random.choice draws it: k
+        bits from rng.getrandbits, k the bit length of the level's size n,
+        again while the value is n or more."""
         if self._draws is None:
-            self._draws = self._sorted_levels()
-        p = self._identity
-        for level in self._draws:
-            p = _mul(p, rng.choice(level))
-        return p
+            levels = self._sorted_levels()
+            self._draws = [(level, len(level), len(level).bit_length()) for level in levels]
+        getrandbits = rng.getrandbits
+        p = None
+        for level, n, k in self._draws:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            p = level[r] if p is None else _mul(p, level[r])
+        return self._identity if p is None else p
 
     def min_coset_rep(self, c: tuple[int, ...]) -> tuple[int, ...]:
         """Lexicographically least element of (this group) * c.
@@ -474,17 +516,18 @@ class PermGroup:
 
         The checks run cheapest first, each a divisor of the order that
         must divide n: the order of y * x for each new y and each generator
-        x of self (Lagrange), then the length of each orbit of <self, new>
-        (an index), and only then the chain levels: the extension stops at
-        the first rebuilt orbit whose length does not divide n (see
-        StabChain).  The generators are self.generators + new, as
+        x of self (Lagrange), read off its cycle lengths, then the length
+        of each orbit of <self, new> (an index), each check stopping at the
+        first that does not divide n, and only then the chain levels: the
+        extension stops at the first rebuilt orbit whose length does not
+        divide n (see StabChain).  The generators are self.generators + new, as
         PermGroup(degree, self.generators + new) has them.
         """
         images = [y.images for y in new]
         if divisor is not None:
-            for y in new:
+            for y in images:
                 for x in self.generators:
-                    if divisor % Permutation._trusted(_mul(y.images, x.images)).order():
+                    if not _order_divides(_mul(y, x.images), divisor):
                         return None
             gens = [x.images for x in self.generators] + images
             if any(divisor % len(orbit) for orbit in _orbits(gens, self.degree)):
@@ -595,22 +638,27 @@ def is_normal(sub: PermGroup, ambient: PermGroup) -> bool:
 def normal_closure(ambient: PermGroup, sub: PermGroup) -> PermGroup:
     """Smallest normal subgroup of ambient containing sub.
 
-    Conjugates of current generators are adjoined in batches until stable.
-    The start group is a span and each batch enlarges it the same way,
+    Conjugates are adjoined in rounds until a round adds none.  Each round
+    conjugates, by every generator of ambient, the generators the last
+    round added (the first round: the start group's); a conjugate of an
+    older generator was taken in an earlier round and lies in the group
+    already, so the adjoin calls are those of rounds over every generator.
+    The start group is a span and each round enlarges it the same way,
     keeping a conjugate only when it enlarges the group, so a closure of
-    order n has at most log2 n generators.  A closure of full order is returned as ambient
-    itself.
+    order n has at most log2 n generators.  A closure of full order is
+    returned as ambient itself.
     """
     _require_subgroup(sub, ambient, "normal_closure")
     if sub.is_trivial():
         return PermGroup.trivial(ambient.degree)
     current = span(ambient.degree, sub.generators)
-    while True:
-        conjugates = (h.conjugate(g) for g in ambient.generators for h in current.generators)
+    fresh = current.generators
+    while fresh:
+        conjugates = (h.conjugate(g) for g in ambient.generators for h in fresh)
         grown = _enlarge(current, conjugates)
-        if grown is current:
-            return ambient if current.order() == ambient.order() else current
+        fresh = grown.generators[len(current.generators) :]
         current = grown
+    return ambient if current.order() == ambient.order() else current
 
 
 def commutator_subgroup(a: PermGroup, b: PermGroup, ambient: PermGroup) -> PermGroup:
@@ -778,7 +826,7 @@ def pointwise_stabilizer(g: PermGroup, points: Sequence[int]) -> PermGroup:
     prefix = list(dict.fromkeys(points))
     if not prefix:
         return g
-    chain = StabChain(g.degree, [p.images for p in g.generators], base=prefix)
+    chain = StabChain(g.degree, [p.images for p in g.generators], base=prefix, order=g.order())
     gens = [
         Permutation._trusted(images) for images in chain.level_generators(len(prefix))
     ]
@@ -818,7 +866,8 @@ class ActionMap:
     @functools.cached_property
     def _chain(self) -> StabChain:
         n, m = self.source.degree, self.target.degree
-        return StabChain(n + m, self._extended, base=range(n, n + m))
+        # the action on n + m points is faithful, so its order is |source|
+        return StabChain(n + m, self._extended, base=range(n, n + m), order=self.source.order())
 
     def image(self, x: Permutation) -> Permutation:
         """The image of an element of the source."""

@@ -116,8 +116,35 @@ class HallSearchResult:
 
 
 def _pi_part_of_element(x: Permutation, pi: PrimeSet) -> Permutation:
-    """Power of x whose order is the pi-part of x's order."""
-    return x ** pi.coprime_part_of(x.order())
+    """Power of x whose order is the pi-part of x's order: x ** m, m the
+    pi'-part of the order.  One walk finds the cycles and, from their
+    lengths, the order; x ** m moves each point m steps along its cycle.
+    The walk is not Permutation.cycles: with its cycle tuples the suite
+    workload read 0.4 MB more peak RSS at a fixed pass count."""
+    images = x.images
+    seen = bytearray(len(images))
+    cycles = []
+    order = 1
+    for start, pt in enumerate(images):
+        if seen[start] or pt == start:
+            continue
+        cycle = [start]
+        seen[start] = 1
+        while pt != start:
+            seen[pt] = 1
+            cycle.append(pt)
+            pt = images[pt]
+        cycles.append(cycle)
+        order = math.lcm(order, len(cycle))
+    m = pi.coprime_part_of(order)
+    if m == 1:
+        return x
+    power = list(images)
+    for cycle in cycles:
+        shift = m % len(cycle)
+        for pt, image in zip(cycle, cycle[shift:] + cycle[:shift]):
+            power[pt] = image
+    return Permutation._trusted(tuple(power))
 
 
 # Greedy restarts before the coset-action bound on G, and after a refused

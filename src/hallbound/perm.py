@@ -61,6 +61,24 @@ def _conj(
     return tuple(out)
 
 
+def _order_divides(images: Sequence[int], n: int) -> bool:
+    """Whether the order divides n: every cycle length does.  One walk over
+    the cycles, stopping at the first whose length does not."""
+    seen = bytearray(len(images))
+    for start, pt in enumerate(images):
+        if seen[start] or pt == start:
+            continue
+        length = 1
+        seen[start] = 1
+        while pt != start:
+            seen[pt] = 1
+            pt = images[pt]
+            length += 1
+        if n % length:
+            return False
+    return True
+
+
 class Permutation:
     """An immutable permutation of fixed degree."""
 

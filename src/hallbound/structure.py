@@ -190,8 +190,13 @@ def _support_factorization(k: PermGroup, cap: int) -> list[PermGroup] | None:
     their orders multiply to |k|, k is their direct product.  Each must be a
     certified non-abelian simple group: a giant by its order, any other
     factor under the cap.  A non-abelian simple group moves at least 5
-    points, so an orbit of fewer points, or a factor whose generators
-    commute, rejects the product before any factor is certified.
+    points, and its order has at least three prime divisors (a group of
+    order p^a q^b is soluble, by Burnside's theorem), so an orbit of fewer
+    points, or a factor of an order with fewer primes (an abelian simple
+    factor among them), rejects the product before any factor is
+    certified.  The factors are certified smallest first, so a small factor
+    that is not simple rejects the product before a larger one is
+    enumerated; they are returned in orbit order.
     """
     moved = [orbit for orbit in k.orbits() if len(orbit) > 1]
     if len(moved) < 2 or min(map(len, moved)) < 5:
@@ -206,9 +211,9 @@ def _support_factorization(k: PermGroup, cap: int) -> list[PermGroup] | None:
             return None
         factors.append(t)
         total *= t.order()
-    if total != k.order() or any(_is_abelian(t) for t in factors):
+    if total != k.order() or any(len(factorize(t.order())) < 3 for t in factors):
         return None
-    return factors if all(is_simple(t) for t in factors) else None
+    return factors if all(is_simple(t) for t in sorted(factors, key=PermGroup.order)) else None
 
 
 def _settled_minimal_normals(g: PermGroup, cap: int) -> list[PermGroup] | None:

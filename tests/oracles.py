@@ -13,6 +13,9 @@ that commute with the subgroup's generators, against the package's
 centralizer, which reads C_G(N) off the action.  no_nilpotent_hall_2p_oracle
 walks the Hall search's Sylow system scan and tests each full-order join for
 nilpotency, against the package's check by one centralizer.
+normal_closure_oracle conjugates every generator in every round, against
+the package's normal_closure, which conjugates only the generators the last
+round added.
 """
 
 import functools
@@ -31,6 +34,7 @@ from hallbound import (
     span,
 )
 from hallbound.errors import PreconditionError, check_cap
+from hallbound.group import _enlarge
 from hallbound.hall import _sylow_generated
 from hallbound.radicals import require_prime
 
@@ -196,6 +200,21 @@ def centralizer_oracle(ambient: PermGroup, sub: PermGroup) -> PermGroup:
     result = span(ambient.degree, hits)
     assert result.order() == len(hits)
     return result
+
+
+def normal_closure_oracle(ambient: PermGroup, sub: PermGroup) -> PermGroup:
+    """The normal closure by rounds that conjugate every generator of the
+    group found so far by every generator of ambient, until a round adds
+    nothing; a closure of full order is ambient itself."""
+    if sub.is_trivial():
+        return PermGroup.trivial(ambient.degree)
+    current = span(ambient.degree, sub.generators)
+    while True:
+        conjugates = (h.conjugate(g) for g in ambient.generators for h in current.generators)
+        grown = _enlarge(current, conjugates)
+        if grown is current:
+            return ambient if current.order() == ambient.order() else current
+        current = grown
 
 
 def no_nilpotent_hall_2p_oracle(simple_group: PermGroup, p: int) -> bool:

@@ -22,7 +22,9 @@ from hallbound import (
     alternating_group,
     center,
     centralizer,
+    clear_caches,
     commutator_subgroup,
+    compute_invariant_report,
     conjugate_subgroup,
     cyclic_group,
     derived_subgroup,
@@ -32,6 +34,7 @@ from hallbound import (
     group_from_spec,
     intersection,
     is_normal,
+    kernel_series,
     make_named,
     minimal_normal_subgroups,
     normal_closure,
@@ -40,6 +43,7 @@ from hallbound import (
     suite_specs,
     sylow_subgroup,
     symmetric_group,
+    valid_instances,
 )
 from hallbound import group
 from hallbound.errors import CapExceeded, DegreeMismatch
@@ -47,7 +51,7 @@ from hallbound.perm import _inv, _mul
 from hallbound.primes import prime_divisors
 
 from conftest import SRC, permutations_of_degree, random_permutation, random_subgroup_gens
-from oracles import centralizer_oracle
+from oracles import centralizer_oracle, normal_closure_oracle
 
 
 def test_symmetric_group_order_and_membership():
@@ -251,6 +255,38 @@ KERNEL_SPECS = (
     "A5 x D12", "PSL(2,7) x S3", "S5 x S3", "A5 x SL(2,3)", "A8",
     "PSL(2,7) wr C2", "A6 x A5",
 )
+
+
+def _adjoin_log(closure, ambient, sub):
+    """closure(ambient, sub), with every PermGroup.adjoin call it makes as
+    (generators, new elements, divisor)."""
+    log = []
+    adjoin = PermGroup.adjoin
+
+    def recorded(self, new, divisor=None):
+        log.append((self.generators, tuple(new), divisor))
+        return adjoin(self, new, divisor)
+
+    with mock.patch.object(PermGroup, "adjoin", recorded):
+        return closure(ambient, sub), log
+
+
+@pytest.mark.parametrize("spec", sorted(set(suite_specs(3)) | set(KERNEL_SPECS)))
+def test_normal_closure_adjoins_as_the_all_generators_rounds(spec):
+    # a round that conjugates only the generators the last round added
+    # skips conjugates that the group already holds, so every adjoin call,
+    # and so the closure, is the one of the rounds over every generator
+    g = group_from_spec(spec)
+    rng = random.Random(11)
+    subs = [PermGroup(g.degree, [x]) for x in g.generators]
+    subs += [PermGroup(g.degree, [g.random_element(rng)]) for _ in range(3)]
+    subs.append(PermGroup(g.degree, [x.commutator(y) for x in g.generators for y in g.generators]))
+    for sub in subs:
+        ours, our_log = _adjoin_log(normal_closure, g, sub)
+        theirs, their_log = _adjoin_log(normal_closure_oracle, g, sub)
+        assert our_log == their_log
+        assert ours.generators == theirs.generators
+        assert ours.order() == theirs.order()
 
 
 @contextlib.contextmanager
@@ -931,7 +967,7 @@ class _FullScanChain(StabChain):
     level's last scan proved.  Kept as the oracle that every extension
     must match chain for chain."""
 
-    def _first_residue(self, k, gens, old, count, stop):
+    def _first_residue(self, k, gens, old, tree, count, stop):
         i, b, _, _ = self._levels[k]
         trans = self._trans[i]
         for beta in sorted(trans):
@@ -950,6 +986,65 @@ class _FullScanChain(StabChain):
 def _level_table(chain: StabChain):
     """The non-trivial levels as (level, base point, gap points)."""
     return [(i, b, gap) for i, b, _, gap in chain._levels]
+
+
+def _known_order_builds(run) -> list[tuple]:
+    """The (degree, generators, base, order) of every StabChain built with
+    its order known while run() runs."""
+    calls = []
+    init = StabChain.__init__
+
+    def recorded(chain, degree, generators, base=None, order=None):
+        if order is not None:
+            calls.append((degree, list(generators), base, order))
+        init(chain, degree, generators, base, order)
+
+    with mock.patch.object(StabChain, "__init__", recorded):
+        run()
+    return calls
+
+
+def test_known_order_chains_are_the_full_builds():
+    """Every chain that pointwise_stabilizer and ActionMap build with the
+    group's order known, over the reports of the scale-3 suite and the
+    kernel series of the kernel groups, is the chain of the full build: the
+    same strong generators, transversals and levels.  Each sifts no more
+    pairs, and together they sift fewer."""
+
+    def run():
+        clear_caches()
+        for spec in suite_specs(3):
+            g = group_from_spec(spec)
+            for pi, p in valid_instances(g):
+                compute_invariant_report(spec, g, pi, p)
+        for spec in KERNEL_SPECS:
+            g = group_from_spec(spec)
+            for p in prime_divisors(g.order())[1:]:
+                kernel_series(g, p)
+
+    calls = _known_order_builds(run)
+    sifts = [0]
+    sift = StabChain._sift
+
+    def counted(chain, p, k=0):
+        sifts[0] += 1
+        return sift(chain, p, k)
+
+    known = full = 0
+    with mock.patch.object(StabChain, "_sift", counted):
+        for degree, gens, base, order in calls:
+            sifts[0] = 0
+            fast = StabChain(degree, gens, base=base, order=order)
+            known, before = known + sifts[0], sifts[0]
+            sifts[0] = 0
+            plain = StabChain(degree, gens, base=base)
+            full += sifts[0]
+            assert before <= sifts[0]
+            assert fast.order() == order
+            assert _chain_state(fast) == _chain_state(plain)
+            assert _level_table(fast) == _level_table(plain)
+    assert len({order for *_, order in calls}) > 10
+    assert known < full
 
 
 def _extend_or_stop(chain: StabChain, images, divisor):

@@ -1,14 +1,17 @@
 """Permutation arithmetic: group laws, orders, cycle notation round-trips."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallbound import Permutation
 from hallbound.errors import DegreeMismatch
-from hallbound.perm import format_cycles, parse_cycles
+from hallbound.perm import _order_divides, format_cycles, parse_cycles
 
-from conftest import permutations_of_degree
+from conftest import permutations_of_degree, random_permutation
 
 DEGREE = 7
 perms = permutations_of_degree(DEGREE)
@@ -178,3 +181,16 @@ def test_commutator_definition(a, b):
 @settings(max_examples=100)
 def test_cycle_format_round_trip(a):
     assert parse_cycles(format_cycles(a), degree=DEGREE) == a
+
+
+@pytest.mark.property_based
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5_040))
+@settings(max_examples=200, deadline=None)
+def test_order_divides_reads_the_cycle_lengths(seed, n):
+    """The cycle-length test, which stops at the first cycle whose length
+    does not divide n, agrees with the order on every n tried."""
+    rng = random.Random(seed)
+    x = random_permutation(rng, rng.randint(1, 30))
+    order = x.order()
+    for m in (n, order, order * rng.randint(2, 6), math.lcm(order, n) // rng.choice([1, 2, 3])):
+        assert _order_divides(x.images, m) == (m % order == 0)

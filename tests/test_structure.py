@@ -491,9 +491,9 @@ def test_a_direct_product_splits_without_enumeration(monkeypatch):
 
 @pytest.mark.parametrize("spec, orders", [("PSL(2,7) x S3", [3, 168]), ("A5 x D12", [2, 3, 60])])
 def test_a_soluble_orbit_factor_rejects_the_product_first(monkeypatch, spec, orders):
-    # The orbit factor S3 moves too few points, and D12 is not simple, so
-    # the orbit factors are no simple product and the simple factor (a
-    # giant) is never enumerated to certify it.  The orbit kernels are
+    # The orbit factor S3 moves too few points, and D12's order has two
+    # prime divisors, so the orbit factors are no simple product and the
+    # simple factor (a giant) is never enumerated to certify it.  The orbit kernels are
     # searched instead, and the centralizer that certifies the search is
     # read off the action, so G's own elements are never read.
     g = group_from_spec(spec)
@@ -508,13 +508,40 @@ def test_a_soluble_orbit_factor_rejects_the_product_first(monkeypatch, spec, ord
     assert g.order() not in enumerated
 
 
+@pytest.mark.parametrize(
+    "spec, enumerated",
+    [
+        ("A5 x D12", {2: 2, 12: 12}),
+        ("PSL(2,7) x D12", {2: 2, 12: 12, 168: 168}),
+        ("PSL(2,7) x S5", {168: 168}),
+    ],
+)
+def test_a_factor_that_is_not_simple_rejects_the_product_uncertified(
+    monkeypatch, spec, enumerated
+):
+    # D12's order has two prime divisors, so D12 is not non-abelian simple
+    # (Burnside's p^a q^b theorem) and the product is rejected before any
+    # factor is certified.  S5 is smaller than PSL(2,7), so it is certified
+    # first, and found not simple without enumeration.  Either way D12 is
+    # not searched for its own minimal normal subgroups, and PSL(2,7) is
+    # enumerated once, as an orbit kernel, not a second time to certify it.
+    g = group_from_spec(spec)
+    counted = _count_enumerations(monkeypatch)
+    clear_caches()
+    try:
+        minimal_normal_subgroups(g)
+    finally:
+        clear_caches()
+    assert counted == enumerated
+
+
 @pytest.mark.parametrize("spec, count", [("C5 x C5", 6), ("C7 x C7", 8), ("A5 x C5 x C5", 7)])
 def test_an_abelian_orbit_factor_rejects_the_product(spec, count):
     # Each C_q factor has an orbit of at least 5 points, is simple, and the
-    # orbit factors multiply to |G|; only its being abelian keeps the group
-    # from splitting into them, which would lose the q - 1 diagonal
-    # subgroups of each C_q x C_q.  The atoms of the normal lattice are the
-    # exhaustive answer.
+    # orbit factors multiply to |G|; only its being abelian, an order with
+    # one prime divisor, keeps the group from splitting into them, which
+    # would lose the q - 1 diagonal subgroups of each C_q x C_q.  The atoms
+    # of the normal lattice are the exhaustive answer.
     g = group_from_spec(spec)
     lattice = [n for n in normal_subgroup_lattice(g) if not n.is_trivial()]
     atoms = [
