@@ -162,13 +162,13 @@ def wreath_product(base: PermGroup, top: PermGroup) -> PermGroup:
         for g in base.generators:
             images = list(range(total))
             for i in range(deg):
-                images[block * deg + i] = block * deg + g.images[i]
+                images[block * deg + i] = block * deg + g(i)
             gens.append(Permutation(images))
     for t in top.generators:
         images = list(range(total))
         for block in range(k):
             for i in range(deg):
-                images[block * deg + i] = t.images[block] * deg + i
+                images[block * deg + i] = t(block) * deg + i
         gens.append(Permutation(images))
     return PermGroup(total, gens)
 

@@ -21,6 +21,13 @@ Construction is deterministic: no randomization, fixed generator order,
 orbit points processed in sorted order.  Schreier generators are processed
 bottom-up in the classical way; a non-trivial sift residue is appended as a
 new strong generator and the scan resumes at the residue's level.
+
+The chain holds raw images (see perm): bytes up to degree 256, tuples
+above.  StabChain converts the generators it is given, so a caller may pass
+image tuples, and everything it holds or returns (strong generators,
+transversals, inverses, draws, elements, coset representatives) is in the
+form of its degree; sifts, membership tests and coset representatives take
+that form.  The base is a tuple of ints whatever the degree.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import enumeration_cap
 from .errors import DegreeMismatch, SubgroupError, check_cap
-from .perm import Permutation, _inv, _mul, _order_divides
+from .perm import Permutation, Raw, _identity, _inv, _mul, _order_divides, _to_raw
 
 
 class _OrbitDoesNotDivide(Exception):
@@ -44,15 +51,15 @@ class _OrbitDoesNotDivide(Exception):
 
 
 def _extend_products(
-    prefixes: Iterable[tuple[int, ...]], level: Sequence[tuple[int, ...]]
-) -> Iterator[tuple[int, ...]]:
+    prefixes: Iterable[Raw], level: Sequence[Raw]
+) -> Iterator[Raw]:
     """p * u for each prefix p in turn and each u of level, in that order."""
     for p in prefixes:
         yield from map(_mul, itertools.repeat(p, len(level)), level)
 
 
-def _orbit(gens: Sequence[tuple[int, ...]], point: int) -> list[int]:
-    """Orbit of a point under image tuples, in BFS order from the point."""
+def _orbit(gens: Sequence[Raw], point: int) -> list[int]:
+    """Orbit of a point under raw images, in BFS order from the point."""
     out = [point]
     seen = {point}
     for pt in out:
@@ -64,8 +71,8 @@ def _orbit(gens: Sequence[tuple[int, ...]], point: int) -> list[int]:
     return out
 
 
-def _orbits(gens: Sequence[tuple[int, ...]], degree: int) -> Iterator[list[int]]:
-    """All orbits under image tuples, ordered by least point, each in BFS
+def _orbits(gens: Sequence[Raw], degree: int) -> Iterator[list[int]]:
+    """All orbits under raw images, ordered by least point, each in BFS
     order from it, each found when it is asked for."""
     seen: set[int] = set()
     for pt in range(degree):
@@ -122,8 +129,9 @@ class StabChain:
     levels a copy does not rebuild share their transversal dicts, and the
     inverse caches that both fill with the same values, with the chain it
     came from.  Inverse transversal elements are computed when first needed;
-    a rebuilt level starts a fresh inverse cache that keeps the entries of
-    the representatives that came out unchanged.
+    a rebuilt level starts an empty inverse cache (an inverse is one C call
+    on bytes, and carrying over the entries of unchanged representatives
+    measured no faster).
 
     A build given the group's order stops scanning once the chain is
     complete (see _build; Seress ch. 4), with the chain of the full build.
@@ -140,15 +148,14 @@ class StabChain:
     def __init__(
         self,
         degree: int,
-        generators: Sequence[tuple[int, ...]],
+        generators: Sequence[Sequence[int]],
         base: Sequence[int] | None = None,
         order: int | None = None,
     ):
         self.degree = degree
-        identity = tuple(range(degree))
-        self._identity = identity
+        self._identity = _identity(degree)
         if base is None:
-            self.base = identity
+            self.base = tuple(range(degree))
         else:
             prefix = list(dict.fromkeys(base))
             if any(not 0 <= b < degree for b in prefix):
@@ -158,19 +165,19 @@ class StabChain:
             self.base = tuple(prefix + rest)
         # master list of (strong generator, level); level = first index i in
         # base order with g[base[i]] != base[i]
-        self._strong: list[tuple[tuple[int, ...], int]] = []
+        self._strong: list[tuple[Raw, int]] = []
         # transversals and their inverses (filled on first use) by
         # non-trivial level; a trivial level's transversal is never stored
-        self._trans: dict[int, dict[int, tuple[int, ...]]] = {}
-        self._transversal_inv: dict[int, dict[int, tuple[int, ...]]] = {}
+        self._trans: dict[int, dict[int, Raw]] = {}
+        self._transversal_inv: dict[int, dict[int, Raw]] = {}
         self._levels: list[tuple] = []
         # each non-trivial level's transversal in sorted point order, with
         # its size and the size's bit length, deepest first, kept by
         # random_element once the chain is finished
-        self._draws: list[tuple[list[tuple[int, ...]], int, int]] | None = None
+        self._draws: list[tuple[list[Raw], int, int]] | None = None
         self._extend(generators, None, order)
 
-    def extended(self, generators: Sequence[tuple[int, ...]], divisor: int | None = None):
+    def extended(self, generators: Sequence[Sequence[int]], divisor: int | None = None):
         """The chain of <this group, generators>, built on a copy of this
         chain, which is left as it was; raises ``_OrbitDoesNotDivide`` when
         the divisor stops the build."""
@@ -183,13 +190,13 @@ class StabChain:
         return chain
 
     def _extend(
-        self, generators: Sequence[tuple[int, ...]], divisor: int | None, order: int | None = None
+        self, generators: Sequence[Sequence[int]], divisor: int | None, order: int | None = None
     ) -> None:
         """Append the new strong generators and resume the build at the
         deepest level among them."""
         parent = len(self._strong)
         fresh = []
-        for g in generators:
+        for g in map(_to_raw, generators):
             if g != self._identity and all(s[0] != g for s in self._strong):
                 lv = self._level_of(g)
                 self._strong.append((g, lv))
@@ -201,7 +208,7 @@ class StabChain:
         self._build(levels.index(max(fresh)), divisor, parent, order)
 
     @property
-    def transversal(self) -> list[dict[int, tuple[int, ...]]]:
+    def transversal(self) -> list[dict[int, Raw]]:
         """One transversal per base point, {base point: identity} on the
         trivial levels; built on demand."""
         return [
@@ -209,7 +216,7 @@ class StabChain:
             for i, b in enumerate(self.base)
         ]
 
-    def _level_of(self, g: tuple[int, ...]) -> int:
+    def _level_of(self, g: Raw) -> int:
         for i, b in enumerate(self.base):
             if g[b] != b:
                 return i
@@ -230,16 +237,16 @@ class StabChain:
         self._levels = table
 
     def _rebuild_level(
-        self, i: int, gens: Sequence[tuple[int, ...]]
-    ) -> tuple[dict[int, tuple[int, ...]], set[int], dict[int, tuple[int, ...]]]:
+        self, i: int, gens: Sequence[Raw]
+    ) -> tuple[dict[int, Raw], set[int], dict[int, Raw]]:
         """Rebuild level i's transversal from gens; returns it with the
-        points whose representative came out unchanged, which keep their
-        cached inverses, and the BFS tree: each point's representative is
-        u * x for the point x maps to it and the generator x held here."""
+        points whose representative came out unchanged and the BFS tree:
+        each point's representative is u * x for the point x maps to it and
+        the generator x held here."""
         b = self.base[i]
         old = self._trans.get(i) or {b: self._identity}
         trans = {b: self._identity}
-        tree: dict[int, tuple[int, ...]] = {}
+        tree: dict[int, Raw] = {}
         queue = [b]
         for pt in queue:
             u = trans[pt]
@@ -250,12 +257,11 @@ class StabChain:
                     tree[img] = g
                     queue.append(img)
         kept = {pt for pt, u in trans.items() if old.get(pt) == u}
-        inv = self._transversal_inv.get(i, {})
         self._trans[i] = trans
-        self._transversal_inv[i] = {pt: v for pt, v in inv.items() if pt in kept}
+        self._transversal_inv[i] = {}
         return trans, kept, tree
 
-    def _u_inv(self, i: int, pt: int) -> tuple[int, ...]:
+    def _u_inv(self, i: int, pt: int) -> Raw:
         """Inverse of the level-i transversal element for pt, cached."""
         inv = self._transversal_inv[i]
         u_inv = inv.get(pt)
@@ -263,7 +269,7 @@ class StabChain:
             u_inv = inv[pt] = _inv(self._trans[i][pt])
         return u_inv
 
-    def _sift(self, p: tuple[int, ...], k: int = 0) -> tuple[int, ...] | None:
+    def _sift(self, p: Raw, k: int = 0) -> Raw | None:
         """Reduce p through the non-trivial levels from the k-th one on.
 
         p must fix the base points before the k-th non-trivial level's gap.
@@ -289,12 +295,12 @@ class StabChain:
     def _first_residue(
         self,
         k: int,
-        gens: list[tuple[int, ...]],
+        gens: list[Raw],
         kept: set[int],
-        tree: dict[int, tuple[int, ...]],
+        tree: dict[int, Raw],
         count: int,
         stop: tuple[int, int] | None,
-    ) -> tuple[tuple[int, ...] | None, tuple[int, int] | None]:
+    ) -> tuple[Raw | None, tuple[int, int] | None]:
         """First Schreier generator of the k-th non-trivial level that does
         not sift through the deeper levels, as its sift residue, with its
         pair (beta, index of x in gens); (None, None) when there is none.
@@ -380,24 +386,24 @@ class StabChain:
                 levels.insert(k, lv)
                 self._set_levels(levels)
 
-    def _level_transversals(self) -> list[dict[int, tuple[int, ...]]]:
+    def _level_transversals(self) -> list[dict[int, Raw]]:
         """Transversals of the non-trivial levels, in base order."""
         return [self._trans[entry[0]] for entry in self._levels]
 
     def order(self) -> int:
         return math.prod(len(trans) for trans in self._level_transversals())
 
-    def contains(self, p: tuple[int, ...]) -> bool:
+    def contains(self, p: Raw) -> bool:
         return self._sift(p) is None
 
-    def strong_generators(self) -> list[tuple[int, ...]]:
+    def strong_generators(self) -> list[Raw]:
         return [g for g, _ in self._strong]
 
-    def level_generators(self, level: int) -> list[tuple[int, ...]]:
+    def level_generators(self, level: int) -> list[Raw]:
         """Generators of the pointwise stabilizer of the first `level` base points."""
         return [g for g, lv in self._strong if lv >= level]
 
-    def elements(self) -> Iterator[tuple[int, ...]]:
+    def elements(self) -> Iterator[Raw]:
         """All elements, deterministically, as transversal products.
 
         With u_j ranging over the sorted transversal of the j-th non-trivial
@@ -408,12 +414,12 @@ class StabChain:
         u_(k-1) * ... * u_j is formed once and shared by all elements below
         it: an element costs one product, plus a share of its prefixes.
         """
-        products: Iterator[tuple[int, ...]] = iter([self._identity])
+        products: Iterator[Raw] = iter([self._identity])
         for level in self._sorted_levels():
             products = _extend_products(products, level)
         return products
 
-    def _sorted_levels(self) -> list[list[tuple[int, ...]]]:
+    def _sorted_levels(self) -> list[list[Raw]]:
         """Each non-trivial level's transversal in sorted point order,
         deepest level first."""
         return [
@@ -421,7 +427,7 @@ class StabChain:
             for trans in reversed(self._level_transversals())
         ]
 
-    def random_element(self, rng) -> tuple[int, ...]:
+    def random_element(self, rng) -> Raw:
         """Uniformly random element via one transversal pick per level, in
         sorted point order; the sorted levels are kept for later draws.
 
@@ -440,13 +446,13 @@ class StabChain:
             p = level[r] if p is None else _mul(p, level[r])
         return self._identity if p is None else p
 
-    def min_coset_rep(self, c: tuple[int, ...]) -> tuple[int, ...]:
+    def min_coset_rep(self, c: Raw) -> Raw:
         """Lexicographically least element of (this group) * c.
 
         Requires the natural base 0..n-1: at level i the remaining freedom
         fixes all points below i, so greedily minimizing position i is exact.
         """
-        if self.base != self._identity:
+        if self.base != tuple(range(self.degree)):
             raise ValueError("min_coset_rep requires the natural base order")
         rep = c
         for i, _, _, _ in self._levels:
@@ -481,8 +487,8 @@ class PermGroup:
                 raise DegreeMismatch(
                     f"generator degree {g.degree} != group degree {degree}"
                 )
-            if not g.is_identity and g.images not in seen:
-                seen.add(g.images)
+            if not g.is_identity and g._raw not in seen:
+                seen.add(g._raw)
                 gens.append(g)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", tuple(gens))
@@ -499,7 +505,7 @@ class PermGroup:
     @property
     def chain(self) -> StabChain:
         if self._chain is None:
-            built = StabChain(self.degree, [g.images for g in self.generators])
+            built = StabChain(self.degree, [g._raw for g in self.generators])
             object.__setattr__(self, "_chain", built)
         return self._chain
 
@@ -523,13 +529,13 @@ class PermGroup:
         divide n (see StabChain).  The generators are self.generators + new, as
         PermGroup(degree, self.generators + new) has them.
         """
-        images = [y.images for y in new]
+        images = [y._raw for y in new]
         if divisor is not None:
             for y in images:
                 for x in self.generators:
-                    if not _order_divides(_mul(y, x.images), divisor):
+                    if not _order_divides(_mul(y, x._raw), divisor):
                         return None
-            gens = [x.images for x in self.generators] + images
+            gens = [x._raw for x in self.generators] + images
             if any(divisor % len(orbit) for orbit in _orbits(gens, self.degree)):
                 return None
         try:
@@ -547,7 +553,7 @@ class PermGroup:
             raise DegreeMismatch(
                 f"element degree {p.degree} != group degree {self.degree}"
             )
-        return self.chain.contains(p.images)
+        return self.chain.contains(p._raw)
 
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
@@ -576,11 +582,11 @@ class PermGroup:
         """Orbit of a point, BFS order starting at the point."""
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range")
-        return _orbit([g.images for g in self.generators], point)
+        return _orbit([g._raw for g in self.generators], point)
 
     def orbits(self) -> list[list[int]]:
         """All orbits, each sorted, ordered by least point."""
-        return [sorted(orb) for orb in _orbits([g.images for g in self.generators], self.degree)]
+        return [sorted(orb) for orb in _orbits([g._raw for g in self.generators], self.degree)]
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
@@ -715,7 +721,7 @@ def _is_abelian(g: PermGroup) -> bool:
 
 
 def _commuting_map(
-    gens: Sequence[tuple[int, ...]], alpha: int, beta: int, degree: int
+    gens: Sequence[Raw], alpha: int, beta: int, degree: int
 ) -> Permutation | None:
     """A permutation commuting with every generator, built from the map z
     with z(alpha) = beta along alpha's orbit, or None when there is no such
@@ -746,7 +752,7 @@ def _commuting_map(
     if beta not in seen:
         for gamma in reached:
             z[z[gamma]] = gamma
-    return Permutation._trusted(tuple(z))
+    return Permutation._trusted(_to_raw(z))
 
 
 def centralizer(ambient: PermGroup, sub: PermGroup) -> PermGroup:
@@ -771,12 +777,12 @@ def centralizer(ambient: PermGroup, sub: PermGroup) -> PermGroup:
     enumerated, under the cap.
     """
     _require_subgroup(sub, ambient, "centralizer")
-    gens = [x.images for x in sub.generators]
+    gens = [x._raw for x in sub.generators]
 
-    def commutes(s: tuple[int, ...]) -> bool:
+    def commutes(s: Raw) -> bool:
         return all(_mul(s, x) == _mul(x, s) for x in gens)
 
-    if all(commutes(s.images) for s in ambient.generators):
+    if all(commutes(s._raw) for s in ambient.generators):
         return ambient
     delta_of = {pt: i for i, delta in enumerate(ambient.orbits()) for pt in delta}
     by_delta: dict[int, list[list[int]]] = {}
@@ -803,7 +809,7 @@ def centralizer(ambient: PermGroup, sub: PermGroup) -> PermGroup:
         return PermGroup.trivial(ambient.degree)
     if order < ambient.order():
         return _filtered_subgroup(span(ambient.degree, maps), ambient.contains, "centralizer")
-    return _filtered_subgroup(ambient, lambda x: commutes(x.images), "centralizer")
+    return _filtered_subgroup(ambient, lambda x: commutes(x._raw), "centralizer")
 
 
 def center(g: PermGroup) -> PermGroup:
@@ -826,7 +832,7 @@ def pointwise_stabilizer(g: PermGroup, points: Sequence[int]) -> PermGroup:
     prefix = list(dict.fromkeys(points))
     if not prefix:
         return g
-    chain = StabChain(g.degree, [p.images for p in g.generators], base=prefix, order=g.order())
+    chain = StabChain(g.degree, [p._raw for p in g.generators], base=prefix, order=g.order())
     gens = [
         Permutation._trusted(images) for images in chain.level_generators(len(prefix))
     ]
@@ -859,7 +865,7 @@ class ActionMap:
         self._aux_action = aux_action
         self._kernel = kernel
         self._extended = [
-            gen.images + tuple(n + a for a in aux.images)
+            _to_raw([*gen._raw, *(n + a for a in aux._raw)])
             for gen, aux in zip(g.generators, aux_perms)
         ]
 
@@ -892,9 +898,10 @@ class ActionMap:
         group; r fixes the auxiliary points, whose levels come first, so w
         acts as t there and as r^-1 on g's points."""
         n = self.source.degree
-        p = tuple(range(n)) + tuple(n + a for a in t.images)
+        p = _to_raw([*range(n), *(n + a for a in t._raw)])
         residue = self._chain._sift(p) or p  # None only for the identity t
-        return Permutation._trusted(_inv(residue[:n]))
+        # residue[:n] is a tuple whenever n + m > 256 >= n
+        return Permutation._trusted(_inv(_to_raw(residue[:n])))
 
     def preimage(self, sub: PermGroup) -> PermGroup:
         """<kernel, a lift of each generator of sub>, extended from the

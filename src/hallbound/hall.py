@@ -71,7 +71,7 @@ from .group import (
     conjugate_subgroup,
     is_normal,
 )
-from .perm import Permutation, _conj, _inv
+from .perm import Permutation, _conj, _inv, _to_raw
 from .primes import PrimeSet, factorize
 from .radicals import pi_core, sylow_subgroup
 from .structure import is_simple, is_soluble, socle
@@ -121,7 +121,7 @@ def _pi_part_of_element(x: Permutation, pi: PrimeSet) -> Permutation:
     lengths, the order; x ** m moves each point m steps along its cycle.
     The walk is not Permutation.cycles: with its cycle tuples the suite
     workload read 0.4 MB more peak RSS at a fixed pass count."""
-    images = x.images
+    images = x._raw
     seen = bytearray(len(images))
     cycles = []
     order = 1
@@ -144,7 +144,7 @@ def _pi_part_of_element(x: Permutation, pi: PrimeSet) -> Permutation:
         shift = m % len(cycle)
         for pt, image in zip(cycle, cycle[shift:] + cycle[:shift]):
             power[pt] = image
-    return Permutation._trusted(tuple(power))
+    return Permutation._trusted(_to_raw(power))
 
 
 # Greedy restarts before the coset-action bound on G, and after a refused
@@ -218,8 +218,8 @@ def _conjugates(g: PermGroup, sub: PermGroup) -> Iterator[PermGroup]:
     keyed by its element set, conjugated from its parent's, so only sub is
     enumerated and no conjugate builds a chain.
     """
-    conjugators = [(s, s.images, _inv(s.images)) for s in g.generators]
-    key = frozenset(x.images for x in sub.elements())
+    conjugators = [(s, s._raw, _inv(s._raw)) for s in g.generators]
+    key = frozenset(x._raw for x in sub.elements())
     seen = {key}
     queue = deque([(sub, key)])
     yield sub

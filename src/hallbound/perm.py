@@ -1,21 +1,37 @@
 """Permutations on {0, ..., n-1} with left-to-right composition.
 
-A permutation is stored as its image tuple: p.images[x] is the image of x.
+p.images reads as the image tuple: p.images[x] is the image of x.
 Composition is left-to-right throughout the library: (a * b)(x) = b(a(x)),
 i.e. a acts first.  Conjugation x ** g is g^-1 * x * g and the commutator
 [a, b] is a^-1 * b^-1 * a * b.
 
+Storage: a permutation holds its raw images, ``bytes`` when the degree is
+at most 256 and a tuple of ints above it.  The degree alone picks the form,
+in ``_to_raw``, which builds every raw image that is not a product, inverse
+or conjugate of raw images.  On bytes the primitives run in C: a product a *
+b is one ``bytes.translate`` of a by b padded to a 256-entry table, an
+inverse one ``bytes.maketrans`` against the identity, and a conjugate one
+maketrans over a translate; on tuples (``translate`` needs the 256-entry
+table) they are an itemgetter and loops.  Both forms index to ints and
+compare lexicographically by their ints, so the engine keeps one code path
+over both and reads the raw form (``_raw``) rather than ``images``, which
+converts.  A product of raw images of the two forms raises.  Hashes of
+bytes are salted per process, so no iteration order of a set of raw images
+may reach an answer.
+
 Trust boundary: images are validated only where they enter the program.
 The public constructor ``Permutation(images)`` checks that the images are a
-bijection of 0..n-1, and ``identity``, ``from_cycles`` and ``parse_cycles``
-build through it, as do group files, the corpus builders and any caller.
-Products, inverses, powers, conjugates and commutators are built through the
-unvalidated ``Permutation._trusted``: an image tuple derived from bijections
-of one degree by composition or inversion is again such a bijection, so
-checking it again would only repeat a loop over every image.  Images that
-other modules assemble by other means (coset actions, restrictions of an
-extended action) keep the checking constructor, where the check doubles as
-an invariant check.
+bijection of 0..n-1 and converts them to the raw form; ``identity``,
+``from_cycles`` and ``parse_cycles`` build through it, as do group files,
+the corpus builders and any caller.  A stabilizer chain converts the images
+it is given to the raw form without checking them.  Products, inverses, powers, conjugates
+and commutators are built through the unvalidated ``Permutation._trusted``,
+which takes raw images: raw images derived from bijections of one degree by
+composition or inversion are again such a bijection, so checking them again
+would only repeat a loop over every image.  Images that other modules
+assemble by other means (coset actions, restrictions of an extended action)
+keep the checking constructor, where the check doubles as an invariant
+check.
 """
 
 from __future__ import annotations
@@ -29,32 +45,60 @@ from .errors import DegreeMismatch
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
+# The raw images of a permutation: bytes up to degree _BYTES_DEGREE, a tuple above.
+Raw = bytes | tuple[int, ...]
 
-def _mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Raw image-tuple product, a first then b."""
-    if len(a) < 2:
-        # itemgetter of one index returns the bare item, and of none fails
-        return tuple(b[x] for x in a)
+# bytes.translate reads a 256-entry table, so bytes hold degrees up to 256.
+_BYTES_DEGREE = 256
+
+
+def _to_raw(images: Sequence[int]) -> Raw:
+    """The raw form of an image sequence, picked by its degree alone."""
+    return bytes(images) if len(images) <= _BYTES_DEGREE else tuple(images)
+
+
+_POINTS = bytes(range(_BYTES_DEGREE))
+# The raw identity of each degree up to 256, and _PADS[n], which completes
+# raw images of degree n to a translate table; slices of one table, so
+# building them at import takes microseconds.
+_IDENTITIES = [_to_raw(_POINTS[:n]) for n in range(_BYTES_DEGREE + 1)]
+_PADS = [_POINTS[n:] for n in range(_BYTES_DEGREE + 1)]
+
+
+def _identity(degree: int) -> Raw:
+    return _IDENTITIES[degree] if degree <= _BYTES_DEGREE else _to_raw(range(degree))
+
+
+def _mul(a: Raw, b: Raw) -> Raw:
+    """Raw product, a first then b; raw images of two forms raise."""
+    if type(b) is bytes:
+        return bytes.translate(a, b + _PADS[len(b)])
+    if type(a) is not tuple:
+        raise TypeError("cannot multiply bytes images by tuple images")
     return itemgetter(*a)(b)
 
 
-def _inv(a: Sequence[int]) -> tuple[int, ...]:
+def _inv(a: Raw) -> Raw:
+    if type(a) is bytes:
+        n = len(a)
+        return bytes.maketrans(a, _IDENTITIES[n])[:n]
     out = [0] * len(a)
     for i, v in enumerate(a):
         out[v] = i
     return tuple(out)
 
 
-def _conj(
-    x: Sequence[int], g: Sequence[int], g_inv: Sequence[int] | None = None
-) -> tuple[int, ...]:
-    """Raw image tuple of x ** g = g^-1 * x * g.
+def _conj(x: Raw, g: Raw, g_inv: Raw | None = None) -> Raw:
+    """Raw images of x ** g = g^-1 * x * g.
 
-    With the inverse of g at hand this is two products; without it, one pass
-    that sends g(i) to g(x(i)), which is cheaper than inverting g first.
+    With the inverse of g at hand this is two products; without it, the map
+    that sends g(i) to g(x(i)), which is cheaper than inverting g first: on
+    bytes one maketrans from g to x * g, on tuples one pass.
     """
     if g_inv is not None:
         return _mul(_mul(g_inv, x), g)
+    if type(g) is bytes:
+        return bytes.maketrans(g, _mul(x, g))[: len(g)]
     out = [0] * len(x)
     for i, v in enumerate(x):
         out[g[i]] = g[v]
@@ -82,7 +126,7 @@ def _order_divides(images: Sequence[int], n: int) -> bool:
 class Permutation:
     """An immutable permutation of fixed degree."""
 
-    __slots__ = ("images",)
+    __slots__ = ("_raw",)
 
     def __init__(self, images: Iterable[int]):
         imgs = tuple(images)
@@ -92,11 +136,11 @@ class Permutation:
             if not isinstance(v, int) or not 0 <= v < n or seen[v]:
                 raise ValueError(f"not a bijection on 0..{n - 1}: {imgs}")
             seen[v] = True
-        object.__setattr__(self, "images", imgs)
+        object.__setattr__(self, "_raw", _to_raw(imgs))
 
     @classmethod
-    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
-        """Wrap an image tuple without validating it.
+    def _trusted(cls, images: Raw) -> "Permutation":
+        """Wrap raw images without validating them.
 
         Only for images derived from valid permutations of one degree (by
         composition, inversion or conjugation) or read off a stabilizer
@@ -105,7 +149,7 @@ class Permutation:
         ``Permutation(images)``, which checks it.
         """
         p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
+        object.__setattr__(p, "_raw", images)
         return p
 
     def __setattr__(self, name, value):
@@ -135,11 +179,15 @@ class Permutation:
         return cls(images)
 
     @property
+    def images(self) -> tuple[int, ...]:
+        return tuple(self._raw)
+
+    @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self._raw)
 
     def __call__(self, point: int) -> int:
-        return self.images[point]
+        return self._raw[point]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         if not isinstance(other, Permutation):
@@ -148,16 +196,16 @@ class Permutation:
             raise DegreeMismatch(
                 f"cannot compose degree {self.degree} with degree {other.degree}"
             )
-        return Permutation._trusted(_mul(self.images, other.images))
+        return Permutation._trusted(_mul(self._raw, other._raw))
 
     def inverse(self) -> "Permutation":
-        return Permutation._trusted(_inv(self.images))
+        return Permutation._trusted(_inv(self._raw))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
             return self.inverse() ** (-k)
-        result = tuple(range(self.degree))
-        base = self.images
+        result = _identity(self.degree)
+        base = self._raw
         while k:
             if k & 1:
                 result = _mul(result, base)
@@ -171,14 +219,14 @@ class Permutation:
             raise DegreeMismatch(
                 f"cannot conjugate degree {self.degree} by degree {g.degree}"
             )
-        return Permutation._trusted(_conj(self.images, g.images))
+        return Permutation._trusted(_conj(self._raw, g._raw))
 
     def commutator(self, other: "Permutation") -> "Permutation":
         return self.inverse() * other.inverse() * self * other
 
     @property
     def is_identity(self) -> bool:
-        return self.images == tuple(range(len(self.images)))
+        return self._raw == _identity(len(self._raw))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles without fixed points, each from its least point."""
@@ -189,18 +237,18 @@ class Permutation:
                 continue
             cycle = [start]
             seen[start] = True
-            pt = self.images[start]
+            pt = self._raw[start]
             while pt != start:
                 seen[pt] = True
                 cycle.append(pt)
-                pt = self.images[pt]
+                pt = self._raw[pt]
             if len(cycle) > 1:
                 out.append(tuple(cycle))
         return out
 
     def order(self) -> int:
         """The lcm of the cycle lengths, from one pass over the images."""
-        images = self.images
+        images = self._raw
         seen = bytearray(len(images))
         result = 1
         for start, pt in enumerate(images):
@@ -216,10 +264,10 @@ class Permutation:
         return result
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
+        return isinstance(other, Permutation) and self._raw == other._raw
 
     def __hash__(self) -> int:
-        return hash(self.images)
+        return hash(self._raw)
 
     def __repr__(self) -> str:
         return f"Permutation({format_cycles(self)!r}, degree={self.degree})"

@@ -26,7 +26,7 @@ from typing import Callable
 from .config import DEFAULT_QUOTIENT_DEGREE_CAP
 from .errors import SubgroupError, check_cap
 from .group import ActionMap, PermGroup, _block_action, is_normal
-from .perm import Permutation, _mul
+from .perm import Permutation, _identity, _mul
 
 
 class QuotientMap(ActionMap):
@@ -40,7 +40,7 @@ class QuotientMap(ActionMap):
         index = source.order() // kernel.order()
         check_cap(index, DEFAULT_QUOTIENT_DEGREE_CAP, "quotient: coset action degree")
         min_rep = kernel.chain.min_coset_rep
-        reps = [min_rep(tuple(range(source.degree)))]
+        reps = [min_rep(_identity(source.degree))]
         index_of = {reps[0]: 0}
         queue = deque([0])
         # cosets are walked in index order, so each generator's row fills in order
@@ -48,7 +48,7 @@ class QuotientMap(ActionMap):
         while queue:
             base = reps[queue.popleft()]
             for gen, row in rows.items():
-                rep = min_rep(_mul(base, gen.images))
+                rep = min_rep(_mul(base, gen._raw))
                 if rep not in index_of:
                     index_of[rep] = len(reps)
                     queue.append(len(reps))
@@ -59,7 +59,7 @@ class QuotientMap(ActionMap):
 
         def on_cosets(x: Permutation) -> list[int]:
             # a generator's image is its row from the walk, not a second reduction
-            return rows.get(x) or [index_of[min_rep(_mul(r, x.images))] for r in reps]
+            return rows.get(x) or [index_of[min_rep(_mul(r, x._raw))] for r in reps]
 
         super().__init__(source, index, on_cosets, kernel)
         self.coset_reps = tuple(map(Permutation._trusted, reps))

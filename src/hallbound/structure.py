@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .config import enumeration_cap
 from .errors import PreconditionError, check_cap
@@ -64,7 +63,7 @@ from .group import (
     normal_closure,
     pointwise_stabilizer,
 )
-from .perm import Permutation, _conj, _inv
+from .perm import Permutation, Raw, _conj, _identity, _inv, _mul
 from .primes import factorize, is_prime
 
 
@@ -89,7 +88,7 @@ def _inclusion_minimal(groups) -> list[PermGroup]:
             continue
         frontier = [h for h in frontier if not n.is_subgroup_of(h)]
         frontier.append(n)
-    return sorted(frontier, key=lambda h: (h.order(), [p.images for p in h.generators]))
+    return sorted(frontier, key=lambda h: (h.order(), [p._raw for p in h.generators]))
 
 
 def _class_seeds(ambient: PermGroup, k: PermGroup, cap: int) -> list[Permutation]:
@@ -113,23 +112,21 @@ def _class_seeds(ambient: PermGroup, k: PermGroup, cap: int) -> list[Permutation
     record and computes no powers.
     """
     check_cap(k.order(), cap, "class-seed harvest: enumerating group order")
-    identity = tuple(range(k.degree))
-    # image tuple -> key of the cyclic subgroup it generates, or None when
+    identity = _identity(k.degree)
+    # raw images -> key of the cyclic subgroup they generate, or None when
     # that subgroup's order is not a prime power
-    key_of: dict[tuple[int, ...], tuple[int, ...] | None] = {identity: None}
+    key_of: dict[Raw, Raw | None] = {identity: None}
     for element in k.elements():
-        x = element.images
+        x = element._raw
         if x in key_of:
             continue
-        # powers of x commute, so x^(e+1) = x * x^e is one fixed itemgetter
-        step = itemgetter(*x)
         powers = [x]
-        p = step(x)
+        p = _mul(x, x)
         while p != identity:
             powers.append(p)
-            p = step(p)
+            p = _mul(p, x)
         o = len(powers) + 1
-        generators: dict[int, list[tuple[int, ...]]] = {}
+        generators: dict[int, list[Raw]] = {}
         for e, y in enumerate(powers, 1):
             generators.setdefault(math.gcd(e, o), []).append(y)
         for d, gens in generators.items():
@@ -139,9 +136,9 @@ def _class_seeds(ambient: PermGroup, k: PermGroup, cap: int) -> list[Permutation
             key_of.update((y, key) for y in gens)
     keys = set(key_of.values())
     keys.discard(None)
-    conjugators = [(s.images, _inv(s.images)) for s in ambient.generators]
+    conjugators = [(s._raw, _inv(s._raw)) for s in ambient.generators]
     seeds: list[Permutation] = []
-    visited: set[tuple[int, ...]] = set()
+    visited: set[Raw] = set()
     for key in sorted(keys):
         if key in visited:
             continue

@@ -16,10 +16,15 @@ nilpotency, against the package's check by one centralizer.
 normal_closure_oracle conjugates every generator in every round, against
 the package's normal_closure, which conjugates only the generators the last
 round added.
+
+tuple_mul, tuple_inv and tuple_conj are the permutation primitives on image
+tuples, as the engine computed them before it stored degrees up to 256 as
+bytes, against the raw primitives of hallbound.perm.
 """
 
 import functools
 from collections import deque
+from operator import itemgetter
 
 from hallbound import (
     PermGroup,
@@ -37,6 +42,34 @@ from hallbound.errors import PreconditionError, check_cap
 from hallbound.group import _enlarge
 from hallbound.hall import _sylow_generated
 from hallbound.radicals import require_prime
+
+def tuple_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Image-tuple product, a first then b."""
+    if len(a) < 2:
+        # itemgetter of one index returns the bare item, and of none fails
+        return tuple(b[x] for x in a)
+    return itemgetter(*a)(b)
+
+
+def tuple_inv(a: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(a)
+    for i, v in enumerate(a):
+        out[v] = i
+    return tuple(out)
+
+
+def tuple_conj(
+    x: tuple[int, ...], g: tuple[int, ...], g_inv: tuple[int, ...] | None = None
+) -> tuple[int, ...]:
+    """Image tuple of x ** g = g^-1 * x * g: two products with the inverse
+    of g, else one pass that sends g(i) to g(x(i))."""
+    if g_inv is not None:
+        return tuple_mul(tuple_mul(g_inv, x), g)
+    out = [0] * len(x)
+    for i, v in enumerate(x):
+        out[g[i]] = g[v]
+    return tuple(out)
+
 
 # Largest group order the lattice oracles enumerate.
 LATTICE_ORDER_CAP = 2_000

@@ -47,11 +47,11 @@ from hallbound import (
 )
 from hallbound import group
 from hallbound.errors import CapExceeded, DegreeMismatch
-from hallbound.perm import _inv, _mul
+from hallbound.perm import _inv, _mul, _to_raw
 from hallbound.primes import prime_divisors
 
 from conftest import SRC, permutations_of_degree, random_permutation, random_subgroup_gens
-from oracles import centralizer_oracle, normal_closure_oracle
+from oracles import centralizer_oracle, normal_closure_oracle, tuple_inv, tuple_mul
 
 
 def test_symmetric_group_order_and_membership():
@@ -534,20 +534,20 @@ def test_degree_one_group():
 def _product_order_elements(chain: StabChain) -> list[tuple[int, ...]]:
     """The elements as first enumerated: itertools.product over the sorted
     transversals of the non-trivial levels, deepest first, each element
-    multiplied out from the identity."""
+    multiplied out from the identity as image tuples."""
     levels = [t for t in chain.transversal if len(t) > 1]
     out = []
     for choice in itertools.product(*(sorted(t) for t in reversed(levels))):
         p = tuple(range(chain.degree))
         for t, pt in zip(reversed(levels), choice):
-            p = _mul(p, t[pt])
+            p = tuple_mul(p, tuple(t[pt]))
         out.append(p)
     return out
 
 
 def _assert_product_order(g: PermGroup) -> None:
     expected = _product_order_elements(g.chain)
-    assert list(g.chain.elements()) == expected
+    assert [tuple(x) for x in g.chain.elements()] == expected
     assert [x.images for x in g.elements()] == expected
 
 
@@ -763,14 +763,19 @@ def test_random_elements_are_members(seed):
 
 def _draws_from_the_levels(chain, rng, count):
     """Random elements drawn as random_element draws them, with every
-    level's points sorted again for each draw."""
+    level's points sorted again for each draw, as image tuples."""
     out = []
     for _ in range(count):
         p = tuple(range(chain.degree))
         for trans in reversed(chain._level_transversals()):
-            p = group._mul(p, trans[rng.choice(sorted(trans))])
+            p = tuple_mul(p, tuple(trans[rng.choice(sorted(trans))]))
         out.append(p)
     return out
+
+
+def _tuples(raws):
+    """Raw images as image tuples, None kept."""
+    return [None if x is None else tuple(x) for x in raws]
 
 
 def test_an_extended_chain_draws_from_its_own_levels():
@@ -778,15 +783,15 @@ def test_an_extended_chain_draws_from_its_own_levels():
     # by extended has other levels, so it must not read the ones kept.
     chain = StabChain(6, [(1, 0, 2, 3, 4, 5), (0, 2, 1, 3, 4, 5)])
     ours, theirs = random.Random(4), random.Random(4)
-    assert [chain.random_element(ours) for _ in range(3)] == (
+    assert _tuples(chain.random_element(ours) for _ in range(3)) == (
         _draws_from_the_levels(chain, theirs, 3)
     )
     wider = chain.extended([(1, 2, 3, 4, 5, 0)])
     assert wider.order() == 720
-    assert [wider.random_element(ours) for _ in range(20)] == (
+    assert _tuples(wider.random_element(ours) for _ in range(20)) == (
         _draws_from_the_levels(wider, theirs, 20)
     )
-    assert [chain.random_element(ours) for _ in range(20)] == (
+    assert _tuples(chain.random_element(ours) for _ in range(20)) == (
         _draws_from_the_levels(chain, theirs, 20)
     )
 
@@ -806,8 +811,8 @@ def test_product_closure(seed):
 class _ReferenceChain:
     """Plain full-base Schreier-Sims: every level is rebuilt, scanned and
     sifted through, trivial or not.  This is the engine's construction before
-    it skipped trivial levels, kept as the oracle that StabChain must match
-    chain for chain."""
+    it skipped trivial levels, on image tuples, kept as the oracle that
+    StabChain must match chain for chain."""
 
     def __init__(self, degree, generators, base=None):
         self.degree = degree
@@ -846,7 +851,7 @@ class _ReferenceChain:
             for g in gens:
                 img = g[pt]
                 if img not in trans:
-                    trans[img] = _mul(u, g)
+                    trans[img] = tuple_mul(u, g)
                     queue.append(img)
         self.transversal[i] = trans
         self._transversal_inv[i] = {}
@@ -855,7 +860,7 @@ class _ReferenceChain:
         inv = self._transversal_inv[i]
         u_inv = inv.get(pt)
         if u_inv is None:
-            u_inv = inv[pt] = _inv(self.transversal[i][pt])
+            u_inv = inv[pt] = tuple_inv(self.transversal[i][pt])
         return u_inv
 
     def _sift(self, p, start=0):
@@ -866,7 +871,7 @@ class _ReferenceChain:
                 continue
             if img not in self.transversal[i]:
                 return p
-            p = _mul(p, self._u_inv(i, img))
+            p = tuple_mul(p, self._u_inv(i, img))
         return None
 
     def _build(self):
@@ -884,8 +889,8 @@ class _ReferenceChain:
             for beta in sorted(trans_i):
                 u = trans_i[beta]
                 for x in gens_i:
-                    v = _mul(u, x)
-                    schreier = _mul(v, self._u_inv(i, v[b]))
+                    v = tuple_mul(u, x)
+                    schreier = tuple_mul(v, self._u_inv(i, v[b]))
                     residue = self._sift(schreier, i + 1)
                     if residue is not None:
                         lv = self._level_of(residue)
@@ -906,7 +911,7 @@ class _ReferenceChain:
             if len(trans) == 1:
                 continue
             pt = rng.choice(sorted(trans))
-            p = _mul(p, trans[pt])
+            p = tuple_mul(p, trans[pt])
         return p
 
     def min_coset_rep(self, c):
@@ -917,30 +922,32 @@ class _ReferenceChain:
                 continue
             best = min(trans, key=lambda pt: rep[pt])
             if best != i:
-                rep = _mul(trans[best], rep)
+                rep = tuple_mul(trans[best], rep)
         return rep
 
 
 def _assert_same_chain(degree, images, base, rng: random.Random):
-    """Build the chain both ways and compare everything a caller can read."""
+    """Build the chain both ways and compare everything a caller can read,
+    the engine's raw images as image tuples."""
     chain = StabChain(degree, images, base=base)
     ref = _ReferenceChain(degree, images, base=base)
     assert chain.base == ref.base
-    assert chain.strong_generators() == [g for g, _ in ref._strong]
-    assert [list(t.items()) for t in chain.transversal] == [
+    assert _tuples(chain.strong_generators()) == [g for g, _ in ref._strong]
+    assert [[(pt, tuple(u)) for pt, u in t.items()] for t in chain.transversal] == [
         list(t.items()) for t in ref.transversal
     ]
     for k in range(degree + 1):
-        assert chain.level_generators(k) == ref._gens_at(k)
+        assert _tuples(chain.level_generators(k)) == ref._gens_at(k)
     probes = [random_permutation(rng, degree).images for _ in range(20)]
     probes += [ref.random_element(rng) for _ in range(10)]
+    raw = [_to_raw(x) for x in probes]
     # the residue, not only the verdict: a skipped level must stop a sift
     # exactly where the full pass stops it
-    assert [chain._sift(x) for x in probes] == [ref._sift(x) for x in probes]
-    assert [chain.contains(x) for x in probes] == [ref._sift(x) is None for x in probes]
+    assert _tuples(chain._sift(x) for x in raw) == [ref._sift(x) for x in probes]
+    assert [chain.contains(x) for x in raw] == [ref._sift(x) is None for x in probes]
     draw_seed = rng.getrandbits(32)
     ours, theirs = random.Random(draw_seed), random.Random(draw_seed)
-    assert [chain.random_element(ours) for _ in range(10)] == [
+    assert _tuples(chain.random_element(ours) for _ in range(10)) == [
         ref.random_element(theirs) for _ in range(10)
     ]
     return chain, ref
@@ -955,7 +962,9 @@ def test_chain_matches_reference_schreier_sims(seed):
     images = [g.images for g in gens]
     chain, ref = _assert_same_chain(degree, images, None, rng)
     cosets = [random_permutation(rng, degree).images for _ in range(10)]
-    assert [chain.min_coset_rep(c) for c in cosets] == [ref.min_coset_rep(c) for c in cosets]
+    assert _tuples(chain.min_coset_rep(_to_raw(c)) for c in cosets) == [
+        ref.min_coset_rep(c) for c in cosets
+    ]
     # a prescribed base prefix, as pointwise_stabilizer and ActionMap use
     prefix = rng.sample(range(degree), rng.randint(1, degree))
     _assert_same_chain(degree, images, prefix, rng)
@@ -1157,7 +1166,7 @@ def test_chain_cost_does_not_grow_with_the_degree(spec, monkeypatch):
     def cost(degree, gens, elements):
         counts[:] = [0, 0]
         chain = StabChain(degree, [x.images for x in gens])
-        verdicts = [chain.contains(x.images) for x in elements]
+        verdicts = [chain.contains(x._raw) for x in elements]
         return tuple(counts), chain.order(), verdicts
 
     monkeypatch.setattr(group, "_mul", counting_mul)
