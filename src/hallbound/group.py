@@ -25,7 +25,7 @@ new strong generator and the scan resumes at the residue's level.
 The chain holds raw images (see perm): bytes up to degree 256, tuples
 above.  StabChain converts the generators it is given, so a caller may pass
 image tuples, and everything it holds or returns (strong generators,
-transversals, inverses, draws, elements, coset representatives) is in the
+transversals, draws, elements, coset representatives) is in the
 form of its degree; sifts, membership tests and coset representatives take
 that form.  The base is a tuple of ints whatever the degree.
 """
@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import enumeration_cap
 from .errors import DegreeMismatch, SubgroupError, check_cap
-from .perm import Permutation, Raw, _identity, _inv, _mul, _order_divides, _to_raw
+from .perm import Permutation, Raw, _div, _identity, _inv, _mul, _order_divides, _to_raw
 
 
 class _OrbitDoesNotDivide(Exception):
@@ -97,11 +97,13 @@ class StabChain:
       gives the identity as Schreier generator and is skipped; the BFS tree
       edges, which give it by construction, are skipped before the product
       is formed.  Each level's generator list is formed once per rebuild.
-    * Sift: between two non-trivial levels one C-level comparison checks
-      that p fixes every skipped base point; where it does not, p is
-      returned as it stands, exactly where a pass over every level would
-      have stopped, so sift residues (and hence the strong generators) are
-      those of the full pass.  After the last non-trivial level p is the
+    * Sift: a non-trivial level divides p by the representative u of p's
+      image of its base point, p * u^-1, in one C-level call (``_div``), so
+      no inverse is kept.  Between two non-trivial levels one C-level
+      comparison checks that p fixes every skipped base point; where it does
+      not, p is returned as it stands, exactly where a pass over every level
+      would have stopped, so sift residues (and hence the strong generators)
+      are those of the full pass.  After the last non-trivial level p is the
       identity or the residue.
     * Walks: random elements and minimal coset representatives take one
       step per non-trivial level, with the same draws as over every level.
@@ -126,12 +128,8 @@ class StabChain:
     A rebuild restarts its BFS from scratch into a fresh dict (extending an
     orbit in place would pick other coset representatives, so the skipped
     pairs are only those whose representatives came out unchanged), so the
-    levels a copy does not rebuild share their transversal dicts, and the
-    inverse caches that both fill with the same values, with the chain it
-    came from.  Inverse transversal elements are computed when first needed;
-    a rebuilt level starts an empty inverse cache (an inverse is one C call
-    on bytes, and carrying over the entries of unchanged representatives
-    measured no faster).
+    levels a copy does not rebuild share their transversal dicts with the
+    chain it came from.
 
     A build given the group's order stops scanning once the chain is
     complete (see _build; Seress ch. 4), with the chain of the full build.
@@ -166,10 +164,8 @@ class StabChain:
         # master list of (strong generator, level); level = first index i in
         # base order with g[base[i]] != base[i]
         self._strong: list[tuple[Raw, int]] = []
-        # transversals and their inverses (filled on first use) by
-        # non-trivial level; a trivial level's transversal is never stored
+        # transversals of the non-trivial levels only
         self._trans: dict[int, dict[int, Raw]] = {}
-        self._transversal_inv: dict[int, dict[int, Raw]] = {}
         self._levels: list[tuple] = []
         # each non-trivial level's transversal in sorted point order, with
         # its size and the size's bit length, deepest first, kept by
@@ -184,7 +180,6 @@ class StabChain:
         chain = copy.copy(self)
         chain._strong = list(self._strong)
         chain._trans = dict(self._trans)
-        chain._transversal_inv = dict(self._transversal_inv)
         chain._draws = None
         chain._extend(generators, divisor)
         return chain
@@ -258,37 +253,23 @@ class StabChain:
                     queue.append(img)
         kept = {pt for pt, u in trans.items() if old.get(pt) == u}
         self._trans[i] = trans
-        self._transversal_inv[i] = {}
         return trans, kept, tree
-
-    def _u_inv(self, i: int, pt: int) -> Raw:
-        """Inverse of the level-i transversal element for pt, cached."""
-        inv = self._transversal_inv[i]
-        u_inv = inv.get(pt)
-        if u_inv is None:
-            u_inv = inv[pt] = _inv(self._trans[i][pt])
-        return u_inv
 
     def _sift(self, p: Raw, k: int = 0) -> Raw | None:
         """Reduce p through the non-trivial levels from the k-th one on.
 
         p must fix the base points before the k-th non-trivial level's gap.
-        Returns None when p sifts to the identity, else the residue.  Only
-        points of the transversal have a cached inverse.
+        Returns None when p sifts to the identity, else the residue.
         """
         for i, b, gap_check, gap in self._levels[k:] if k else self._levels:
             if gap_check is not None and gap_check(p) != gap:
                 return p
             img = p[b]
             if img != b:
-                inv = self._transversal_inv[i]
-                u_inv = inv.get(img)
-                if u_inv is None:
-                    u = self._trans[i].get(img)
-                    if u is None:
-                        return p
-                    u_inv = inv[img] = _inv(u)
-                p = _mul(p, u_inv)
+                u = self._trans[i].get(img)
+                if u is None:
+                    return p
+                p = _div(p, u)
         # full base: anything fixing every base point is the identity
         return None if p == self._identity else p
 
@@ -330,10 +311,10 @@ class StabChain:
                 img = x[beta]  # u * x maps b to img
                 if tree.get(img) is x or j < proved and img in kept:
                     continue
-                v = _mul(u, x)
-                if v == trans[img]:
+                v, w = _mul(u, x), trans[img]
+                if v == w:
                     continue  # the Schreier generator is the identity
-                residue = self._sift(_mul(v, self._u_inv(i, img)), k + 1)
+                residue = self._sift(_div(v, w), k + 1)
                 if residue is not None:
                     return residue, (beta, j)
         return None, None
@@ -497,6 +478,10 @@ class PermGroup:
 
     def __setattr__(self, name, value):
         raise AttributeError("PermGroup is immutable")
+
+    def __reduce__(self):
+        # copies and pickles rebuild from the generators, without the chain
+        return PermGroup, (self.degree, self.generators)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":

@@ -71,7 +71,7 @@ from .group import (
     conjugate_subgroup,
     is_normal,
 )
-from .perm import Permutation, _conj, _inv, _to_raw
+from .perm import _conj
 from .primes import PrimeSet, factorize
 from .radicals import pi_core, sylow_subgroup
 from .structure import is_simple, is_soluble, socle
@@ -115,38 +115,6 @@ class HallSearchResult:
         return self.status == "found"
 
 
-def _pi_part_of_element(x: Permutation, pi: PrimeSet) -> Permutation:
-    """Power of x whose order is the pi-part of x's order: x ** m, m the
-    pi'-part of the order.  One walk finds the cycles and, from their
-    lengths, the order; x ** m moves each point m steps along its cycle.
-    The walk is not Permutation.cycles: with its cycle tuples the suite
-    workload read 0.4 MB more peak RSS at a fixed pass count."""
-    images = x._raw
-    seen = bytearray(len(images))
-    cycles = []
-    order = 1
-    for start, pt in enumerate(images):
-        if seen[start] or pt == start:
-            continue
-        cycle = [start]
-        seen[start] = 1
-        while pt != start:
-            seen[pt] = 1
-            cycle.append(pt)
-            pt = images[pt]
-        cycles.append(cycle)
-        order = math.lcm(order, len(cycle))
-    m = pi.coprime_part_of(order)
-    if m == 1:
-        return x
-    power = list(images)
-    for cycle in cycles:
-        shift = m % len(cycle)
-        for pt, image in zip(cycle, cycle[shift:] + cycle[:shift]):
-            power[pt] = image
-    return Permutation._trusted(_to_raw(power))
-
-
 # Greedy restarts before the coset-action bound on G, and after a refused
 # scan.  Every greedy witness of the scale-3 suite comes within 3 restarts
 # (S7 with pi = {2,3} on the third); groups above the enumeration cap, whose
@@ -166,7 +134,8 @@ def _greedy_phase(
         stale = 0
         while current.order() < target and stale < 40:
             tried += 1
-            y = _pi_part_of_element(g.random_element(rng), pi)
+            x = g.random_element(rng)
+            y = x ** pi.coprime_part_of(x.order())
             grown = current if y.is_identity else _enlarge(current, (y,), target)
             if grown is None or grown is current:
                 stale += 1
@@ -218,15 +187,14 @@ def _conjugates(g: PermGroup, sub: PermGroup) -> Iterator[PermGroup]:
     keyed by its element set, conjugated from its parent's, so only sub is
     enumerated and no conjugate builds a chain.
     """
-    conjugators = [(s, s._raw, _inv(s._raw)) for s in g.generators]
     key = frozenset(x._raw for x in sub.elements())
     seen = {key}
     queue = deque([(sub, key)])
     yield sub
     while queue:
         current, elements = queue.popleft()
-        for s, images, inverse in conjugators:
-            key = frozenset(_conj(x, images, inverse) for x in elements)
+        for s in g.generators:
+            key = frozenset(_conj(x, s._raw) for x in elements)
             if key not in seen:
                 seen.add(key)
                 conj = conjugate_subgroup(current, s)

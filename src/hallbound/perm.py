@@ -7,14 +7,15 @@ i.e. a acts first.  Conjugation x ** g is g^-1 * x * g and the commutator
 
 Storage: a permutation holds its raw images, ``bytes`` when the degree is
 at most 256 and a tuple of ints above it.  The degree alone picks the form,
-in ``_to_raw``, which builds every raw image that is not a product, inverse
-or conjugate of raw images.  On bytes the primitives run in C: a product a *
-b is one ``bytes.translate`` of a by b padded to a 256-entry table, an
-inverse one ``bytes.maketrans`` against the identity, and a conjugate one
-maketrans over a translate; on tuples (``translate`` needs the 256-entry
-table) they are an itemgetter and loops.  Both forms index to ints and
-compare lexicographically by their ints, so the engine keeps one code path
-over both and reads the raw form (``_raw``) rather than ``images``, which
+in ``_to_raw``, which builds every raw image that is not derived from raw
+images.  On bytes the primitives run in C: a product a * b is one
+``bytes.translate`` of a by b padded to a 256-entry table, an inverse one
+``bytes.maketrans`` against the identity, a quotient a * b^-1 (``_div``)
+one translate of a by that full table, and a conjugate one maketrans over a
+translate; on tuples (``translate`` needs the 256-entry table) they are an
+itemgetter and loops.  Both forms index to ints and compare
+lexicographically by their ints, so the engine keeps one code path over
+both and reads the raw form (``_raw``) rather than ``images``, which
 converts.  A product of raw images of the two forms raises.  Hashes of
 bytes are salted per process, so no iteration order of a set of raw images
 may reach an answer.
@@ -88,15 +89,18 @@ def _inv(a: Raw) -> Raw:
     return tuple(out)
 
 
-def _conj(x: Raw, g: Raw, g_inv: Raw | None = None) -> Raw:
-    """Raw images of x ** g = g^-1 * x * g.
+def _div(a: Raw, b: Raw) -> Raw:
+    """Raw quotient a * b^-1; raw images of two forms raise."""
+    if type(b) is bytes:
+        return bytes.translate(a, bytes.maketrans(b, _IDENTITIES[len(b)]))
+    if type(a) is not tuple:
+        raise TypeError("cannot divide bytes images by tuple images")
+    return itemgetter(*a)(_inv(b))
 
-    With the inverse of g at hand this is two products; without it, the map
-    that sends g(i) to g(x(i)), which is cheaper than inverting g first: on
-    bytes one maketrans from g to x * g, on tuples one pass.
-    """
-    if g_inv is not None:
-        return _mul(_mul(g_inv, x), g)
+
+def _conj(x: Raw, g: Raw) -> Raw:
+    """Raw x ** g = g^-1 * x * g as the map sending g(i) to g(x(i)), with
+    no inverse: on bytes one maketrans from g to x * g, on tuples one pass."""
     if type(g) is bytes:
         return bytes.maketrans(g, _mul(x, g))[: len(g)]
     out = [0] * len(x)
@@ -154,6 +158,9 @@ class Permutation:
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
+
+    def __reduce__(self):
+        return Permutation, (self.images,)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":

@@ -63,7 +63,7 @@ from .group import (
     normal_closure,
     pointwise_stabilizer,
 )
-from .perm import Permutation, Raw, _conj, _identity, _inv, _mul
+from .perm import Permutation, Raw, _conj, _identity, _mul
 from .primes import factorize, is_prime
 
 
@@ -136,7 +136,7 @@ def _class_seeds(ambient: PermGroup, k: PermGroup, cap: int) -> list[Permutation
             key_of.update((y, key) for y in gens)
     keys = set(key_of.values())
     keys.discard(None)
-    conjugators = [(s._raw, _inv(s._raw)) for s in ambient.generators]
+    conjugators = [s._raw for s in ambient.generators]
     seeds: list[Permutation] = []
     visited: set[Raw] = set()
     for key in sorted(keys):
@@ -147,8 +147,8 @@ def _class_seeds(ambient: PermGroup, k: PermGroup, cap: int) -> list[Permutation
         frontier = [key]
         while frontier:
             x = frontier.pop()
-            for s, s_inv in conjugators:
-                y = _conj(x, s, s_inv)
+            for s in conjugators:
+                y = _conj(x, s)
                 c = key_of[y]
                 if c not in visited:
                     visited.add(c)

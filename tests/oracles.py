@@ -58,13 +58,9 @@ def tuple_inv(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def tuple_conj(
-    x: tuple[int, ...], g: tuple[int, ...], g_inv: tuple[int, ...] | None = None
-) -> tuple[int, ...]:
-    """Image tuple of x ** g = g^-1 * x * g: two products with the inverse
-    of g, else one pass that sends g(i) to g(x(i))."""
-    if g_inv is not None:
-        return tuple_mul(tuple_mul(g_inv, x), g)
+def tuple_conj(x: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of x ** g = g^-1 * x * g: one pass that sends g(i) to
+    g(x(i))."""
     out = [0] * len(x)
     for i, v in enumerate(x):
         out[g[i]] = g[v]

@@ -3,8 +3,10 @@
 import ast
 import collections
 import contextlib
+import copy
 import itertools
 import math
+import pickle
 import random
 import sys
 import threading
@@ -47,7 +49,7 @@ from hallbound import (
 )
 from hallbound import group
 from hallbound.errors import CapExceeded, DegreeMismatch
-from hallbound.perm import _inv, _mul, _to_raw
+from hallbound.perm import _div, _inv, _mul, _to_raw
 from hallbound.primes import prime_divisors
 
 from conftest import SRC, permutations_of_degree, random_permutation, random_subgroup_gens
@@ -986,7 +988,7 @@ class _FullScanChain(StabChain):
                 img = v[b]
                 if v == trans[img]:
                     continue
-                residue = self._sift(_mul(v, self._u_inv(i, img)), k + 1)
+                residue = self._sift(_div(v, trans[img]), k + 1)
                 if residue is not None:
                     return residue, (beta, j)
         return None, None
@@ -1147,7 +1149,7 @@ def _spread(x: Permutation, degree: int) -> Permutation:
 @pytest.mark.parametrize("spec", ["S4", "A5 wr C2", "PSL(2,7)"])
 def test_chain_cost_does_not_grow_with_the_degree(spec, monkeypatch):
     """Building a chain and sifting through it cost the same products and
-    inversions whether the group acts on its own points or on points spread
+    divisions whether the group acts on its own points or on points spread
     across degree 400: the trivial levels in between cost nothing."""
     g = group_from_spec(spec)
     rng = random.Random(5)
@@ -1159,9 +1161,9 @@ def test_chain_cost_does_not_grow_with_the_degree(spec, monkeypatch):
         counts[0] += 1
         return _mul(a, b)
 
-    def counting_inv(a):
+    def counting_div(a, b):
         counts[1] += 1
-        return _inv(a)
+        return _div(a, b)
 
     def cost(degree, gens, elements):
         counts[:] = [0, 0]
@@ -1170,13 +1172,33 @@ def test_chain_cost_does_not_grow_with_the_degree(spec, monkeypatch):
         return tuple(counts), chain.order(), verdicts
 
     monkeypatch.setattr(group, "_mul", counting_mul)
-    monkeypatch.setattr(group, "_inv", counting_inv)
+    monkeypatch.setattr(group, "_div", counting_div)
     own = cost(g.degree, g.generators, probes)
     spread = cost(
         400, [_spread(x, 400) for x in g.generators], [_spread(x, 400) for x in probes]
     )
-    assert own[1] == g.order() and any(own[2])
+    assert own[1] == g.order() and any(own[2]) and all(own[0])
     assert spread == own
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_permutations_and_groups_copy_and_pickle(round_trip):
+    """Each round trip gives an equal object with an equal hash and order,
+    in both raw forms; a group's copy carries no chain."""
+    small = group_from_spec("A5 wr C2")
+    large = PermGroup(400, [_spread(x, 400) for x in group_from_spec("S4").generators])
+    for g in (small, large):
+        g.order()
+        for obj in (g, *g.generators, g.random_element(random.Random(1))):
+            twin = round_trip(obj)
+            assert twin is not obj and twin == obj and hash(twin) == hash(obj)
+            assert twin.order() == obj.order()
+        assert round_trip(g)._chain is None
+        assert all(type(round_trip(x)._raw) is type(x._raw) for x in g.generators)
 
 
 def _dicts_held(chain: StabChain) -> int:

@@ -38,7 +38,6 @@ from hallbound.hall import (
     _conjugates,
     _fails_coset_bound,
     _greedy_phase,
-    _pi_part_of_element,
     _sylow_generated,
 )
 from hallbound.perm import _mul
@@ -220,19 +219,6 @@ def test_memo_follows_the_enumeration_cap(monkeypatch):
     assert find_hall_subgroup(g, pi) is lifted
 
 
-@pytest.mark.property_based
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=200, deadline=None)
-def test_pi_part_of_an_element_is_the_coprime_power(seed):
-    # one cycle walk finds the order and the power x ** m, m the pi'-part
-    rng = random.Random(seed)
-    x = random_permutation(rng, rng.randint(1, 30))
-    x = x ** rng.choice([1, 1, 2, 3, 4, 6])
-    for primes in ([2], [3], [2, 3], [2, 5], [3, 7], [2, 3, 5], [2, 3, 5, 7]):
-        pi = PrimeSet(primes)
-        assert _pi_part_of_element(x, pi) == x ** pi.coprime_part_of(x.order())
-
-
 def _greedy_from_scratch(g, pi, target, rng):
     """Greedy growth as it was before joins extended the current chain:
     every candidate's chain is built from scratch."""
@@ -242,7 +228,8 @@ def _greedy_from_scratch(g, pi, target, rng):
         stale = 0
         while current.order() < target and stale < 40:
             tried += 1
-            y = _pi_part_of_element(g.random_element(rng), pi)
+            x = g.random_element(rng)
+            y = x ** pi.coprime_part_of(x.order())
             if y.is_identity or current.contains(y):
                 stale += 1
                 continue

@@ -25,7 +25,7 @@ from hallbound import (
     symmetric_group,
 )
 from hallbound.group import ActionMap
-from hallbound.perm import _conj, _inv, _mul, _order_divides, _to_raw
+from hallbound.perm import _conj, _div, _inv, _mul, _order_divides, _to_raw
 from hallbound.primes import prime_divisors
 
 from conftest import SRC
@@ -60,7 +60,7 @@ def _assert_primitives_match(rng: random.Random, degree: int) -> None:
         "mul": (_mul(ra, rb), tuple_mul(a, b)),
         "inv": (_inv(ra), tuple_inv(a)),
         "conj": (_conj(ra, rg), tuple_conj(a, g)),
-        "conj with inverse": (_conj(ra, rg, _inv(rg)), tuple_conj(a, g, tuple_inv(g))),
+        "div": (_div(ra, rb), tuple_mul(a, tuple_inv(b))),
     }
     for name, (ours, oracle) in results.items():
         assert type(ours) is form, (name, degree)
@@ -124,16 +124,22 @@ def _spread(x: Permutation, degree: int) -> Permutation:
 
 def _raw_forms(chain: StabChain, g: PermGroup) -> set[type]:
     """The types of every raw image a chain holds or hands out: strong
-    generators, transversals, cached inverses (filled by sifting every
-    element), random draws, elements and minimal coset representatives."""
+    generators, transversals, sift residues of non-members (each element
+    times the transposition of the last two points, which g lacks), random
+    draws, elements and minimal coset representatives."""
     elements = list(chain.elements())
     assert len(elements) == g.order() and all(chain.contains(x) for x in elements)
     rng = random.Random(3)
     held = chain.strong_generators() + elements
     held += [u for trans in chain.transversal for u in trans.values()]
-    inverses = [v for inv in chain._transversal_inv.values() for v in inv.values()]
-    assert inverses
-    held += inverses
+    n = chain.degree
+    swap = _to_raw([*range(n - 2), n - 1, n - 2])
+    outside = [_mul(x, swap) for x in elements]
+    residues = [chain._sift(x) for x in outside]
+    assert None not in residues
+    # some residues went through a division, so _div's output is among them
+    assert any(r != x for r, x in zip(residues, outside))
+    held += residues
     held += [chain.random_element(rng) for _ in range(20)]
     held += [chain.min_coset_rep(x) for x in elements[:20]]
     return {type(x) for x in held}
