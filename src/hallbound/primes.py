@@ -27,14 +27,7 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
+    return n > 1 and factorize(n) == {n: 1}
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:

@@ -7,9 +7,9 @@ into simple factors.  They come from one call that tries in order:
     group on an orbit of m >= 5 points is recognised by its order
     (_giant_index); its one minimal normal subgroup is the alternating one;
   * a direct product: a group with two or more nontrivial orbits whose
-    orbit factors are non-abelian simple and multiply to its order
-    (_support_factorization) has those factors as its minimal normal
-    subgroups, at any order;
+    orbit images, read off its generators, are non-abelian simple and
+    multiply to its order (_support_factorization) is their direct product
+    and has them as its minimal normal subgroups, at any order;
   * a certified kernel search, at any order: the kernels of the actions on
     the nontrivial orbits (two or more of them) or on the minimal block
     systems (one; none for a regular action) are searched, and so is C =
@@ -156,25 +156,34 @@ def _class_seeds(ambient: PermGroup, k: PermGroup, cap: int) -> list[Permutation
     return seeds
 
 
+def _orbit_image(g: PermGroup, orbit: list[int]) -> PermGroup:
+    """g's action on its orbit, on g's own points: each generator restricted
+    to the orbit and fixing every other point; g itself, chain and all, when
+    g moves no other point."""
+    inside = set(orbit)
+    gens = [
+        Permutation(x._raw[pt] if pt in inside else pt for pt in range(g.degree))
+        for x in g.generators
+    ]
+    return g if gens == list(g.generators) else PermGroup(g.degree, gens)
+
+
 def _giant_index(g: PermGroup) -> int | None:
     """1 when g acts faithfully as the symmetric group on one of its orbits
     Delta of m >= 5 points, 2 when it acts so as the alternating group there,
     None otherwise.
 
-    The action on Delta is a homomorphism into Sym(Delta) whose kernel is
-    the pointwise stabilizer of Delta.  When that kernel is trivial, |g| =
-    m! forces the image Sym(Delta), and |g| = m!/2 the one subgroup of index
-    2, Alt(Delta).  m! is formed only while it stays within 2|g|.
+    The action is faithful when g's image on Delta has g's order.  Then |g|
+    = m! forces the image Sym(Delta), and |g| = m!/2 the one subgroup of
+    index 2, Alt(Delta).  Since m! >= 2^m, m! is formed only when m is at
+    most the bit length of 2|g|.
     """
     n = g.order()
     for orbit in g.orbits():
-        factorial = 1
-        for i in range(2, len(orbit) + 1):
-            factorial *= i
-            if factorial > 2 * n:
-                break
-        if len(orbit) >= 5 and factorial in (n, 2 * n):
-            if pointwise_stabilizer(g, orbit).is_trivial():
+        m = len(orbit)
+        if 5 <= m <= (2 * n).bit_length():
+            factorial = math.factorial(m)
+            if factorial in (n, 2 * n) and _orbit_image(g, orbit).order() == n:
                 return factorial // n
     return None
 
@@ -182,18 +191,18 @@ def _giant_index(g: PermGroup) -> int | None:
 def _support_factorization(k: PermGroup, cap: int) -> list[PermGroup] | None:
     """Split k into at least two disjointly supported simple factors, or None.
 
-    The factor on an orbit is the pointwise stabilizer of the other points,
-    a normal subgroup of k.  The factors commute and meet trivially, so when
-    their orders multiply to |k|, k is their direct product.  Each must be a
-    certified non-abelian simple group: a giant by its order, any other
-    factor under the cap.  A non-abelian simple group moves at least 5
-    points, and its order has at least three prime divisors (a group of
-    order p^a q^b is soluble, by Burnside's theorem), so an orbit of fewer
-    points, or a factor of an order with fewer primes (an abelian simple
-    factor among them), rejects the product before any factor is
-    certified.  The factors are certified smallest first, so a small factor
-    that is not simple rejects the product before a larger one is
-    enumerated; they are returned in orbit order.
+    k lies in the direct product of its images on its moved orbits, so it is
+    that product exactly when their orders multiply to |k| (a running product
+    over |k| rejects it at once); each image, the factor, is then the normal
+    subgroup of k fixing every other point.  Each factor must be a certified
+    non-abelian simple group: a giant by its order, any other factor under the
+    cap.  A non-abelian simple group moves at least 5 points, and its order
+    has at least three prime divisors (a group of order p^a q^b is soluble, by
+    Burnside's theorem), so an orbit of fewer points, or a factor of an order
+    with fewer primes (an abelian simple factor among them), rejects the
+    product before any factor is certified.  The factors are certified
+    smallest first, so a small factor that is not simple rejects the product
+    before a larger one is enumerated; they are returned in orbit order.
     """
     moved = [orbit for orbit in k.orbits() if len(orbit) > 1]
     if len(moved) < 2 or min(map(len, moved)) < 5:
@@ -201,13 +210,11 @@ def _support_factorization(k: PermGroup, cap: int) -> list[PermGroup] | None:
     factors = []
     total = 1
     for orbit in moved:
-        inside = set(orbit)
-        rest = [pt for pt in range(k.degree) if pt not in inside]
-        t = pointwise_stabilizer(k, rest)
-        if t.is_trivial() or t.order() > cap and _giant_index(t) is None:
+        t = _orbit_image(k, orbit)
+        total *= t.order()
+        if total > k.order() or t.order() > cap and _giant_index(t) is None:
             return None
         factors.append(t)
-        total *= t.order()
     if total != k.order() or any(len(factorize(t.order())) < 3 for t in factors):
         return None
     return factors if all(is_simple(t) for t in sorted(factors, key=PermGroup.order)) else None

@@ -407,10 +407,12 @@ def test_each_group_is_harvested_once(monkeypatch):
     "spec, index",
     [(f"A{n}", 2) for n in range(5, 9)]
     + [(f"S{n}", 1) for n in range(5, 9)]
-    + [("S3", None), ("A4", None), ("S4", None)],
+    + [("S3", None), ("A4", None), ("S4", None)]
+    + [("A5 x C2", None), ("A6 x C2", None)],
 )
 def test_giants_match_the_seed_closures(spec, index):
-    # on at most four points S3, A4 and S4 are no giants
+    # on at most four points S3, A4 and S4 are no giants; A5 x C2 and A6 x C2
+    # have order m! but act on their m-point orbit with kernel C2
     g = group_from_spec(spec)
     assert _giant_index(g) == index
     exhaustive = _inclusion_minimal(seed_closures(g))
@@ -456,6 +458,34 @@ def test_a_diagonal_giant_is_recognised(monkeypatch, spec, index):
     if index == 2:
         assert minimals == (g,)
     assert minimals[0].same_group_as(derived_subgroup(g))
+
+
+def test_orbit_images_build_no_pointwise_stabilizer(monkeypatch):
+    # The giant test and the direct-product split read each orbit's image off
+    # the generators; neither builds a chain of the group on a new base.
+    calls = []
+    pointwise_stabilizer = structure.pointwise_stabilizer
+
+    def counted(g, points):
+        calls.append(g.order())
+        return pointwise_stabilizer(g, points)
+
+    monkeypatch.setattr(structure, "pointwise_stabilizer", counted)
+    clear_caches()
+    try:
+        g = group_from_spec("A6 x A5")
+        assert _giant_index(g) is None
+        assert sorted(f.order() for f in _support_factorization(g, enumeration_cap())) == [60, 360]
+        g = _diagonal_on(group_from_spec("A5"), 2)
+        assert _giant_index(g) == 2
+        assert _support_factorization(g, enumeration_cap()) is None
+        monkeypatch.setenv("HALLBOUND_CAP", "50")
+        base = derived_subgroup(group_from_spec("A5 wr C3"))
+        assert _giant_index(base) is None
+        assert [f.order() for f in _support_factorization(base, 50)] == [60, 60, 60]
+    finally:
+        clear_caches()
+    assert calls == []
 
 
 def _count_enumerations(monkeypatch) -> Counter:
